@@ -1,16 +1,16 @@
-from .base import LabeledSet, apply_threshold, choose_threshold
+from .base import LabeledSet, choose_threshold, threshold_labels
 from .flats import DistanceModel, FlatModel, classify_by_flats, fit_distance, fit_flat
 from .kmeans import KMeansModel, kmeans
-from .linear import LinearModel, fit_linear, predict, scatter_matrices
+from .linear import LinearModel, fit_linear, scatter_matrices
 from .quantize import Quantizer, build_quantizer, quantizer_error
 from .serialize import ModelFormatError, model_from_dict, model_to_dict
 from .tree import TreeLeaf, TreeModel, TreeNode, TreeParams, fit_tree, node_stats
 
 __all__ = [
-    "LabeledSet", "apply_threshold", "choose_threshold",
+    "LabeledSet", "choose_threshold", "threshold_labels",
     "DistanceModel", "FlatModel", "classify_by_flats", "fit_distance", "fit_flat",
     "KMeansModel", "kmeans",
-    "LinearModel", "fit_linear", "predict", "scatter_matrices",
+    "LinearModel", "fit_linear", "scatter_matrices",
     "Quantizer", "build_quantizer", "quantizer_error",
     "ModelFormatError", "model_from_dict", "model_to_dict",
     "TreeLeaf", "TreeModel", "TreeNode", "TreeParams", "fit_tree", "node_stats",

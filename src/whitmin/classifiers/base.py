@@ -71,8 +71,7 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> Tuple[float, int
     return float(theta), int(orient), err / n
 
 
-def apply_threshold(score: float, theta: float, orientation: int) -> int:
-    """score <= theta maps to the orientation's class, else the other one."""
-    left = orientation
-    right = 2 if orientation == 1 else 1
-    return left if score <= theta else right
+def threshold_labels(scores: np.ndarray, theta: float, orientation: int) -> np.ndarray:
+    """Scores <= theta map to the orientation's class, the rest to the other one."""
+    other = 2 if orientation == 1 else 1
+    return np.where(np.asarray(scores) <= theta, orientation, other).astype(np.int64)

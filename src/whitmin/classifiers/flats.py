@@ -7,8 +7,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..numerics import mean_and_covariance, sym_eigen
-from .base import LabeledSet, apply_threshold, choose_threshold
+from ..numerics import mean_and_covariance, ridge_if_singular, sym_eigen
+from .base import LabeledSet, choose_threshold, threshold_labels
 
 DEFAULT_ZERO_TOL = 1e-8
 
@@ -61,12 +61,7 @@ def classify_by_flats(
 
 
 def _inv_with_ridge(C: np.ndarray) -> Tuple[np.ndarray, bool]:
-    eig = sym_eigen(C)
-    lam_max = float(eig.values[0])
-    repaired = lam_max <= 0.0 or float(eig.values[-1]) < 1e-12 * lam_max
-    if repaired:
-        C = C + (1e-8 * max(np.trace(C), 1e-300) / C.shape[0] + np.finfo(float).tiny) \
-            * np.eye(C.shape[0])
+    C, repaired = ridge_if_singular(C)
     inv = np.linalg.inv(C)
     return (inv + inv.T) / 2.0, repaired
 
@@ -94,20 +89,21 @@ class DistanceModel:
     ridge_repaired: bool = False
     training_error: float = 0.0
 
-    def score(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
         if self.variant == "flat":
-            return self.flat1.residual(x) - self.flat2.residual(x)
-        d1 = x - self.mu1
-        d2 = x - self.mu2
-        return float(d1 @ self.inv_cov1 @ d1 - d2 @ self.inv_cov2 @ d2)
+            return np.array([self.flat1.residual(x) - self.flat2.residual(x) for x in X])
+        # Row by row: a matrix form sums in another order, which moves the low
+        # bits of nearly every score and so the fitted theta.
+        out = np.empty(X.shape[0])
+        for i, x in enumerate(X):
+            d1 = x - self.mu1
+            d2 = x - self.mu2
+            out[i] = d1 @ self.inv_cov1 @ d1 - d2 @ self.inv_cov2 @ d2
+        return out
 
-    def predict(self, x: np.ndarray) -> int:
-        return apply_threshold(self.score(x), self.theta, self.orientation)
-
-
-def distance_scores(model: DistanceModel, X: np.ndarray) -> np.ndarray:
-    return np.array([model.score(x) for x in np.asarray(X, dtype=np.float64)])
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return threshold_labels(self.scores(X), self.theta, self.orientation)
 
 
 def fit_distance(
@@ -137,7 +133,7 @@ def fit_distance(
             "mahalanobis", mu1, mu2, 0.0, 1,
             inv_cov1=inv1, inv_cov2=inv2, ridge_repaired=rep1 or rep2)
 
-    scores = distance_scores(model, data.features)
+    scores = model.scores(data.features)
     theta, orient, err = choose_threshold(scores, data.labels)
     object.__setattr__(model, "theta", theta)
     object.__setattr__(model, "orientation", orient)

@@ -17,10 +17,6 @@ class KMeansModel:
     objective_unsquared: float  # sum of plain distances (reported, not asserted)
     assignments: np.ndarray
 
-    def predict(self, x: np.ndarray) -> int:
-        d = np.linalg.norm(self.centers - np.asarray(x, dtype=np.float64), axis=1)
-        return int(np.argmin(d))
-
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

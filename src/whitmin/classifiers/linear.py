@@ -8,8 +8,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..numerics import least_squares, mean_and_covariance, qp_hard_margin, sym_eigen
-from .base import LabeledSet, apply_threshold, choose_threshold
+from ..numerics import (least_squares, mean_and_covariance, qp_hard_margin,
+                        ridge_if_singular)
+from .base import LabeledSet, choose_threshold, threshold_labels
 from .quantize import Quantizer
 
 
@@ -25,17 +26,14 @@ class LinearModel:
     quantizer: Optional[Quantizer] = None
     training_error: float = 0.0
 
-    def score(self, x: np.ndarray) -> float:
-        return float(np.asarray(x, dtype=np.float64) @ self.weights)
-
     def scores(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.weights
 
-    def predict(self, x: np.ndarray) -> int:
-        s = self.score(x)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        s = self.scores(X)
         if self.quantizer is not None:
             return self.quantizer.classify(s)
-        return apply_threshold(s, self.theta, self.orientation)
+        return threshold_labels(s, self.theta, self.orientation)
 
     def with_quantizer(self, q: Quantizer) -> "LinearModel":
         return LinearModel(self.weights, self.theta, self.orientation,
@@ -67,11 +65,7 @@ def _fisher_weights(data: LabeledSet) -> np.ndarray:
     mu1, _ = mean_and_covariance(X1)
     mu2, _ = mean_and_covariance(X2)
     _, Sw, _ = scatter_matrices(data)
-    eig = sym_eigen(Sw)
-    lam_max = float(eig.values[0])
-    if lam_max <= 0.0 or float(eig.values[-1]) < 1e-12 * lam_max:
-        Sw = Sw + (1e-8 * max(np.trace(Sw), 1e-300) / Sw.shape[0]
-                   + np.finfo(float).tiny) * np.eye(Sw.shape[0])
+    Sw, _ = ridge_if_singular(Sw)
     return np.linalg.solve(Sw, mu1 - mu2)
 
 
@@ -103,9 +97,3 @@ def fit_linear(data: LabeledSet, method: str = "regression") -> LinearModel:
     scores = X @ v
     theta, orient, err = choose_threshold(scores, data.labels)
     return LinearModel(v, theta, orient, method, training_error=err)
-
-
-def predict(model, x: np.ndarray) -> Tuple[int, float]:
-    """Label and raw discriminant score for any fitted model exposing
-    score/predict."""
-    return model.predict(x), model.score(x)

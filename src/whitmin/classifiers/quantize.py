@@ -33,11 +33,11 @@ class Quantizer:
     def num_intervals(self) -> int:
         return len(self.interval_labels)
 
-    def interval_index(self, score: float) -> int:
-        return int(np.searchsorted(np.asarray(self.boundaries), score, side="left"))
-
-    def classify(self, score: float) -> int:
-        return self.interval_labels[self.interval_index(score)]
+    def classify(self, scores: np.ndarray) -> np.ndarray:
+        """Label of the interval holding each score."""
+        idx = np.searchsorted(np.asarray(self.boundaries, dtype=np.float64), scores,
+                              side="left")
+        return np.asarray(self.interval_labels, dtype=np.int64)[idx]
 
 
 def _majority_labels(
@@ -176,5 +176,5 @@ def _min_error_boundaries(s: np.ndarray, y: np.ndarray, m: int) -> List[float]:
 
 
 def quantizer_error(q: Quantizer, scores: np.ndarray, labels: np.ndarray) -> float:
-    preds = np.array([q.classify(v) for v in np.asarray(scores, dtype=np.float64)])
+    preds = q.classify(np.asarray(scores, dtype=np.float64))
     return float((preds != np.asarray(labels)).mean())

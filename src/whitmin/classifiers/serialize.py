@@ -38,7 +38,7 @@ def quantizer_to_dict(q: Quantizer) -> Dict[str, Any]:
 
 
 def quantizer_from_dict(d: Dict[str, Any]) -> Quantizer:
-    return Quantizer(d["kind"], tuple(d["boundaries"]),
+    return Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]),
                      tuple(int(x) for x in d["interval_labels"]),
                      bool(d.get("degenerate", False)))
 
@@ -119,30 +119,46 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
 
 
 def model_from_dict(doc: Dict[str, Any]):
+    """The model a document describes.  Raises ModelFormatError for an unknown
+    schema or method, a missing key, or a value the model rejects."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError("a model document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ModelFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    try:
+        return _model_from_dict(doc)
+    except ModelFormatError:
+        raise
+    except KeyError as e:
+        raise ModelFormatError(f"{doc.get('method')} model lacks key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ModelFormatError(f"bad {doc.get('method')} model: {e}") from e
+
+
+def _model_from_dict(doc: Dict[str, Any]):
     method = doc.get("method")
     if method in ("regression", "fisher", "svm"):
         q = quantizer_from_dict(doc["quantizer"]) if "quantizer" in doc else None
-        return LinearModel(np.array(doc["weights"]), float(doc["theta"]),
-                           int(doc["orientation"]), method, q,
+        return LinearModel(np.array(doc["weights"], dtype=np.float64),
+                           float(doc["theta"]), int(doc["orientation"]), method, q,
                            float(doc.get("training_error", 0.0)))
     if method == "distance":
         kwargs = dict(
             variant=doc["variant"],
-            mu1=np.array(doc["mu1"]), mu2=np.array(doc["mu2"]),
+            mu1=np.array(doc["mu1"], dtype=np.float64),
+            mu2=np.array(doc["mu2"], dtype=np.float64),
             theta=float(doc["theta"]), orientation=int(doc["orientation"]),
             ridge_repaired=bool(doc.get("ridge_repaired", False)),
             training_error=float(doc.get("training_error", 0.0)),
         )
         if doc["variant"] == "flat":
-            kwargs["flat1"] = FlatModel(np.array(doc["flat1"]["mu"]),
-                                        np.array(doc["flat1"]["T"]), doc["flat1"]["tol"])
-            kwargs["flat2"] = FlatModel(np.array(doc["flat2"]["mu"]),
-                                        np.array(doc["flat2"]["T"]), doc["flat2"]["tol"])
+            for k in ("flat1", "flat2"):
+                kwargs[k] = FlatModel(np.array(doc[k]["mu"], dtype=np.float64),
+                                      np.array(doc[k]["T"], dtype=np.float64),
+                                      doc[k]["tol"])
         else:
-            kwargs["inv_cov1"] = np.array(doc["inv_cov1"])
-            kwargs["inv_cov2"] = np.array(doc["inv_cov2"])
+            kwargs["inv_cov1"] = np.array(doc["inv_cov1"], dtype=np.float64)
+            kwargs["inv_cov2"] = np.array(doc["inv_cov2"], dtype=np.float64)
         return DistanceModel(**kwargs)
     if method == "tree":
         p = doc["params"]

@@ -72,15 +72,20 @@ class TreeModel:
     num_classes: int
     params: TreeParams
 
-    def predict(self, x: np.ndarray) -> int:
-        node = self.root
-        while isinstance(node, TreeNode):
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.label
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.int64)
 
-    def score(self, x: np.ndarray) -> float:
-        # trees have no scalar discriminant; report the predicted label
-        return float(self.predict(x))
+        def walk(node: TreeNodeOrLeaf, rows: np.ndarray) -> None:
+            if isinstance(node, TreeLeaf):
+                out[rows] = node.label
+                return
+            left = X[rows, node.feature] <= node.threshold
+            walk(node.left, rows[left])
+            walk(node.right, rows[~left])
+
+        walk(self.root, np.arange(X.shape[0]))
+        return out
 
     def depth(self) -> int:
         def rec(node) -> int:

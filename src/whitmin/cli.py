@@ -231,7 +231,7 @@ def _cmd_predict_reducer(args) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError) as e:
         print(f"error: bad centers file: {e}", file=sys.stderr)
         return EXIT_MODEL
     w = _parse_cli_word(args.word, 2)

@@ -164,13 +164,27 @@ def centers_to_json(centers: Dict[NielsenMove, np.ndarray], fmap_name: str) -> s
 
 
 def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
+    """Centers and feature-map name from a centers file.  Raises ValueError
+    or KeyError for an unknown schema, a missing or unknown move, or a center
+    whose length is not the rank-2 feature map's dimension."""
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("centers"), dict):
+        raise ValueError("a centers file is a JSON object with a centers object")
+    if doc.get("schema_version") != 1:
+        raise ValueError("unsupported centers schema_version "
+                         f"{doc.get('schema_version')!r}")
     centers = {NielsenMove[name]: np.array(vals, dtype=np.float64)
                for name, vals in doc["centers"].items()}
     for m in NIELSEN_MOVES:
         if m not in centers:
             raise ValueError(f"centers file missing move {m.name}")
-    return centers, doc.get("feature_map", "f2")
+    fmap_name = str(doc.get("feature_map", "f2"))
+    dim = resolve_map(fmap_name, 2).dim
+    for m, c in centers.items():
+        if c.shape != (dim,):
+            raise ValueError(f"center {m.name} has shape {c.shape}, not ({dim},) "
+                             f"for {fmap_name}")
+    return centers, fmap_name
 
 
 def report_centers_by_move(report: ClusterReport) -> Dict[NielsenMove, np.ndarray]:

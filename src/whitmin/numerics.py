@@ -1,5 +1,6 @@
 """Small dense linear algebra for the classifiers: sample statistics, a Jacobi
-symmetric eigensolver, normal-equation least squares, and a hard-margin QP.
+symmetric eigensolver, the one ridge rule for numerically singular matrices,
+normal-equation least squares, and a hard-margin QP.
 """
 
 from __future__ import annotations
@@ -83,23 +84,32 @@ def sym_eigen(C: np.ndarray, max_sweeps: int = 100) -> EigenResult:
     return EigenResult(values[order], V[:, order])
 
 
-def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Normal-equation solve of min ||Av - b||.
+def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, bool]:
+    """The symmetric matrix G, with a deterministic ridge added when G is
+    numerically singular, and whether the ridge was added.
 
-    If A'A is numerically singular (smallest eigenvalue below 1e-12 times the
-    largest), a deterministic ridge term 1e-8 * trace(A'A)/dim is added.
+    G counts as singular when its smallest eigenvalue is below 1e-12 times the
+    largest, or the largest is not positive; the ridge is then
+    (1e-8 * max(trace(G), 1e-300) / dim + tiny) * I.
     """
+    evals = np.linalg.eigvalsh(G)
+    lam_max = float(evals[-1])
+    if lam_max > 0.0 and float(evals[0]) >= 1e-12 * lam_max:
+        return G, False
+    ridge = 1e-8 * max(np.trace(G), 1e-300) / G.shape[0] + np.finfo(float).tiny
+    return G + ridge * np.eye(G.shape[0]), True
+
+
+def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normal-equation solve of min ||Av - b||, with the ridge of
+    ridge_if_singular when A'A is numerically singular."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] == 0 or A.shape[1] == 0:
         raise ValueError("A must be a nonempty 2-d matrix")
     if A.shape[0] != b.shape[0]:
         raise ValueError("row count of A must match len(b)")
-    G = A.T @ A
-    evals = sym_eigen(G).values
-    lam_max = float(evals[0])
-    if lam_max <= 0.0 or float(evals[-1]) < 1e-12 * lam_max:
-        G = G + (1e-8 * np.trace(G) / G.shape[0] + np.finfo(float).tiny) * np.eye(G.shape[0])
+    G, _ = ridge_if_singular(A.T @ A)
     return np.linalg.solve(G, A.T @ b)
 
 

@@ -10,11 +10,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifiers import (LabeledSet, Quantizer, build_quantizer, fit_distance,
-                          fit_linear, fit_tree, TreeParams)
-from .classifiers.serialize import (SCHEMA_VERSION, ModelFormatError,
-                                    model_from_dict, model_to_dict,
-                                    quantizer_from_dict, quantizer_to_dict)
+from .classifiers import (LabeledSet, LinearModel, TreeLeaf, TreeModel, TreeParams,
+                          build_quantizer, choose_threshold, fit_distance,
+                          fit_linear, fit_tree, threshold_labels)
+from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
 from .datasets import LabeledWordSet
 from .features import FeatureMap, Pattern, feature_matrix, resolve_map
 from .numerics import least_squares
@@ -34,6 +33,12 @@ class PipelineConfig:
     rank: int = 2
     seed: int = 0
 
+    def __post_init__(self):
+        if self.method not in ("regression", "fisher", "svm", "tree", "distance"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.method == "tree" and self.threshold_override is not None:
+            raise ValueError("a tree has no score to apply threshold_override to")
+
 
 @dataclass
 class Pipeline:
@@ -44,36 +49,16 @@ class Pipeline:
     config: PipelineConfig
 
     def scores(self, words: Sequence[CyclicWord]) -> np.ndarray:
-        X = feature_matrix(words, self.fmap)
-        if hasattr(self.model, "scores"):
-            return self.model.scores(X)
-        return np.array([self.model.score(x) for x in X])
+        return self.model.scores(feature_matrix(words, self.fmap))
 
     def predict_words(self, words: Sequence[CyclicWord]) -> np.ndarray:
-        X = feature_matrix(words, self.fmap)
-        model = self.model
-        if self.config.method == "tree":
-            return np.array([model.predict(x) for x in X], dtype=np.int64)
-        s = model.scores(X) if hasattr(model, "scores") else \
-            np.array([model.score(x) for x in X])
-        return self._labels_from_scores(s)
+        return self._predict_rows(feature_matrix(words, self.fmap))
 
-    def _labels_from_scores(self, s: np.ndarray) -> np.ndarray:
-        model = self.model
-        if self.config.threshold_override is not None:
-            theta = self.config.threshold_override
-            left = model.orientation
-            right = 2 if left == 1 else 1
-            return np.where(s <= theta, left, right).astype(np.int64)
-        q = getattr(model, "quantizer", None)
-        if q is not None:
-            return np.array([q.classify(v) for v in s], dtype=np.int64)
-        left = model.orientation
-        right = 2 if left == 1 else 1
-        return np.where(s <= model.theta, left, right).astype(np.int64)
-
-    def predict(self, w: CyclicWord) -> int:
-        return int(self.predict_words([w])[0])
+    def _predict_rows(self, X: np.ndarray) -> np.ndarray:
+        theta = self.config.threshold_override
+        if theta is None:
+            return self.model.predict(X)
+        return threshold_labels(self.model.scores(X), theta, self.model.orientation)
 
 
 def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
@@ -94,10 +79,8 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
             model = model.with_quantizer(q)
     elif cfg.method == "distance":
         model = fit_distance(data, "mahalanobis")
-    elif cfg.method == "tree":
-        model = fit_tree(data, TreeParams())
     else:
-        raise ValueError(f"unknown method {cfg.method!r}")
+        model = fit_tree(data, TreeParams())
     return Pipeline(fmap, model, cfg)
 
 
@@ -141,10 +124,12 @@ class ScoreHistogram:
 
 def score_histogram(pipeline: Pipeline, data: LabeledWordSet, bins: int) -> ScoreHistogram:
     """Class-conditional equal-width binned counts of the discriminant scores."""
+    return _histogram(pipeline.scores(data.words()), data.labels(), bins)
+
+
+def _histogram(s: np.ndarray, y: np.ndarray, bins: int) -> ScoreHistogram:
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    s = pipeline.scores(data.words())
-    y = data.labels()
     lo, hi = float(s.min()), float(s.max())
     if hi <= lo:
         hi = lo + 1.0
@@ -161,7 +146,8 @@ def evaluate(
     bins: int = 50,
     strata: Sequence[int] = DEFAULT_STRATA,
 ) -> EvaluationReport:
-    preds = pipeline.predict_words(test.words())
+    X = feature_matrix(test.words(), pipeline.fmap)
+    preds = pipeline._predict_rows(X)
     y = test.labels()
     lengths = test.lengths()
     report_strata: Dict[int, Tuple[int, Optional[float]]] = {}
@@ -175,7 +161,7 @@ def evaluate(
         confusion[t - 1, p - 1] += 1
     hist = None
     if pipeline.config.method != "tree":
-        hist = score_histogram(pipeline, test, bins)
+        hist = _histogram(pipeline.model.scores(X), y, bins)
     return EvaluationReport(report_strata, confusion, hist)
 
 
@@ -210,13 +196,8 @@ def greedy_feature_selection(
     def val_accuracy(cols: List[int]) -> float:
         A = Xtr[:, cols]
         v = least_squares(A, btr)
-        s_tr = A @ v
-        from .classifiers import choose_threshold
-        theta, orient, _ = choose_threshold(s_tr, ytr)
-        s_va = Xva[:, cols] @ v
-        left = orient
-        right = 2 if orient == 1 else 1
-        preds = np.where(s_va <= theta, left, right)
+        theta, orient, _ = choose_threshold(A @ v, ytr)
+        preds = threshold_labels(Xva[:, cols] @ v, theta, orient)
         return float((preds == yva).mean())
 
     selected: List[int] = []
@@ -256,20 +237,60 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
 
 
 def pipeline_from_json(text: str) -> Pipeline:
+    """The pipeline a JSON document describes.  Raises ModelFormatError when
+    the document is malformed or its model does not fit its feature map."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelFormatError(str(e)) from e
     model = model_from_dict(doc)
     c = doc.get("config", {})
-    cfg = PipelineConfig(
-        feature_map=c.get("feature_map", doc.get("feature_map", "f6")),
-        method=c.get("method", doc.get("method", "regression")),
-        quantizer_kind=c.get("quantizer_kind"),
-        quantizer_bins=c.get("quantizer_bins", DEFAULT_QUANTIZER_BINS),
-        threshold_override=c.get("threshold_override"),
-        rank=c.get("rank", 2),
-        seed=c.get("seed", 0),
-    )
-    fmap = resolve_map(cfg.feature_map, cfg.rank)
+    try:
+        cfg = PipelineConfig(
+            feature_map=c.get("feature_map", doc.get("feature_map", "f6")),
+            method=c.get("method", doc.get("method", "regression")),
+            quantizer_kind=c.get("quantizer_kind"),
+            quantizer_bins=c.get("quantizer_bins", DEFAULT_QUANTIZER_BINS),
+            threshold_override=c.get("threshold_override"),
+            rank=c.get("rank", 2),
+            seed=c.get("seed", 0),
+        )
+        fmap = resolve_map(cfg.feature_map, cfg.rank)
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ModelFormatError(f"bad pipeline config: {e}") from e
+    if cfg.method != doc["method"]:
+        raise ModelFormatError(f"config method {cfg.method!r} does not match "
+                               f"the {doc['method']!r} model")
+    _check_model(model, fmap.dim)
     return Pipeline(fmap, model, cfg)
+
+
+def _check_model(model, dim: int) -> None:
+    """Raise ModelFormatError unless a loaded model reads dim-component feature
+    vectors and predicts only the labels 1 and 2."""
+    if isinstance(model, TreeModel):
+        fits, labels, stack = True, set(), [model.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, TreeLeaf):
+                labels.add(node.label)
+            else:
+                fits = fits and 0 <= node.feature < dim
+                stack += [node.left, node.right]
+    else:
+        labels = {model.orientation}
+        if isinstance(model, LinearModel):
+            fits = model.weights.shape == (dim,)
+            if model.quantizer is not None:
+                labels.update(model.quantizer.interval_labels)
+        elif model.variant == "flat":
+            fits = (model.mu1.shape == model.mu2.shape == (dim,) and all(
+                f.mu.shape == (dim,) and f.T.ndim == 2 and f.T.shape[0] == dim
+                for f in (model.flat1, model.flat2)))
+        else:
+            fits = (model.mu1.shape == model.mu2.shape == (dim,)
+                    and model.inv_cov1.shape == model.inv_cov2.shape == (dim, dim))
+    if not fits:
+        raise ModelFormatError(f"model does not fit the {dim}-component feature map")
+    if not labels <= {1, 2}:
+        raise ModelFormatError(f"model predicts labels {sorted(labels)}, not 1 and 2")

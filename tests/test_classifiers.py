@@ -3,13 +3,14 @@ import pytest
 
 from whitmin.classifiers import (DistanceModel, KMeansModel, LabeledSet,
                                  LinearModel, Quantizer, TreeParams,
-                                 apply_threshold, build_quantizer,
-                                 choose_threshold, classify_by_flats,
-                                 fit_distance, fit_flat, fit_linear, fit_tree,
-                                 kmeans, node_stats, quantizer_error,
-                                 scatter_matrices)
+                                 build_quantizer, choose_threshold,
+                                 classify_by_flats, fit_distance, fit_flat,
+                                 fit_linear, fit_tree, kmeans, node_stats,
+                                 quantizer_error, scatter_matrices,
+                                 threshold_labels)
 from whitmin.classifiers.serialize import (ModelFormatError, dumps, loads,
                                            model_from_dict, model_to_dict)
+from whitmin.classifiers.tree import TreeNode
 
 
 def two_blob_set(rng, n=60, d=3, sep=4.0):
@@ -43,8 +44,7 @@ class TestThreshold:
         theta, orient, err = choose_threshold(
             np.array([0.0, 1.0, 10.0, 11.0]), np.array([2, 2, 1, 1]))
         assert orient == 2 and err == 0.0
-        assert apply_threshold(0.5, theta, orient) == 2
-        assert apply_threshold(10.5, theta, orient) == 1
+        assert threshold_labels(np.array([0.5, 10.5]), theta, orient).tolist() == [2, 1]
 
     def test_minimizes_error_exhaustively(self):
         rng = np.random.default_rng(0)
@@ -55,7 +55,7 @@ class TestThreshold:
             if not ((labels == 1).any() and (labels == 2).any()):
                 continue
             theta, orient, err = choose_threshold(scores, labels)
-            preds = np.array([apply_threshold(s, theta, orient) for s in scores])
+            preds = threshold_labels(scores, theta, orient)
             assert abs((preds != labels).mean() - err) < 1e-12
             # brute force over a fine grid of thresholds
             grid = np.concatenate([scores - 1e-9, scores + 1e-9, [scores.min() - 1]])
@@ -92,7 +92,7 @@ class TestDistance:
         rng = np.random.default_rng(3)
         data = two_blob_set(rng, sep=6.0)
         model = fit_distance(data, variant="mahalanobis")
-        preds = np.array([model.predict(x) for x in data.features])
+        preds = model.predict(data.features)
         assert (preds == data.labels).mean() > 0.97
 
     def test_flat_variant_separates_planar_classes(self):
@@ -105,7 +105,7 @@ class TestDistance:
                               rng.normal(size=n), rng.normal(size=n) + 1.0])
         data = LabeledSet(np.vstack([X1, X2]), np.array([1] * n + [2] * n), 2)
         model = fit_distance(data, variant="flat", flat_tol=1e-2)
-        preds = np.array([model.predict(x) for x in data.features])
+        preds = model.predict(data.features)
         assert (preds == data.labels).mean() > 0.97
 
     def test_mahalanobis_accounts_for_scale(self):
@@ -115,7 +115,7 @@ class TestDistance:
         X2 = rng.normal(scale=0.25, size=(400, 1)) + 4.0
         data = LabeledSet(np.vstack([X1, X2]), np.array([1] * 400 + [2] * 400), 2)
         model = fit_distance(data, variant="mahalanobis")
-        assert model.predict(np.array([2.0])) == 1
+        assert model.predict(np.array([[2.0]])).tolist() == [1]
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -123,9 +123,24 @@ class TestDistance:
         for variant in ("flat", "mahalanobis"):
             model = fit_distance(data, variant=variant)
             clone = loads(dumps(model))
-            for x in data.features[:10]:
-                assert clone.predict(x) == model.predict(x)
-                assert clone.score(x) == model.score(x)
+            X = data.features[:10]
+            assert np.array_equal(clone.predict(X), model.predict(X))
+            assert np.array_equal(clone.scores(X), model.scores(X))
+
+    def test_scores_match_row_formula(self):
+        # scores(X) must be bit-equal to the one-row formulas: a matrix form
+        # sums in another order and moves the fitted theta
+        rng = np.random.default_rng(25)
+        data = two_blob_set(rng, d=5)
+        X = data.features
+        m = fit_distance(data, variant="mahalanobis")
+        rows = [float((x - m.mu1) @ m.inv_cov1 @ (x - m.mu1)
+                      - (x - m.mu2) @ m.inv_cov2 @ (x - m.mu2)) for x in X]
+        assert m.scores(X).tolist() == rows
+        f = fit_distance(data, variant="flat", flat_tol=0.5)
+        rows = [float(np.linalg.norm(f.flat1.T.T @ (x - f.flat1.mu))
+                      - np.linalg.norm(f.flat2.T.T @ (x - f.flat2.mu))) for x in X]
+        assert f.scores(X).tolist() == rows
 
 
 class TestLinear:
@@ -134,7 +149,7 @@ class TestLinear:
         rng = np.random.default_rng(6)
         data = two_blob_set(rng, sep=6.0)
         model = fit_linear(data, method=method)
-        preds = np.array([model.predict(x) for x in data.features])
+        preds = model.predict(data.features)
         assert (preds == data.labels).mean() > 0.97
 
     def test_scatter_identity(self):
@@ -167,8 +182,8 @@ class TestLinear:
         clone = loads(dumps(model))
         assert np.array_equal(clone.weights, model.weights)
         assert clone.quantizer == model.quantizer
-        for x in data.features[:10]:
-            assert clone.predict(x) == model.predict(x)
+        X = data.features[:10]
+        assert np.array_equal(clone.predict(X), model.predict(X))
 
 
 class TestQuantizers:
@@ -210,6 +225,8 @@ class TestQuantizers:
         assert q.classify(0.5) == 2
         assert q.classify(1.0) == 2
         assert q.classify(9.0) == 1
+        scores = np.array([-5.0, 0.0, 0.5, 1.0, 9.0])
+        assert q.classify(scores).tolist() == [1, 1, 2, 2, 1]
 
     def test_empty_bins_inherit_neighbour(self):
         scores = np.array([0.0, 0.01, 10.0, 10.01])
@@ -256,7 +273,7 @@ class TestTree:
         y = np.where(np.abs(X[:, 0]) < 1.0, 1, 2)  # needs two splits on x0
         data = LabeledSet(X, y, 2)
         model = fit_tree(data)
-        preds = np.array([model.predict(x) for x in X])
+        preds = model.predict(X)
         assert (preds == y).mean() > 0.95
         assert model.depth() >= 2
 
@@ -279,7 +296,7 @@ class TestTree:
         data = two_blob_set(rng, sep=6.0)
         model = fit_tree(data, TreeParams(criterion="misclassification",
                                           eps_type1=0.2, eps_type2=0.2))
-        preds = np.array([model.predict(x) for x in data.features])
+        preds = model.predict(data.features)
         assert (preds == data.labels).mean() > 0.95
 
     def test_round_trip(self):
@@ -287,8 +304,21 @@ class TestTree:
         data = two_blob_set(rng)
         model = fit_tree(data)
         clone = loads(dumps(model))
-        for x in data.features:
-            assert clone.predict(x) == model.predict(x)
+        assert np.array_equal(clone.predict(data.features), model.predict(data.features))
+
+    def test_predict_matches_single_row_walk(self):
+        rng = np.random.default_rng(26)
+        data = two_blob_set(rng, d=4, sep=1.0)
+        model = fit_tree(data, TreeParams(chi2_cutoff=0.0, min_node=2))
+        assert model.depth() >= 3
+
+        def walk(x):
+            node = model.root
+            while isinstance(node, TreeNode):
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            return node.label
+
+        assert model.predict(data.features).tolist() == [walk(x) for x in data.features]
 
 
 class TestKMeans:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from whitmin.automorphisms import NIELSEN_MOVES
 from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -18,7 +19,25 @@ def workdir(tmp_path_factory):
                  "--seed", "12", "-o", test]) == EXIT_OK
     assert main(["train", "--features", "f6", "--train", train,
                  "-o", model]) == EXIT_OK
-    return {"dir": d, "train": train, "test": test, "model": model}
+    paths = {"dir": d, "train": train, "test": test, "model": model}
+    for method in ("distance", "tree"):
+        paths[method] = str(d / f"{method}.json")
+        assert main(["train", "--features", "f6", "--model", method,
+                     "--train", train, "-o", paths[method]]) == EXIT_OK
+    return paths
+
+
+_DELETE = object()
+
+
+def _set(doc, path, value):
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    if value is _DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +125,40 @@ class TestTrainEvaluate:
         assert e.value.code == EXIT_DATA
 
 
+# (model file, path of the field to change, new value): each makes a model
+# the loader must reject
+BAD_MODELS = {
+    "weights-length": ("model", ["weights"], [0.5] * 10),
+    "weights-text": ("model", ["weights"], "abc"),
+    "decreasing-boundaries": ("model", ["quantizer", "boundaries"], [2.0, 1.0]),
+    "quantizer-label": ("model", ["quantizer", "interval_labels"], [1, 3]),
+    "missing-theta": ("model", ["theta"], _DELETE),
+    "bad-orientation": ("model", ["orientation"], 0),
+    "bad-config": ("model", ["config"], [1, 2]),
+    "config-method": ("model", ["config", "method"], "tree"),
+    "mu-length": ("distance", ["mu1"], [0.0] * 59),
+    "inv-cov-shape": ("distance", ["inv_cov2"], [[1.0, 0.0], [0.0, 1.0]]),
+    "tree-feature": ("tree", ["tree", "feature"], 60),
+    "tree-missing-child": ("tree", ["tree", "left"], _DELETE),
+}
+
+
+class TestBadModelFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_MODELS))
+    def test_model_error_exit(self, workdir, tmp_path, capsys, case):
+        source, path, value = BAD_MODELS[case]
+        doc = json.loads(open(workdir[source]).read())
+        _set(doc, path, value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
+        assert e.value.code == EXIT_MODEL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestSelectFeatures:
     def test_prints_patterns(self, workdir, capsys):
         assert main(["select-features", "--pool", "1-1",
@@ -146,6 +199,17 @@ class TestWordCommands:
     def test_predict_reducer_missing_centers(self, capsys):
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", "/nonexistent.json"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("schema, dim", [(7, 16), (1, 3)])
+    def test_predict_reducer_bad_centers(self, tmp_path, capsys, schema, dim):
+        path = tmp_path / "centers.json"
+        path.write_text(json.dumps({
+            "schema_version": schema, "feature_map": "f2",
+            "centers": {m.name: [0.0] * dim for m in NIELSEN_MOVES}}))
+        assert main(["predict-reducer", "--word", "abab",
+                     "--centers", str(path)]) == EXIT_MODEL
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_predict_reducer_end_to_end(self, cluster_data, tmp_path, capsys):
         centers = str(tmp_path / "centers.json")

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from whitmin.classifiers import LabeledSet, fit_distance
+from whitmin.datasets import DatasetSpec, generate_dataset
+from whitmin.features import builtin_map, feature_matrix
 from whitmin.numerics import (EigenResult, NonSeparable, least_squares,
-                              mean_and_covariance, qp_hard_margin, sym_eigen)
+                              mean_and_covariance, qp_hard_margin,
+                              ridge_if_singular, sym_eigen)
 
 
 class TestMeanCovariance:
@@ -85,6 +89,24 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((3, 2)), np.ones(4))
+
+
+class TestRidge:
+    def test_flags_singular_f6_gram_only(self):
+        ds = generate_dataset(DatasetSpec("D", max_length=30, per_length=2, seed=7))
+        X = feature_matrix(ds.words(), builtin_map("f6", 2))
+        # the f6 counts obey linear relations, so their Gram matrix is singular
+        G = X.T @ X
+        R, repaired = ridge_if_singular(G)
+        assert repaired
+        ridge = 1e-8 * np.trace(G) / 60 + np.finfo(float).tiny
+        assert np.array_equal(R, G + ridge * np.eye(60))
+        assert fit_distance(LabeledSet(X, ds.labels(), 2)).ridge_repaired
+
+        W = np.random.default_rng(5).normal(size=(100, 6))
+        G = W.T @ W
+        R, repaired = ridge_if_singular(G)
+        assert not repaired and R is G
 
 
 class TestHardMarginQP:

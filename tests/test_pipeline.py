@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from whitmin.datasets import DatasetSpec, generate_dataset
-from whitmin.features import pattern_pool
+from whitmin.features import feature_matrix, pattern_pool
 from whitmin.pipeline import (EvaluationReport, Pipeline, PipelineConfig,
                               evaluate, greedy_feature_selection,
                               pipeline_from_json, pipeline_to_json,
@@ -47,6 +47,10 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_pipeline(train_set, PipelineConfig(method="forest"))
 
+    def test_tree_rejects_threshold_override(self):
+        with pytest.raises(ValueError):
+            PipelineConfig(method="tree", threshold_override=0.5)
+
     def test_threshold_override(self, train_set):
         cfg = PipelineConfig(feature_map="f6", quantizer_kind=None,
                              threshold_override=0.5)
@@ -59,6 +63,19 @@ class TestTraining:
 
 
 class TestEvaluation:
+    def test_features_extracted_once(self, trained, test_set, monkeypatch):
+        import whitmin.pipeline as pl
+        calls = []
+
+        def counting(words, fmap):
+            calls.append(len(words))
+            return feature_matrix(words, fmap)
+
+        monkeypatch.setattr(pl, "feature_matrix", counting)
+        rep = evaluate(trained, test_set)
+        assert calls == [len(test_set)]
+        assert rep.histogram is not None
+
     def test_strata_counts(self, trained, test_set):
         rep = evaluate(trained, test_set, strata=(0, 4, 30))
         lengths = test_set.lengths()
@@ -125,4 +142,4 @@ class TestSerialization:
         assert text == pipeline_to_json(pipeline_from_json(text))
 
     def test_single_word_predict(self, trained):
-        assert trained.predict(parse_cyclic_word("abAB", 2)) in (1, 2)
+        assert trained.predict_words([parse_cyclic_word("abAB", 2)])[0] in (1, 2)
