@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, cyclic_reduce, inverse_code, reduce_codes
+from .words import CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:
     out: list = []
     for c in w.letters:
         out.extend(table[c])
-    core, _ = cyclic_reduce(Word(reduce_codes(out), w.rank))
-    return core
+    _, core = split_conjugate(reduce_codes(out))
+    return CyclicWord(core, w.rank)
 
 
 def enumerate_type2(rank: int) -> List[TypeII]:
@@ -174,10 +174,54 @@ def nielsen_inverse_automorphism(move: NielsenMove) -> TypeII:
 # minimality and minimization
 # ---------------------------------------------------------------------------
 
-def _candidate_moves(rank: int) -> List[WhiteheadAutomorphism]:
+# For a type-II automorphism t = (A, a) and a cyclic word w,
+#     |t(w)| - |w| = cap(A) - deg(a)
+# on the Whitehead graph of w: each cyclic subword xy adds the edge {x, y^-1};
+# cap(A) counts the edges with one end in A and one outside, deg(a) the edges
+# at a (Whitehead 1936; Roig, Ventura & Weil, IJAC 2007, arXiv:math/0608779).
+# One O(|w|) pair count thus prices every candidate without applying any.
+
+def edge_table(w: CyclicWord) -> np.ndarray:
+    """Whitehead graph of w as a symmetric (2r x 2r) edge-count table."""
+    t = pair_counts(w.letters, 0, w.rank)[:, np.arange(2 * w.rank) ^ 1]
+    return t + t.T
+
+
+def _length_changes(edges: np.ndarray, member: np.ndarray,
+                    multipliers: np.ndarray) -> np.ndarray:
+    """cap(A) - deg(a) per row of the 0/1 membership matrix of the A's."""
+    return ((member @ edges) * (1 - member)).sum(1) - edges.sum(1)[multipliers]
+
+
+def _membership(autos: Sequence[TypeII]) -> Tuple[np.ndarray, np.ndarray]:
+    m = 2 * autos[0].rank
+    member = np.array([[c in t.subset for c in range(m)] for t in autos],
+                      dtype=np.int64)
+    return member, np.array([t.multiplier for t in autos], dtype=np.int64)
+
+
+def length_change(edges: np.ndarray, t: TypeII) -> int:
+    """|t(w)| - |w| for the word w with Whitehead graph ``edges``."""
+    return int(_length_changes(edges, *_membership([t]))[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _candidates(rank: int) -> Tuple[Tuple[TypeII, ...], np.ndarray, np.ndarray]:
+    """The minimality candidates in scan order, with their membership matrix
+    and multipliers: the Nielsen moves at rank 2, else every proper type II."""
     if rank == 2:
-        return [m.automorphism for m in NIELSEN_MOVES]
-    return list(enumerate_type2(rank))
+        autos = tuple(m.automorphism for m in NIELSEN_MOVES)
+    else:
+        autos = tuple(enumerate_type2(rank))
+    member, multipliers = _membership(autos)
+    member.setflags(write=False)
+    multipliers.setflags(write=False)
+    return autos, member, multipliers
+
+
+def _candidate_changes(w: CyclicWord) -> np.ndarray:
+    _, member, multipliers = _candidates(w.rank)
+    return _length_changes(edge_table(w), member, multipliers)
 
 
 def reducing_moves(w: CyclicWord):
@@ -186,17 +230,14 @@ def reducing_moves(w: CyclicWord):
     type-II automorphisms themselves."""
     if len(w) <= 1:
         return []
-    if w.rank == 2:
-        return [m for m in NIELSEN_MOVES
-                if len(apply_automorphism(m.automorphism, w)) < len(w)]
-    return [t for t in enumerate_type2(w.rank)
-            if len(apply_automorphism(t, w)) < len(w)]
+    moves = NIELSEN_MOVES if w.rank == 2 else _candidates(w.rank)[0]
+    return [m for m, d in zip(moves, _candidate_changes(w)) if d < 0]
 
 
 def is_minimal(w: CyclicWord) -> bool:
     if len(w) <= 1:
         return True
-    return not reducing_moves(w)
+    return bool(_candidate_changes(w).min() >= 0)
 
 
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
@@ -204,19 +245,14 @@ def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     length drop (ties by enumeration order) until no move shortens the word."""
     chain: AutomorphismChain = []
     current = w
-    candidates = _candidate_moves(w.rank)
+    autos = _candidates(w.rank)[0]
     while len(current) > 1:
-        best = None
-        best_len = len(current)
-        for t in candidates:
-            img = apply_automorphism(t, current)
-            if len(img) < best_len:
-                best = (t, img)
-                best_len = len(img)
-        if best is None:
+        changes = _candidate_changes(current)
+        best = int(np.argmin(changes))
+        if changes[best] >= 0:
             break
-        chain.append(best[0])
-        current = best[1]
+        chain.append(autos[best])
+        current = apply_automorphism(autos[best], current)
     return current, chain
 
 

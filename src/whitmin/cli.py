@@ -95,8 +95,12 @@ def _load_dataset(path: str, rank: int):
 
 def _cmd_generate(args) -> int:
     from .datasets import DatasetSpec, generate_dataset, save_tsv
-    spec = DatasetSpec(kind=args.kind, rank=args.rank, max_length=args.max_len,
-                       per_length=args.per_len, seed=args.seed, size=args.size)
+    try:
+        spec = DatasetSpec(kind=args.kind, rank=args.rank, max_length=args.max_len,
+                           per_length=args.per_len, seed=args.seed, size=args.size)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     ds = generate_dataset(spec)
     save_tsv(ds, args.output)
     print(f"wrote {len(ds)} records to {args.output}")
@@ -145,6 +149,9 @@ def _cmd_evaluate(args) -> int:
     except ValueError:
         print(f"error: bad strata {args.strata!r}", file=sys.stderr)
         return EXIT_USAGE
+    if args.hist_bins < 2:
+        print(f"error: --hist-bins must be >= 2, got {args.hist_bins}", file=sys.stderr)
+        return EXIT_USAGE
     report = evaluate(pipeline, test, bins=args.hist_bins, strata=strata)
     sys.stdout.write(report.strata_csv())
     if args.hist_out and report.histogram is not None:
@@ -165,8 +172,12 @@ def _cmd_select_features(args) -> int:
         return EXIT_USAGE
     train = _load_dataset(args.train_file, args.rank)
     val = _load_dataset(args.val_file, args.rank)
-    chosen = greedy_feature_selection(pool, train, val, rank=args.rank,
-                                      max_features=args.max_features)
+    try:
+        chosen = greedy_feature_selection(pool, train, val, rank=args.rank,
+                                          max_features=args.max_features)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_DATA
     for idx in chosen:
         print(f"{idx}\t{pool[idx].text()}")
     return EXIT_OK

@@ -17,9 +17,10 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .automorphisms import (apply_automorphism, is_minimal, minimize,
-                            random_primitive, random_type2)
-from .words import CyclicWord, format_codes, parse_codes, random_word
+from .automorphisms import (apply_automorphism, edge_table, is_minimal,
+                            length_change, minimize, random_primitive,
+                            random_type2)
+from .words import MIN_RANK, CyclicWord, format_codes, parse_codes, random_word
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +83,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("D", "Se", "SR", "SP", "S10"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
+        if self.rank < MIN_RANK:
+            raise ValueError(f"rank must be >= {MIN_RANK}, got {self.rank}")
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
 
@@ -96,12 +99,13 @@ def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
 
 def _substitute_longer(v: CyclicWord, rng: np.random.Generator) -> Optional[CyclicWord]:
     """A strictly longer cyclically reduced image of v under a random proper
-    type-II automorphism, or None after the retry cap."""
+    type-II automorphism, or None after the retry cap.  Only the accepted
+    draw is applied; the others are priced on v's Whitehead graph."""
+    edges = edge_table(v)
     for _ in range(SUBSTITUTION_RETRIES):
         t = random_type2(v.rank, rng)
-        img = apply_automorphism(t, v)
-        if len(img) > len(v):
-            return img
+        if length_change(edges, t) > 0:
+            return apply_automorphism(t, v)
     return None
 
 

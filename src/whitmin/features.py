@@ -10,7 +10,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, format_codes, inverse_code
+from .words import CyclicWord, Word, format_codes, inverse_code, pair_counts
 
 
 @dataclass(frozen=True)
@@ -171,16 +171,6 @@ def _fixed_word(p: Pattern) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def _pair_count_table(arr: np.ndarray, gap: int, rank: int) -> np.ndarray:
-    """(2r x 2r) table of cyclic counts of x1 . U_gap . x2 subwords."""
-    m = 2 * rank
-    n = arr.shape[0]
-    if gap + 2 > n:
-        return np.zeros((m, m), dtype=np.int64)
-    pairs = arr * m + np.roll(arr, -(gap + 1))
-    return np.bincount(pairs, minlength=m * m).reshape(m, m)
-
-
 def _fixed_word_count(arr: np.ndarray, seg: Tuple[int, ...]) -> int:
     n = arr.shape[0]
     if len(seg) > n:
@@ -204,7 +194,9 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
         if pair is not None:
             x1, gap, x2 = pair
             if gap not in tables:
-                tables[gap] = _pair_count_table(arr, gap, fmap.rank)
+                # a pair spans gap + 2 letters, so a shorter word has none
+                tables[gap] = (pair_counts(arr, gap, fmap.rank) if gap + 2 <= n
+                               else np.zeros((2 * fmap.rank,) * 2, dtype=np.int64))
             out[i] = tables[gap][x1, x2]
             continue
         seg = _fixed_word(p)

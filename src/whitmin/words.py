@@ -139,10 +139,17 @@ class CyclicWord:
 
 def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
     """Lexicographically least rotation (Booth's algorithm, O(n))."""
+    s = tuple(seq)
+    k = _least_rotation_offset(s)
+    return s[k:] + s[:k]
+
+
+def _least_rotation_offset(seq: Tuple[int, ...]) -> int:
+    """Booth's algorithm: an offset k with seq[k:] + seq[:k] least."""
     n = len(seq)
     if n <= 1:
-        return tuple(seq)
-    s = tuple(seq) + tuple(seq)
+        return 0
+    s = seq + seq
     f = [-1] * (2 * n)
     k = 0
     for j in range(1, 2 * n):
@@ -158,7 +165,24 @@ def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
             f[j - k] = -1
         else:
             f[j - k] = i + 1
-    return s[k:k + n]
+    return k % n
+
+
+def _smallest_period(seq: Sequence[int]) -> int:
+    """Least p > 0 with seq equal to its rotation by p (KMP failure function)."""
+    n = len(seq)
+    if n == 0:
+        return 1
+    fail = [0] * n
+    k = 0
+    for i in range(1, n):
+        while k and seq[i] != seq[k]:
+            k = fail[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        fail[i] = k
+    p = n - fail[-1]
+    return p if n % p == 0 else n
 
 
 def free_reduce(raw: Sequence[int], rank: int) -> Word:
@@ -167,27 +191,39 @@ def free_reduce(raw: Sequence[int], rank: int) -> Word:
     return Word(reduce_codes(raw), rank)
 
 
+def split_conjugate(codes: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Split a freely reduced sequence as g c g^-1 with c cyclically reduced;
+    returns (g, c) as code tuples, c in the rotation it had inside codes."""
+    i, j = 0, len(codes)
+    while j - i >= 2 and codes[i] == codes[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    return tuple(codes[:i]), tuple(codes[i:j])
+
+
 def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
     """Split w = g c g^-1 with c cyclically reduced and in canonical rotation;
     returns (c, g).  The conjugator absorbs the rotation to canonical form, so
     the identity w = g c g^-1 holds exactly in the free group."""
-    ls = list(w.letters)
-    prefix: list = []
-    while len(ls) >= 2 and ls[0] == ls[-1] ^ 1:
-        prefix.append(ls[0])
-        ls = ls[1:-1]
-    stripped = tuple(ls)
+    prefix, stripped = split_conjugate(w.letters)
     core = CyclicWord(stripped, w.rank)
     canon = core.letters
-    n = len(canon)
-    # stripped is canon rotated by some k: stripped = c1^-1 canon c1 with
-    # c1 = canon[:k], hence w = (g c1^-1) canon (g c1^-1)^-1
-    for k in range(max(1, n)):
-        if canon[k:] + canon[:k] == stripped:
-            c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
-            conj = reduce_codes(tuple(prefix) + c1_inv)
-            return core, Word(conj, w.rank)
-    raise AssertionError("canonical form is not a rotation of its source")
+    # stripped is canon rotated by the least k >= 0 with k = -offset (mod the
+    # period): stripped = c1^-1 canon c1 with c1 = canon[:k], hence
+    # w = (g c1^-1) canon (g c1^-1)^-1
+    k = -_least_rotation_offset(stripped) % _smallest_period(canon)
+    c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
+    return core, Word(reduce_codes(prefix + c1_inv), w.rank)
+
+
+def pair_counts(letters: Sequence[int], gap: int, rank: int) -> np.ndarray:
+    """(2r x 2r) table counting the |w| cyclic pairs (w[i], w[i + gap + 1]),
+    indices mod |w|: the x . U_gap . y subwords of a cyclic word.  A word
+    shorter than gap + 2 letters wraps onto itself."""
+    m = 2 * rank
+    arr = np.asarray(letters, dtype=np.int64)
+    pairs = arr * m + np.roll(arr, -(gap + 1))
+    return np.bincount(pairs, minlength=m * m).reshape(m, m)
 
 
 # ---------------------------------------------------------------------------

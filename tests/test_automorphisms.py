@@ -1,20 +1,68 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from whitmin import automorphisms, datasets
 from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
                                    apply_automorphism, apply_to_word,
-                                   enumerate_type2, is_minimal, minimize,
+                                   edge_table, enumerate_type2, is_minimal,
+                                   length_change, minimize,
                                    nielsen_inverse_automorphism,
                                    random_automorphism, random_primitive,
                                    random_type2, reducing_moves)
-from whitmin.words import (CyclicWord, Word, free_reduce, parse_cyclic_word,
-                           parse_word, random_word)
+from whitmin.words import (CyclicWord, Word, cyclic_reduce, free_reduce,
+                           parse_cyclic_word, parse_word, random_word)
 
 from conftest import all_cyclic_words, bfs_orbit_min
 
 
 def cw(text):
     return parse_cyclic_word(text, 2)
+
+
+def mixed_words(rank, count, seed):
+    """Random cyclic words, every other one pushed off minimality by a
+    random type-II automorphism."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for i in range(count):
+        w = random_word(int(rng.integers(1, 25)), rank, cyclic=True, rng=rng)
+        if i % 2:
+            w = apply_automorphism(random_type2(rank, rng), w)
+        words.append(w)
+    return words
+
+
+def trial_descent(w):
+    """Reference minimization: apply every candidate, keep the strictly
+    shortest image (first in scan order), until none shortens the word."""
+    if w.rank == 2:
+        candidates = [m.automorphism for m in NIELSEN_MOVES]
+    else:
+        candidates = enumerate_type2(w.rank)
+    chain = []
+    current = w
+    while len(current) > 1:
+        best = None
+        for t in candidates:
+            img = apply_automorphism(t, current)
+            if len(img) < (len(best[1]) if best else len(current)):
+                best = (t, img)
+        if best is None:
+            break
+        chain.append(best[0])
+        current = best[1]
+    return current, chain
+
+
+@st.composite
+def cyclic_words(draw):
+    rank = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=40))
+    core, _ = cyclic_reduce(free_reduce(raw, rank))
+    assume(len(core) >= 1)
+    return core
 
 
 class TestTypeII:
@@ -112,6 +160,33 @@ class TestReducingMoves:
                         if len(apply_automorphism(m.automorphism, w)) < len(w)]
             assert reducing_moves(w) == expected
 
+    def test_matches_direct_scan_rank3(self):
+        autos = enumerate_type2(3)
+        found = 0
+        for w in mixed_words(3, 60, seed=13):
+            expected = [t for t in autos if len(apply_automorphism(t, w)) < len(w)]
+            assert reducing_moves(w) == expected
+            assert is_minimal(w) == (not expected)
+            found += len(expected)
+        assert found > 0
+
+
+class TestLengthChange:
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_words())
+    @example(CyclicWord((3,), 3))
+    @example(CyclicWord((0,), 2))
+    def test_matches_applied_length_change(self, w):
+        edges = edge_table(w)
+        for t in enumerate_type2(w.rank):
+            assert length_change(edges, t) == len(apply_automorphism(t, w)) - len(w)
+
+    def test_edge_table_is_whitehead_graph(self):
+        # abAB: subwords ab, bA, AB, Ba give edges {a,B}, {b,a}, {A,b}, {B,A}
+        edges = edge_table(cw("abAB"))
+        assert (edges == edges.T).all() and edges.sum() == 2 * 4
+        assert (edges[0, 3], edges[2, 0], edges[1, 2], edges[3, 1]) == (1, 1, 1, 1)
+
 
 class TestMinimality:
     def test_examples(self):
@@ -146,6 +221,60 @@ class TestMinimality:
             for w in all_cyclic_words(2, n):
                 m, _ = minimize(w)
                 assert len(m) == bfs_orbit_min(w), str(w)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_matches_trial_application_descent(self, rank):
+        steps = 0
+        for w in mixed_words(rank, 60, seed=rank):
+            m, chain = minimize(w)
+            assert (m, chain) == trial_descent(w)
+            steps += len(chain)
+        assert steps > 0
+
+
+class TestApplicationCounts:
+    """Minimality is read off the Whitehead graph; only moves actually taken
+    are applied."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = automorphisms.apply_automorphism
+
+        def counted(t, w):
+            count[0] += 1
+            return original(t, w)
+
+        monkeypatch.setattr(automorphisms, "apply_automorphism", counted)
+        monkeypatch.setattr(datasets, "apply_automorphism", counted)
+        return count
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_minimality_applies_nothing(self, calls, rank):
+        words = mixed_words(rank, 40, seed=7)
+        calls[0] = 0
+        for w in words:
+            is_minimal(w)
+            reducing_moves(w)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_minimize_applies_the_chain_only(self, calls, rank):
+        steps = 0
+        for w in mixed_words(rank, 40, seed=8):
+            before = calls[0]
+            _, chain = minimize(w)
+            assert calls[0] - before == len(chain)
+            steps += len(chain)
+        assert steps > 0
+
+    def test_substitution_applies_once(self, calls):
+        rng = np.random.default_rng(0)
+        for w in (cw("a"), cw("aabAB"), CyclicWord((0, 2, 4), 3)):
+            before = calls[0]
+            longer = datasets._substitute_longer(w, rng)
+            assert len(longer) > len(w)
+            assert calls[0] - before == 1
 
 
 class TestRandomPrimitive:

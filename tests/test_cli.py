@@ -50,6 +50,11 @@ def cluster_data(tmp_path_factory):
     return path
 
 
+def _one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -84,6 +89,14 @@ class TestGenerate:
                      "4", "--seed", "11", "-o", out]) == EXIT_OK
         assert open(out, "rb").read() == open(workdir["train"], "rb").read()
 
+    @pytest.mark.parametrize("flags", [["--kind", "SR", "--rank", "1"],
+                                       ["--kind", "D", "--max-len", "0"]])
+    def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.tsv"
+        assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
 
 class TestTrainEvaluate:
     def test_model_file_is_json(self, workdir):
@@ -103,6 +116,11 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", workdir["model"], "--test",
                      workdir["test"], "--hist-out", hist]) == EXIT_OK
         assert open(hist).read().startswith("bin_center,")
+
+    def test_hist_bins_below_two_is_usage_error(self, workdir, capsys):
+        assert main(["evaluate", "--model", workdir["model"], "--test",
+                     workdir["test"], "--hist-bins", "1"]) == EXIT_USAGE
+        assert _one_error_line(capsys)
 
     def test_missing_dataset_is_data_error(self, workdir, capsys):
         with pytest.raises(SystemExit) as e:
@@ -166,6 +184,14 @@ class TestSelectFeatures:
                      "--max-features", "3"]) == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert 1 <= len(out.splitlines()) <= 3
+
+    def test_one_class_training_set_is_data_error(self, workdir, tmp_path, capsys):
+        only_min = tmp_path / "onlymin.tsv"
+        only_min.write_text("".join(line for line in open(workdir["train"])
+                                    if "\tnonmin\t" not in line))
+        assert main(["select-features", "--pool", "1-1", "--train", str(only_min),
+                     "--val", workdir["test"]]) == EXIT_DATA
+        assert _one_error_line(capsys)
 
 
 class TestCluster:

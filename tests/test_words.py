@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from whitmin.words import (CyclicWord, InvalidLetterError, Letter, Word,
                            cyclic_reduce, free_reduce, least_rotation,
-                           parse_codes, parse_cyclic_word, parse_word,
-                           random_word, reduce_codes)
+                           pair_counts, parse_codes, parse_cyclic_word,
+                           parse_word, random_word, reduce_codes)
 
 
 def codes(text):
@@ -72,6 +72,33 @@ class TestCyclicReduce:
             recombined = free_reduce(g.letters + c.letters + g.inverse().letters, 2)
             assert recombined.letters == w.letters
 
+    def test_matches_rotation_search(self):
+        # the conjugator is the one the O(n^2) search over rotations finds:
+        # the least rotation k, also for proper powers such as abab
+        def reference(w):
+            ls = w.letters
+            prefix = []
+            while len(ls) >= 2 and ls[0] == ls[-1] ^ 1:
+                prefix.append(ls[0])
+                ls = ls[1:-1]
+            canon = least_rotation(ls)
+            for k in range(max(1, len(canon))):
+                if canon[k:] + canon[:k] == ls:
+                    c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
+                    return canon, reduce_codes(tuple(prefix) + c1_inv)
+
+        rng = np.random.default_rng(3)
+        for _ in range(400):
+            rank = int(rng.integers(2, 4))
+            base = random_word(int(rng.integers(1, 8)), rank, cyclic=True, rng=rng)
+            power = base.letters * int(rng.integers(1, 4))
+            r = int(rng.integers(0, len(power)))
+            g = random_word(int(rng.integers(0, 5)), rank, rng=rng)
+            w = free_reduce(g.letters + power[r:] + power[:r]
+                            + g.inverse().letters, rank)
+            c, conj = cyclic_reduce(w)
+            assert (c.letters, conj.letters) == reference(w)
+
 
 class TestCanonicalRotation:
     def test_booth_matches_naive(self):
@@ -90,6 +117,19 @@ class TestCanonicalRotation:
     def test_rejects_cyclically_unreduced(self):
         with pytest.raises(ValueError):
             CyclicWord(codes("abA"), 2)
+
+
+class TestPairCounts:
+    def test_counts_every_cyclic_pair(self):
+        t = pair_counts(codes("aab"), 0, 2)
+        assert t.sum() == 3
+        assert (t[0, 0], t[0, 2], t[2, 0]) == (1, 1, 1)
+        assert pair_counts(codes("aab"), 1, 2)[0, 0] == 1   # a . U1 . a wraps
+
+    def test_short_word_wraps_onto_itself(self):
+        # the Whitehead graph of a one-letter word x has the edge {x, x^-1}
+        assert pair_counts(codes("B"), 0, 2)[3, 3] == 1
+        assert pair_counts((), 0, 2).sum() == 0
 
 
 class TestTextEncoding:
