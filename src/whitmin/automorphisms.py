@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
+from .words import MIN_RANK, CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,30 @@ def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:
     return CyclicWord(core, w.rank)
 
 
+def type2_count(rank: int) -> int:
+    """Number of proper type-II automorphisms: 2r (2^(2r-2) - 2)."""
+    return 2 * rank * ((1 << (2 * rank - 2)) - 2)
+
+
+# The minimality test enumerates every proper type II at rank >= 3; past this
+# many candidates the list alone takes gigabytes (rank 9 has 1,179,612).
+MAX_TYPE2_CANDIDATES = 1 << 18
+MAX_MINIMALITY_RANK = max(r for r in range(MIN_RANK, 32)
+                          if type2_count(r) <= MAX_TYPE2_CANDIDATES)
+
+
+def check_minimality_rank(rank: int) -> None:
+    """Raise ValueError unless rank is in MIN_RANK..MAX_MINIMALITY_RANK."""
+    if not MIN_RANK <= rank <= MAX_MINIMALITY_RANK:
+        raise ValueError(f"rank must be in {MIN_RANK}..{MAX_MINIMALITY_RANK} (at most "
+                         f"{MAX_TYPE2_CANDIDATES:,} type-II candidates), got {rank}")
+
+
 def enumerate_type2(rank: int) -> List[TypeII]:
     """All proper type-II automorphisms, multiplier ascending then A-bitmask
     ascending.  Excludes A = {a} (identity) and A = everything but a^-1
     (an inner automorphism)."""
-    if rank < 2:
-        raise ValueError("rank must be >= 2")
+    check_minimality_rank(rank)
     result = []
     m = 2 * rank
     for a in range(m):
@@ -289,7 +307,7 @@ def random_type1(rank: int, rng: np.random.Generator) -> TypeI:
 def random_automorphism(rank: int, rng: np.random.Generator) -> WhiteheadAutomorphism:
     """Uniform over proper type-I and type-II automorphisms combined."""
     n_type1 = (1 << rank) * math.factorial(rank) - 1
-    n_type2 = 2 * rank * ((1 << (2 * rank - 2)) - 2)
+    n_type2 = type2_count(rank)
     if rng.random() < n_type1 / (n_type1 + n_type2):
         return random_type1(rank, rng)
     return random_type2(rank, rng)

@@ -22,8 +22,13 @@ EXIT_MODEL = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail(message, EXIT_USAGE))
+
+
+def _fail(message, code: int) -> int:
+    """Print one error line; returns the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,8 +94,7 @@ def _load_dataset(path: str, rank: int):
     try:
         return load_tsv(path, rank)
     except (OSError, DataFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DATA)
+        raise SystemExit(_fail(e, EXIT_DATA))
 
 
 def _cmd_generate(args) -> int:
@@ -99,8 +103,7 @@ def _cmd_generate(args) -> int:
         spec = DatasetSpec(kind=args.kind, rank=args.rank, max_length=args.max_len,
                            per_length=args.per_len, seed=args.seed, size=args.size)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(e, EXIT_USAGE)
     ds = generate_dataset(spec)
     save_tsv(ds, args.output)
     print(f"wrote {len(ds)} records to {args.output}")
@@ -118,8 +121,7 @@ def _cmd_train(args) -> int:
     try:
         pipeline = train_pipeline(train, cfg)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
+        return _fail(e, EXIT_MODEL)
     with open(args.output, "w") as fh:
         fh.write(pipeline_to_json(pipeline))
     print(f"trained {args.model} on {len(train)} records -> {args.output}")
@@ -133,11 +135,9 @@ def _load_pipeline(path: str):
         with open(path) as fh:
             return pipeline_from_json(fh.read())
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DATA)
+        raise SystemExit(_fail(e, EXIT_DATA))
     except ModelFormatError as e:
-        print(f"error: bad model file: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_MODEL)
+        raise SystemExit(_fail(f"bad model file: {e}", EXIT_MODEL))
 
 
 def _cmd_evaluate(args) -> int:
@@ -147,12 +147,13 @@ def _cmd_evaluate(args) -> int:
     try:
         strata = tuple(int(x) for x in args.strata.split(","))
     except ValueError:
-        print(f"error: bad strata {args.strata!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"bad strata {args.strata!r}", EXIT_USAGE)
     if args.hist_bins < 2:
-        print(f"error: --hist-bins must be >= 2, got {args.hist_bins}", file=sys.stderr)
-        return EXIT_USAGE
-    report = evaluate(pipeline, test, bins=args.hist_bins, strata=strata)
+        return _fail(f"--hist-bins must be >= 2, got {args.hist_bins}", EXIT_USAGE)
+    try:
+        report = evaluate(pipeline, test, bins=args.hist_bins, strata=strata)
+    except ValueError as e:
+        return _fail(f"{args.test}: {e}", EXIT_DATA)
     sys.stdout.write(report.strata_csv())
     if args.hist_out and report.histogram is not None:
         with open(args.hist_out, "w") as fh:
@@ -168,16 +169,14 @@ def _cmd_select_features(args) -> int:
         lo, _, hi = args.pool.partition("-")
         pool = pattern_pool(args.rank, int(lo), int(hi))
     except ValueError as e:
-        print(f"error: bad pool spec {args.pool!r}: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(f"bad pool spec {args.pool!r}: {e}", EXIT_USAGE)
     train = _load_dataset(args.train_file, args.rank)
     val = _load_dataset(args.val_file, args.rank)
     try:
         chosen = greedy_feature_selection(pool, train, val, rank=args.rank,
                                           max_features=args.max_features)
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(e, EXIT_DATA)
     for idx in chosen:
         print(f"{idx}\t{pool[idx].text()}")
     return EXIT_OK
@@ -188,17 +187,14 @@ def _cmd_cluster(args) -> int:
                              report_centers_by_move)
     from .features import resolve_map
     if args.k != 4:
-        print("error: only --k 4 is supported (one cluster per Nielsen move)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("only --k 4 is supported (one cluster per Nielsen move)", EXIT_USAGE)
     data = _load_dataset(args.data, 2)
     nonmin = data.subset([r.label == "nonmin" for r in data.records])
     fmap = resolve_map(args.features, 2)
     try:
         report = clustering_experiment(nonmin, fmap, init=args.init, seed=args.seed)
     except (EmptyPureSet, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(e, EXIT_DATA)
     sys.stdout.write(report.summary_csv())
     if args.centers_out:
         centers = report_centers_by_move(report)
@@ -219,12 +215,15 @@ def _parse_cli_word(text: str, rank: int):
         core, _ = cyclic_reduce(Word(reduce_codes(codes), rank))
         return core
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DATA)
+        raise SystemExit(_fail(e, EXIT_DATA))
 
 
 def _cmd_minimize(args) -> int:
-    from .automorphisms import minimize
+    from .automorphisms import check_minimality_rank, minimize
+    try:
+        check_minimality_rank(args.rank)
+    except ValueError as e:
+        return _fail(e, EXIT_USAGE)
     w = _parse_cli_word(args.word, args.rank)
     m, chain = minimize(w)
     print(f"minimal: {m if len(m) else '(identity)'}")
@@ -240,11 +239,9 @@ def _cmd_predict_reducer(args) -> int:
         with open(args.centers) as fh:
             centers, fmap_name = centers_from_json(fh.read())
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(e, EXIT_DATA)
     except (ValueError, KeyError, TypeError) as e:
-        print(f"error: bad centers file: {e}", file=sys.stderr)
-        return EXIT_MODEL
+        return _fail(f"bad centers file: {e}", EXIT_MODEL)
     w = _parse_cli_word(args.word, 2)
     if is_minimal(w):
         print("word is already minimal")
@@ -274,8 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit:
         raise
     except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(e, EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .automorphisms import (apply_automorphism, edge_table, is_minimal,
-                            length_change, minimize, random_primitive,
-                            random_type2)
-from .words import MIN_RANK, CyclicWord, format_codes, parse_codes, random_word
+from .automorphisms import (apply_automorphism, check_minimality_rank, edge_table,
+                            is_minimal, length_change, minimize,
+                            random_primitive, random_type2)
+from .words import CyclicWord, format_codes, parse_codes, random_word
 
 log = logging.getLogger(__name__)
 
@@ -83,8 +83,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("D", "Se", "SR", "SP", "S10"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.rank < MIN_RANK:
-            raise ValueError(f"rank must be >= {MIN_RANK}, got {self.rank}")
+        check_minimality_rank(self.rank)
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
 
@@ -118,10 +117,6 @@ def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
             idx += 1
             w = random_word(l, spec.rank, cyclic=True, rng=rng)
             v, _ = minimize(w)
-            if len(v) == 0:
-                log.debug("degenerate length-0 minimum at l=%d; keeping as minimal", l)
-                records.append(WordRecord(v, LABEL_MIN))
-                continue
             if rng.random() < 0.5:
                 steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
                 current = v
@@ -151,8 +146,6 @@ def _generate_tested(spec: DatasetSpec) -> LabeledWordSet:
             w = random_word(l, spec.rank, cyclic=True, rng=rng)
         else:
             w = random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
-            if len(w) == 0:
-                w = CyclicWord((0,), spec.rank)
         label = LABEL_MIN if is_minimal(w) else LABEL_NONMIN
         records.append(WordRecord(w, label))
     return LabeledWordSet(records, spec.rank)
@@ -195,6 +188,8 @@ def load_tsv(path: str, rank: int = 2) -> LabeledWordSet:
                 word = CyclicWord(parse_codes(text), rank)
             except ValueError as e:
                 raise DataFormatError(f"{path}:{lineno}: {e}") from e
+            if not word.letters:
+                raise DataFormatError(f"{path}:{lineno}: empty word")
             if len(word) != int(length):
                 raise DataFormatError(f"{path}:{lineno}: length column mismatch")
             records.append(WordRecord(word, label))

@@ -4,13 +4,14 @@ the weighted labelled digraph of a word, and the feature-selection pattern pool.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, format_codes, inverse_code, pair_counts
+from .words import CyclicWord, Word, format_codes, window_codes
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class Pattern:
     def __post_init__(self):
         if len(self.gaps) != len(self.fixed) + 1:
             raise ValueError("need exactly K+1 wildcards for K fixed segments")
-        if not self.fixed and all(g.kind == "empty" for g in self.gaps):
+        if sum(map(len, self.fixed)) + sum(g.lengths()[-1] for g in self.gaps) == 0:
             raise ValueError("pattern matches only the empty word")
 
     @staticmethod
@@ -91,10 +92,6 @@ class Pattern:
         return ".".join(parts) if len(parts) > 1 else (parts[0] if parts else "")
 
 
-def _letters_of(w: Union[Word, CyclicWord]) -> Tuple[int, ...]:
-    return w.letters
-
-
 def count_pattern(w: Union[Word, CyclicWord], p: Pattern, mode: str = "cyclic") -> int:
     """Number of occurrences of the pattern in w.
 
@@ -103,7 +100,7 @@ def count_pattern(w: Union[Word, CyclicWord], p: Pattern, mode: str = "cyclic") 
     """
     if mode not in ("cyclic", "linear"):
         raise ValueError(f"unknown mode {mode!r}")
-    letters = _letters_of(w)
+    letters = w.letters
     n = len(letters)
     if n == 0:
         return 0
@@ -136,6 +133,28 @@ def count_pattern(w: Union[Word, CyclicWord], p: Pattern, mode: str = "cyclic") 
     return total
 
 
+# A pattern without at_most gaps matches exactly the windows of its span
+# whose letters at fixed offsets spell its fixed segments, so one base-2r code
+# per cyclic window and one bincount count it.  A pattern whose k fixed
+# letters have more than this many codes (2r)^k is left to count_pattern.
+_MAX_WINDOW_CODES = 1 << 16
+
+
+def _window(p: Pattern, m: int) -> Optional[Tuple[Tuple[int, ...], int, int]]:
+    """(offsets, code, span) of the one window p matches, or None when p has
+    an at_most gap or its code does not fit the counting table (a letter
+    outside the m-letter alphabet included)."""
+    letters = [c for seg in p.fixed for c in seg]
+    if (any(g.kind == "at_most" for g in p.gaps) or m ** len(letters) > _MAX_WINDOW_CODES
+            or not all(0 <= c < m for c in letters)):
+        return None
+    offsets, pos = [], p.gaps[0].lengths()[0]
+    for seg, gap in zip(p.fixed, p.gaps[1:]):
+        offsets.extend(range(pos, pos + len(seg)))
+        pos += len(seg) + gap.lengths()[0]
+    return tuple(offsets), functools.reduce(lambda code, c: code * m + c, letters, 0), pos
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """A named, ordered list of patterns over a fixed rank."""
@@ -151,34 +170,20 @@ class FeatureMap:
     def column_names(self) -> List[str]:
         return [p.text() for p in self.patterns]
 
-
-def _pair_exact_gap(p: Pattern) -> Optional[Tuple[int, int, int]]:
-    """If p is x1 . U_k . x2 (exact gap) or a fixed 2-letter word, return
-    (x1, k, x2); otherwise None."""
-    if len(p.fixed) == 1 and len(p.fixed[0]) == 2 and p.gaps[0].kind == "empty" \
-            and p.gaps[1].kind == "empty":
-        return p.fixed[0][0], 0, p.fixed[0][1]
-    if len(p.fixed) == 2 and len(p.fixed[0]) == 1 and len(p.fixed[1]) == 1 \
-            and p.gaps[0].kind == "empty" and p.gaps[2].kind == "empty" \
-            and p.gaps[1].kind == "exact":
-        return p.fixed[0][0], p.gaps[1].size, p.fixed[1][0]
-    return None
-
-
-def _fixed_word(p: Pattern) -> Optional[Tuple[int, ...]]:
-    if len(p.fixed) == 1 and all(g.kind == "empty" for g in p.gaps):
-        return p.fixed[0]
-    return None
-
-
-def _fixed_word_count(arr: np.ndarray, seg: Tuple[int, ...]) -> int:
-    n = arr.shape[0]
-    if len(seg) > n:
-        return 0
-    mask = arr == seg[0]
-    for j in range(1, len(seg)):
-        mask = mask & (np.roll(arr, -j) == seg[j])
-    return int(mask.sum())
+    @functools.cached_property
+    def _plan(self) -> Tuple[list, List[int]]:
+        """Built on first use: one (offsets, columns, codes, spans) group per
+        offset tuple, and the columns count_pattern counts."""
+        groups: Dict[Tuple[int, ...], list] = {}
+        generic: List[int] = []
+        for i, p in enumerate(self.patterns):
+            window = _window(p, 2 * self.rank)
+            if window is None:
+                generic.append(i)
+            else:
+                groups.setdefault(window[0], []).append((i, *window[1:]))
+        return ([(offs, *map(np.array, zip(*cols))) for offs, cols in groups.items()],
+                generic)
 
 
 def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
@@ -186,28 +191,16 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     n = len(w)
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")
+    groups, generic = fmap._plan
     arr = np.asarray(w.letters, dtype=np.int64)
-    tables: Dict[int, np.ndarray] = {}
-    out = np.empty(fmap.dim, dtype=np.float64)
-    for i, p in enumerate(fmap.patterns):
-        pair = _pair_exact_gap(p)
-        if pair is not None:
-            x1, gap, x2 = pair
-            if gap not in tables:
-                # a pair spans gap + 2 letters, so a shorter word has none
-                tables[gap] = (pair_counts(arr, gap, fmap.rank) if gap + 2 <= n
-                               else np.zeros((2 * fmap.rank,) * 2, dtype=np.int64))
-            out[i] = tables[gap][x1, x2]
-            continue
-        seg = _fixed_word(p)
-        if seg is not None:
-            if len(seg) == 1:
-                out[i] = int((arr == seg[0]).sum())
-            else:
-                out[i] = _fixed_word_count(arr, seg)
-            continue
-        out[i] = count_pattern(w, p, mode="cyclic")
-    return out / n
+    counts = np.zeros(fmap.dim, dtype=np.int64)
+    for offsets, columns, codes, spans in groups:
+        hist = np.bincount(window_codes(arr, offsets, fmap.rank),
+                           minlength=(2 * fmap.rank) ** len(offsets))
+        counts[columns] = np.where(spans <= n, hist[codes], 0)
+    for i in generic:
+        counts[i] = count_pattern(w, fmap.patterns[i])
+    return counts / n
 
 
 def feature_matrix(words: Sequence[CyclicWord], fmap: FeatureMap) -> np.ndarray:
@@ -220,22 +213,11 @@ def feature_matrix(words: Sequence[CyclicWord], fmap: FeatureMap) -> np.ndarray:
 
 def _reduced_words_of_length(rank: int, length: int) -> List[Tuple[int, ...]]:
     """All freely reduced code tuples of the given length, lexicographic."""
-    m = 2 * rank
-    result: List[Tuple[int, ...]] = []
-
-    def rec(prefix: List[int]):
-        if len(prefix) == length:
-            result.append(tuple(prefix))
-            return
-        for c in range(m):
-            if prefix and c == prefix[-1] ^ 1:
-                continue
-            prefix.append(c)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return result
+    words: List[Tuple[int, ...]] = [()]
+    for _ in range(length):
+        words = [w + (c,) for w in words for c in range(2 * rank)
+                 if not w or c != w[-1] ^ 1]
+    return words
 
 
 def _pair_patterns(rank: int, gap: int) -> List[Pattern]:

@@ -146,6 +146,8 @@ def evaluate(
     bins: int = 50,
     strata: Sequence[int] = DEFAULT_STRATA,
 ) -> EvaluationReport:
+    if not len(test):
+        raise ValueError("empty test set")
     X = feature_matrix(test.words(), pipeline.fmap)
     preds = pipeline._predict_rows(X)
     y = test.labels()

@@ -44,11 +44,6 @@ class Letter:
         return Letter(code >> 1, 1 if code % 2 == 0 else -1)
 
 
-def inverse_code(code: int) -> int:
-    """Code of the inverse letter."""
-    return code ^ 1
-
-
 def check_codes(codes: Iterable[int], rank: int) -> None:
     for c in codes:
         if not 0 <= c < 2 * rank:
@@ -216,14 +211,29 @@ def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
     return core, Word(reduce_codes(prefix + c1_inv), w.rank)
 
 
+def window_codes(letters: Sequence[int], offsets: Sequence[int], rank: int) -> np.ndarray:
+    """Base-2r code of every cyclic window of w read at the given offsets:
+    entry i has the digits w[i + o] (indices mod |w|) for o in offsets, the
+    first offset most significant.  No offsets give code 0 everywhere; the
+    caller keeps (2r)^len(offsets) within int64."""
+    m = 2 * rank
+    arr = np.asarray(letters, dtype=np.int64)
+    n = len(arr)
+    doubled = np.concatenate((arr, arr))
+    codes = np.zeros(n, dtype=np.int64)
+    for o in offsets:
+        codes *= m
+        codes += doubled[o % max(n, 1):][:n]
+    return codes
+
+
 def pair_counts(letters: Sequence[int], gap: int, rank: int) -> np.ndarray:
     """(2r x 2r) table counting the |w| cyclic pairs (w[i], w[i + gap + 1]),
     indices mod |w|: the x . U_gap . y subwords of a cyclic word.  A word
     shorter than gap + 2 letters wraps onto itself."""
     m = 2 * rank
-    arr = np.asarray(letters, dtype=np.int64)
-    pairs = arr * m + np.roll(arr, -(gap + 1))
-    return np.bincount(pairs, minlength=m * m).reshape(m, m)
+    codes = window_codes(letters, (0, gap + 1), rank)
+    return np.bincount(codes, minlength=m * m).reshape(m, m)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from whitmin import automorphisms, datasets
-from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
+from whitmin.automorphisms import (MAX_MINIMALITY_RANK, MAX_TYPE2_CANDIDATES,
+                                   NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
                                    apply_automorphism, apply_to_word,
                                    edge_table, enumerate_type2, is_minimal,
                                    length_change, minimize,
                                    nielsen_inverse_automorphism,
                                    random_automorphism, random_primitive,
-                                   random_type2, reducing_moves)
+                                   random_type2, reducing_moves, type2_count)
 from whitmin.words import (CyclicWord, Word, cyclic_reduce, free_reduce,
                            parse_cyclic_word, parse_word, random_word)
 
@@ -139,6 +140,16 @@ class TestEnumerateType2:
     def test_rejects_rank_below_2(self):
         with pytest.raises(ValueError):
             enumerate_type2(1)
+
+    def test_rank_bounded_by_candidate_count(self):
+        assert type2_count(3) == 84
+        assert type2_count(8) == 262_112 <= MAX_TYPE2_CANDIDATES < type2_count(9)
+        assert MAX_MINIMALITY_RANK == 8
+        for rank in (9, 27, 10**9):
+            with pytest.raises(ValueError):
+                enumerate_type2(rank)
+        with pytest.raises(ValueError):
+            minimize(CyclicWord((0, 2), 9))
 
     def test_all_proper(self):
         for t in enumerate_type2(2):

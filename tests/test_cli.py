@@ -90,7 +90,9 @@ class TestGenerate:
         assert open(out, "rb").read() == open(workdir["train"], "rb").read()
 
     @pytest.mark.parametrize("flags", [["--kind", "SR", "--rank", "1"],
-                                       ["--kind", "D", "--max-len", "0"]])
+                                       ["--kind", "D", "--max-len", "0"],
+                                       ["--kind", "D", "--rank", "9"],
+                                       ["--kind", "D", "--rank", "27"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
         assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE
@@ -120,6 +122,21 @@ class TestTrainEvaluate:
     def test_hist_bins_below_two_is_usage_error(self, workdir, capsys):
         assert main(["evaluate", "--model", workdir["model"], "--test",
                      workdir["test"], "--hist-bins", "1"]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+
+    def test_empty_test_set_is_data_error(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# word\tlabel\tlength\n")
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", str(empty)]) == EXIT_DATA
+        assert _one_error_line(capsys)
+
+    def test_empty_word_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "empty_word.tsv"
+        bad.write_text("abab\tmin\t4\n\tmin\t0\n")
+        with pytest.raises(SystemExit) as e:
+            main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
+        assert e.value.code == EXIT_DATA
         assert _one_error_line(capsys)
 
     def test_missing_dataset_is_data_error(self, workdir, capsys):
@@ -216,6 +233,11 @@ class TestWordCommands:
     def test_minimize_unreduced_input_ok(self, capsys):
         # free and cyclic reduction happen before minimization
         assert main(["minimize", "--word", "aAbabA"]) == EXIT_OK
+
+    @pytest.mark.parametrize("rank", ["1", "9", "27"])
+    def test_minimize_rank_outside_bound_is_usage_error(self, capsys, rank):
+        assert main(["minimize", "--word", "ab", "--rank", rank]) == EXIT_USAGE
+        assert _one_error_line(capsys)
 
     def test_minimize_invalid_word(self, capsys):
         with pytest.raises(SystemExit) as e:

@@ -22,6 +22,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             DatasetSpec("D", max_length=0)
 
+    @pytest.mark.parametrize("rank", [1, 9, 27])
+    def test_rank_outside_minimality_bound(self, rank):
+        with pytest.raises(ValueError):
+            DatasetSpec("SR", rank=rank)
+
 
 class TestGenerateD(object):
     def test_size_and_labels(self, small_d):
@@ -113,6 +118,7 @@ class TestTsv:
         "ab1b\tmin\t4",                 # bad character
         "abab\tnonmin\t5",              # wrong length
         "abA\tmin\t3",                  # not cyclically reduced
+        "\tmin\t0",                     # empty word
     ])
     def test_malformed_rejected(self, tmp_path, line):
         path = tmp_path / "bad.tsv"

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from whitmin import features
 from whitmin.features import (EMPTY, FeatureMap, Pattern, Wildcard,
                               builtin_map, count_pattern, feature_matrix,
                               feature_vector, pattern_pool, resolve_map,
@@ -37,6 +38,21 @@ def naive_cyclic_count(w, p):
     return total
 
 
+# a cyclically reduced 40-letter word: its window code would need a 4^40 table
+LONG_WORD = parse_codes("abABaabbAABBabaBAbabaaBBabABabbaBABaabab")
+
+HAND_BUILT = (
+    Pattern((parse_codes("ab"),), (Wildcard("exact", 2), EMPTY)),       # leading gap
+    Pattern((parse_codes("a"),), (EMPTY, Wildcard("exact", 3))),        # trailing gap
+    Pattern((parse_codes("ab"), parse_codes("B"), parse_codes("aa")),
+            (Wildcard("exact", 1), Wildcard("exact", 1), Wildcard("exact", 2),
+             EMPTY)),                                                   # three segments
+    Pattern.pair(0, Wildcard("at_most", 2), 2),                         # at_most gap
+    Pattern.from_word(LONG_WORD),                                       # table too large
+    Pattern.from_word((0, 5)),                                          # letter c^-1
+)
+
+
 class TestCountPattern:
     def test_fixed_word_examples(self):
         assert count_pattern(cw("abab"), Pattern.from_word(parse_codes("ab"))) == 2
@@ -49,6 +65,15 @@ class TestCountPattern:
             w = random_word(int(rng.integers(1, 20)), 2, cyclic=True, rng=rng)
             total = sum(count_pattern(w, Pattern.from_word((c,))) for c in range(4))
             assert total == len(w)
+
+    @pytest.mark.parametrize("fixed, gaps", [
+        ((), (EMPTY,)),
+        ((), (Wildcard("exact", 0),)),
+        (((),), (EMPTY, Wildcard("at_most", 0))),
+    ])
+    def test_pattern_matching_only_the_empty_word_rejected(self, fixed, gaps):
+        with pytest.raises(ValueError):
+            Pattern(fixed, gaps)
 
     def test_span_exceeding_length_is_zero(self):
         assert count_pattern(cw("ab"), Pattern.from_word(parse_codes("ababab"))) == 0
@@ -117,14 +142,38 @@ class TestFeatureVector:
             w = random_word(int(rng.integers(1, 20)), 2, cyclic=True, rng=rng)
             assert feature_vector(w, fmap).shape == (fmap.dim,)
 
-    def test_fast_paths_match_generic_counts(self):
+    @pytest.mark.parametrize("name, rank", [
+        *[(n, 2) for n in ("f0", "f1", "f2", "f3", "f4", "f5", "f6", "fstar",
+                           "pool:1-3", "hand-built")],
+        ("f6", 3)])
+    def test_fast_paths_match_generic_counts(self, name, rank):
         rng = np.random.default_rng(6)
-        fmap = builtin_map("f6", 2)
-        for _ in range(20):
-            w = random_word(int(rng.integers(1, 25)), 2, cyclic=True, rng=rng)
+        words = [random_word(n, rank, cyclic=True, rng=rng) for n in range(1, 26)]
+        fmap = (FeatureMap(name, HAND_BUILT, rank) if name == "hand-built"
+                else resolve_map(name, rank))
+        if name == "hand-built":
+            # short words holding a match that the pattern's span excludes
+            words += [cw(t) for t in ("ab", "aab", "abaa", "AAA")]
+            words.append(CyclicWord(LONG_WORD, rank))
+        for w in words:
             fast = feature_vector(w, fmap)
             slow = np.array([count_pattern(w, p) for p in fmap.patterns]) / len(w)
-            assert np.allclose(fast, slow)
+            assert fast.tobytes() == slow.tobytes(), (str(w), name)
+
+    def test_patterns_classified_once(self, monkeypatch):
+        calls = []
+        window = features._window
+
+        def counting(p, m):
+            calls.append(p)
+            return window(p, m)
+
+        monkeypatch.setattr(features, "_window", counting)
+        fmap = builtin_map("f6", 2)
+        rng = np.random.default_rng(9)
+        feature_matrix([random_word(30, 2, cyclic=True, rng=rng) for _ in range(5)], fmap)
+        feature_vector(random_word(7, 2, cyclic=True, rng=rng), fmap)
+        assert calls == list(fmap.patterns)
 
     def test_partition_identity(self):
         # summing x1 . U_k . x2 over all ordered pairs covers every position

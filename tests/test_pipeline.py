@@ -76,6 +76,10 @@ class TestEvaluation:
         assert calls == [len(test_set)]
         assert rep.histogram is not None
 
+    def test_empty_test_set_rejected(self, trained, test_set):
+        with pytest.raises(ValueError):
+            evaluate(trained, test_set.subset([False] * len(test_set)))
+
     def test_strata_counts(self, trained, test_set):
         rep = evaluate(trained, test_set, strata=(0, 4, 30))
         lengths = test_set.lengths()

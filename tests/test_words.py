@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from whitmin.words import (CyclicWord, InvalidLetterError, Letter, Word,
                            cyclic_reduce, free_reduce, least_rotation,
                            pair_counts, parse_codes, parse_cyclic_word,
-                           parse_word, random_word, reduce_codes)
+                           parse_word, random_word, reduce_codes, window_codes)
 
 
 def codes(text):
@@ -130,6 +130,16 @@ class TestPairCounts:
         # the Whitehead graph of a one-letter word x has the edge {x, x^-1}
         assert pair_counts(codes("B"), 0, 2)[3, 3] == 1
         assert pair_counts((), 0, 2).sum() == 0
+
+    def test_window_codes_read_each_cyclic_window(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 15):
+            w = random_word(n, 3, cyclic=True, rng=rng).letters
+            for offsets in ((), (0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5)):
+                expect = [sum(w[(i + o) % n] * 6 ** (len(offsets) - 1 - j)
+                              for j, o in enumerate(offsets)) for i in range(n)]
+                assert window_codes(w, offsets, 3).tolist() == expect
+        assert window_codes((), (0, 1), 2).shape == (0,)
 
 
 class TestTextEncoding:
