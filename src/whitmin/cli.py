@@ -25,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_fail(message, EXIT_USAGE))
 
 
-def _fail(message, code: int) -> int:
+def _fail(message: object, code: int) -> int:
     """Print one error line; returns the exit code."""
     print(f"error: {message}", file=sys.stderr)
     return code
