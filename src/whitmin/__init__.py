@@ -11,9 +11,9 @@ Core layers:
 
 from .automorphisms import (NIELSEN_MOVES, AutomorphismChain, NielsenMove,
                             TypeI, TypeII, WhiteheadAutomorphism,
-                            apply_automorphism, apply_to_word, enumerate_type2,
-                            is_minimal, minimize, random_automorphism,
-                            random_primitive, reducing_moves)
+                            apply_automorphism, apply_to_word, is_minimal,
+                            minimize, random_automorphism, random_primitive,
+                            reducing_moves)
 from .datasets import (DatasetSpec, LabeledWordSet, WordRecord,
                        generate_dataset, load_tsv, save_tsv)
 from .features import (FeatureMap, Pattern, Wildcard, WhiteheadGraph,

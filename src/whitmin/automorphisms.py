@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .words import MIN_RANK, CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
+from .words import CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
 
 
 @dataclass(frozen=True)
@@ -111,37 +110,6 @@ def type2_count(rank: int) -> int:
     return 2 * rank * ((1 << (2 * rank - 2)) - 2)
 
 
-# The minimality test enumerates every proper type II at rank >= 3; past this
-# many candidates the list alone takes gigabytes (rank 9 has 1,179,612).
-MAX_TYPE2_CANDIDATES = 1 << 18
-MAX_MINIMALITY_RANK = max(r for r in range(MIN_RANK, 32)
-                          if type2_count(r) <= MAX_TYPE2_CANDIDATES)
-
-
-def check_minimality_rank(rank: int) -> None:
-    """Raise ValueError unless rank is in MIN_RANK..MAX_MINIMALITY_RANK."""
-    if not MIN_RANK <= rank <= MAX_MINIMALITY_RANK:
-        raise ValueError(f"rank must be in {MIN_RANK}..{MAX_MINIMALITY_RANK} (at most "
-                         f"{MAX_TYPE2_CANDIDATES:,} type-II candidates), got {rank}")
-
-
-def enumerate_type2(rank: int) -> List[TypeII]:
-    """All proper type-II automorphisms, multiplier ascending then A-bitmask
-    ascending.  Excludes A = {a} (identity) and A = everything but a^-1
-    (an inner automorphism)."""
-    check_minimality_rank(rank)
-    result = []
-    m = 2 * rank
-    for a in range(m):
-        others = [c for c in range(m) if c != a and c != a ^ 1]
-        full = (1 << len(others)) - 1
-        for mask in range(1, full):
-            subset = frozenset([a] + [others[i] for i in range(len(others))
-                                      if mask >> i & 1])
-            result.append(TypeII(rank, a, subset))
-    return result
-
-
 # ---------------------------------------------------------------------------
 # rank-2 Nielsen moves
 # ---------------------------------------------------------------------------
@@ -211,66 +179,145 @@ def _length_changes(edges: np.ndarray, member: np.ndarray,
     return ((member @ edges) * (1 - member)).sum(1) - edges.sum(1)[multipliers]
 
 
-def _membership(autos: Sequence[TypeII]) -> Tuple[np.ndarray, np.ndarray]:
-    m = 2 * autos[0].rank
-    member = np.array([[c in t.subset for c in range(m)] for t in autos],
-                      dtype=np.int64)
-    return member, np.array([t.multiplier for t in autos], dtype=np.int64)
-
-
 def length_change(edges: np.ndarray, t: TypeII) -> int:
     """|t(w)| - |w| for the word w with Whitehead graph ``edges``."""
-    return int(_length_changes(edges, *_membership([t]))[0])
+    member = np.zeros((1, 2 * t.rank), dtype=np.int64)
+    member[0, list(t.subset)] = 1
+    return int(_length_changes(edges, member, np.array([t.multiplier]))[0])
 
 
-@functools.lru_cache(maxsize=8)
-def _candidates(rank: int) -> Tuple[Tuple[TypeII, ...], np.ndarray, np.ndarray]:
-    """The minimality candidates in scan order, with their membership matrix
-    and multipliers: the Nielsen moves at rank 2, else every proper type II."""
-    if rank == 2:
-        autos = tuple(m.automorphism for m in NIELSEN_MOVES)
-    else:
-        autos = tuple(enumerate_type2(rank))
-    member, multipliers = _membership(autos)
-    member.setflags(write=False)
-    multipliers.setflags(write=False)
-    return autos, member, multipliers
+_NIELSEN_MEMBER = np.array([[c in m.automorphism.subset for c in range(4)]
+                            for m in NIELSEN_MOVES], dtype=np.int64)
+_NIELSEN_MULTIPLIERS = np.array([m.automorphism.multiplier for m in NIELSEN_MOVES])
 
 
-def _candidate_changes(w: CyclicWord) -> np.ndarray:
-    _, member, multipliers = _candidates(w.rank)
-    return _length_changes(edge_table(w), member, multipliers)
+def _nielsen_changes(w: CyclicWord) -> np.ndarray:
+    return _length_changes(edge_table(w), _NIELSEN_MEMBER, _NIELSEN_MULTIPLIERS)
 
 
-def reducing_moves(w: CyclicWord):
-    """Moves that strictly shorten w.  Rank 2 returns NielsenMove members
-    (conjugations act trivially on cyclic words); higher rank returns the
-    type-II automorphisms themselves."""
+# Above rank 2, the least cap(A) over the A with a in A and a^-1 outside is a
+# minimum cut between a and a^-1 in the Whitehead graph (Roig, Ventura & Weil).
+# The improper A = {a} and A = all - {a^-1} both cut exactly deg(a), so some
+# proper (A, a) shortens w iff the maximum flow from a to a^-1 is below deg(a).
+
+def _best_cut(cap: List[List[int]], a: int) -> Tuple[int, List[int]]:
+    """(cut - deg(a), least source side) for a minimum cut between a and a^-1
+    in the undirected graph ``cap``; (0, []) once the flow reaches deg(a)."""
+    n = len(cap)
+    t = a ^ 1
+    res = [row[:] for row in cap]
+    ra, rt = res[a], res[t]
+    target = sum(ra)
+    # Paths a -> a^-1, a -> x -> a^-1 and a -> x -> y -> a^-1 carry most of
+    # the flow on short words; augmenting paths (shortest first) finish it.
+    flow = ra[t]
+    rt[a] += flow
+    ra[t] = 0
+    for x in range(n):
+        rx = res[x]
+        d = min(ra[x], rx[t])
+        if d:
+            ra[x] -= d
+            rx[a] += d
+            rx[t] -= d
+            rt[x] += d
+            flow += d
+    for x in range(n):
+        rx = res[x]
+        for y in range(n):
+            if not ra[x]:
+                break
+            if rx[y]:
+                ry = res[y]
+                d = min(ra[x], rx[y], ry[t])
+                if d:
+                    ra[x] -= d
+                    rx[a] += d
+                    rx[y] -= d
+                    ry[x] += d
+                    ry[t] -= d
+                    rt[y] += d
+                    flow += d
+    while flow < target:
+        parent = [-1] * n
+        parent[a] = a
+        queue = [a]
+        for u in queue:
+            ru = res[u]
+            for v in range(n):
+                if ru[v] and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[t] >= 0:
+                break
+        if parent[t] < 0:
+            # queue holds the vertices the residual graph reaches from a: the
+            # source side contained in every minimum cut
+            return flow - target, queue
+        path = [t]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        steps = list(zip(path[1:], path))
+        d = min(res[u][v] for u, v in steps)
+        for u, v in steps:
+            res[u][v] -= d
+            res[v][u] += d
+        flow += d
+    return 0, []
+
+
+def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
+    """The rank-2 Nielsen moves that strictly shorten w (conjugations act
+    trivially on cyclic words)."""
+    if w.rank != 2:
+        raise ValueError(f"reducing_moves lists the rank-2 Nielsen moves; got rank {w.rank}")
     if len(w) <= 1:
         return []
-    moves = NIELSEN_MOVES if w.rank == 2 else _candidates(w.rank)[0]
-    return [m for m, d in zip(moves, _candidate_changes(w)) if d < 0]
+    return [m for m, d in zip(NIELSEN_MOVES, _nielsen_changes(w)) if d < 0]
 
 
 def is_minimal(w: CyclicWord) -> bool:
+    """True when no Whitehead automorphism shortens the cyclic word w."""
     if len(w) <= 1:
         return True
-    return bool(_candidate_changes(w).min() >= 0)
+    if w.rank == 2:
+        return bool(_nielsen_changes(w).min() >= 0)
+    cap = edge_table(w).tolist()
+    return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
+
+
+def _best_move(w: CyclicWord) -> Tuple[int, Optional[TypeII]]:
+    """The move with the greatest length drop and that drop, first in scan
+    order: the four Nielsen moves at rank 2, else multiplier ascending, then
+    A-bitmask ascending over every proper type II."""
+    if w.rank == 2:
+        changes = _nielsen_changes(w)
+        best = int(np.argmin(changes))
+        return int(changes[best]), NIELSEN_MOVES[best].automorphism
+    cap = edge_table(w).tolist()
+    best, move = 0, None
+    # (A^c, a^-1) changes |w| as (A, a) does and comes later in the scan, so
+    # only a = 2g is scanned; the least source side is a submask of every
+    # other minimum-cut A, hence first in bitmask order
+    for a in range(0, len(cap), 2):
+        change, side = _best_cut(cap, a)
+        if change < best:
+            best, move = change, TypeII(w.rank, a, frozenset(side))
+    return best, move
 
 
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     """Greedy steepest descent: repeatedly apply the move with the greatest
-    length drop (ties by enumeration order) until no move shortens the word."""
+    length drop (ties: multiplier ascending, then A-bitmask ascending) until
+    no move shortens the word."""
     chain: AutomorphismChain = []
     current = w
-    autos = _candidates(w.rank)[0]
     while len(current) > 1:
-        changes = _candidate_changes(current)
-        best = int(np.argmin(changes))
-        if changes[best] >= 0:
+        change, move = _best_move(current)
+        if change >= 0:
             break
-        chain.append(autos[best])
-        current = apply_automorphism(autos[best], current)
+        chain.append(move)
+        current = apply_automorphism(move, current)
     return current, chain
 
 

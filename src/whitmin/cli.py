@@ -219,11 +219,7 @@ def _parse_cli_word(text: str, rank: int):
 
 
 def _cmd_minimize(args) -> int:
-    from .automorphisms import check_minimality_rank, minimize
-    try:
-        check_minimality_rank(args.rank)
-    except ValueError as e:
-        return _fail(e, EXIT_USAGE)
+    from .automorphisms import minimize
     w = _parse_cli_word(args.word, args.rank)
     m, chain = minimize(w)
     print(f"minimal: {m if len(m) else '(identity)'}")
@@ -265,7 +261,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .words import check_rank
     args = build_parser().parse_args(argv)
+    if hasattr(args, "rank"):
+        try:
+            check_rank(args.rank)
+        except ValueError as e:
+            return _fail(e, EXIT_USAGE)
     try:
         return _COMMANDS[args.command](args)
     except SystemExit:

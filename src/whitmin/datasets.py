@@ -17,10 +17,10 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .automorphisms import (apply_automorphism, check_minimality_rank, edge_table,
-                            is_minimal, length_change, minimize,
-                            random_primitive, random_type2)
-from .words import CyclicWord, format_codes, parse_codes, random_word
+from .automorphisms import (apply_automorphism, edge_table, is_minimal,
+                            length_change, minimize, random_primitive,
+                            random_type2)
+from .words import CyclicWord, check_rank, format_codes, parse_codes, random_word
 
 log = logging.getLogger(__name__)
 
@@ -83,7 +83,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in ("D", "Se", "SR", "SP", "S10"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
-        check_minimality_rank(self.rank)
+        check_rank(self.rank)
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
 
@@ -190,7 +190,11 @@ def load_tsv(path: str, rank: int = 2) -> LabeledWordSet:
                 raise DataFormatError(f"{path}:{lineno}: {e}") from e
             if not word.letters:
                 raise DataFormatError(f"{path}:{lineno}: empty word")
-            if len(word) != int(length):
+            try:
+                expected = int(length)
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: bad length {length!r}") from None
+            if len(word) != expected:
                 raise DataFormatError(f"{path}:{lineno}: length column mismatch")
             records.append(WordRecord(word, label))
     return LabeledWordSet(records, rank)

@@ -204,6 +204,8 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
 
 
 def feature_matrix(words: Sequence[CyclicWord], fmap: FeatureMap) -> np.ndarray:
+    if not len(words):
+        return np.zeros((0, fmap.dim))
     return np.vstack([feature_vector(w, fmap) for w in words])
 
 

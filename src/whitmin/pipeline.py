@@ -188,6 +188,10 @@ def greedy_feature_selection(
     """
     if not pool:
         raise ValueError("empty pattern pool")
+    if not len(train):
+        raise ValueError("empty training set")
+    if not len(validation):
+        raise ValueError("empty validation set")
     full = FeatureMap("pool", tuple(pool), rank)
     Xtr = feature_matrix(train.words(), full)
     Xva = feature_matrix(validation.words(), full)

@@ -16,6 +16,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 MIN_RANK = 2
+# The text encoding writes generators as a..z.
+MAX_RANK = 26
 
 
 class InvalidLetterError(ValueError):
@@ -50,9 +52,10 @@ def check_codes(codes: Iterable[int], rank: int) -> None:
             raise InvalidLetterError(f"letter code {c} invalid for rank {rank}")
 
 
-def _check_rank(rank: int) -> None:
-    if rank < MIN_RANK:
-        raise ValueError(f"rank must be >= {MIN_RANK}, got {rank}")
+def check_rank(rank: int) -> None:
+    """Raise ValueError unless rank is in MIN_RANK..MAX_RANK."""
+    if not MIN_RANK <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in {MIN_RANK}..{MAX_RANK} (generators a..z), got {rank}")
 
 
 def reduce_codes(codes: Sequence[int]) -> Tuple[int, ...]:
@@ -76,7 +79,7 @@ class Word:
     rank: int
 
     def __post_init__(self):
-        _check_rank(self.rank)
+        check_rank(self.rank)
         check_codes(self.letters, self.rank)
         for i in range(len(self.letters) - 1):
             if self.letters[i] == self.letters[i + 1] ^ 1:
@@ -104,7 +107,7 @@ class CyclicWord:
     rank: int
 
     def __post_init__(self):
-        _check_rank(self.rank)
+        check_rank(self.rank)
         check_codes(self.letters, self.rank)
         ls = self.letters
         n = len(ls)
@@ -244,8 +247,8 @@ def format_codes(codes: Sequence[int]) -> str:
     out = []
     for c in codes:
         g = c >> 1
-        if g >= 26:
-            raise ValueError("text encoding supports at most 26 generators")
+        if g >= MAX_RANK:
+            raise ValueError(f"text encoding supports at most {MAX_RANK} generators")
         ch = chr(ord("a") + g)
         out.append(ch if c % 2 == 0 else ch.upper())
     return "".join(out)
@@ -287,7 +290,7 @@ def random_word(
     With ``cyclic=True`` the last letter is additionally resampled until it
     differs from the inverse of the first, and a CyclicWord is returned.
     """
-    _check_rank(rank)
+    check_rank(rank)
     if rng is None:
         rng = np.random.default_rng()
     if length == 0:

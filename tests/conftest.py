@@ -3,8 +3,27 @@ import itertools
 import numpy as np
 import pytest
 
-from whitmin.automorphisms import apply_automorphism, enumerate_type2
-from whitmin.words import CyclicWord
+from whitmin.automorphisms import TypeII, apply_automorphism
+from whitmin.words import MIN_RANK, CyclicWord
+
+
+def enumerate_type2(rank):
+    """All proper type-II automorphisms, multiplier ascending then A-bitmask
+    ascending: the minimality oracle.  Excludes A = {a} (identity) and
+    A = everything but a^-1 (an inner automorphism).  There are
+    2r (2^(2r-2) - 2) of them, so keep the rank small."""
+    if rank < MIN_RANK:
+        raise ValueError(f"rank must be >= {MIN_RANK}, got {rank}")
+    result = []
+    m = 2 * rank
+    for a in range(m):
+        others = [c for c in range(m) if c != a and c != a ^ 1]
+        full = (1 << len(others)) - 1
+        for mask in range(1, full):
+            subset = frozenset([a] + [others[i] for i in range(len(others))
+                                      if mask >> i & 1])
+            result.append(TypeII(rank, a, subset))
+    return result
 
 
 def all_reduced_words(rank, length):

@@ -1,21 +1,22 @@
+import functools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from whitmin import automorphisms, datasets
-from whitmin.automorphisms import (MAX_MINIMALITY_RANK, MAX_TYPE2_CANDIDATES,
-                                   NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
+from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
                                    apply_automorphism, apply_to_word,
-                                   edge_table, enumerate_type2, is_minimal,
-                                   length_change, minimize,
-                                   nielsen_inverse_automorphism,
+                                   edge_table, is_minimal, length_change,
+                                   minimize, nielsen_inverse_automorphism,
                                    random_automorphism, random_primitive,
                                    random_type2, reducing_moves, type2_count)
 from whitmin.words import (CyclicWord, Word, cyclic_reduce, free_reduce,
                            parse_cyclic_word, parse_word, random_word)
 
-from conftest import all_cyclic_words, bfs_orbit_min
+from conftest import all_cyclic_words, bfs_orbit_min, enumerate_type2
 
 
 def cw(text):
@@ -58,12 +59,39 @@ def trial_descent(w):
 
 
 @st.composite
-def cyclic_words(draw):
-    rank = draw(st.integers(2, 4))
+def cyclic_words(draw, min_rank=2, max_rank=4):
+    rank = draw(st.integers(min_rank, max_rank))
     raw = draw(st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=40))
     core, _ = cyclic_reduce(free_reduce(raw, rank))
     assume(len(core) >= 1)
     return core
+
+
+@st.composite
+def pushed_words(draw):
+    """Cyclic words at ranks 3-5, half of them pushed off minimality by a
+    random type-II automorphism, as in mixed_words."""
+    w = draw(cyclic_words(3, 5))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = apply_automorphism(random_type2(w.rank, rng), w)
+    return w
+
+
+@functools.lru_cache(maxsize=None)
+def _enumeration(rank):
+    autos = enumerate_type2(rank)
+    member = np.array([[c in t.subset for c in range(2 * rank)] for t in autos],
+                      dtype=np.int64)
+    return autos, member, np.array([t.multiplier for t in autos])
+
+
+def enumerated_changes(w):
+    """cap(A) - deg(a) of every proper type II in enumeration order."""
+    autos, member, multipliers = _enumeration(w.rank)
+    edges = edge_table(w)
+    return autos, (((member @ edges) * (1 - member)).sum(1)
+                   - edges.sum(1)[multipliers])
 
 
 class TestTypeII:
@@ -129,8 +157,8 @@ class TestTypeI:
 
 class TestEnumerateType2:
     def test_counts(self):
-        assert len(enumerate_type2(2)) == 8
-        assert len(enumerate_type2(3)) == 84  # 6 * (2^4 - 2)
+        assert len(enumerate_type2(2)) == 8 == type2_count(2)
+        assert len(enumerate_type2(3)) == 84 == type2_count(3)  # 6 * (2^4 - 2)
 
     def test_contains_b_to_ba(self):
         target = TypeII(2, 0, frozenset({0, 2}))
@@ -140,16 +168,6 @@ class TestEnumerateType2:
     def test_rejects_rank_below_2(self):
         with pytest.raises(ValueError):
             enumerate_type2(1)
-
-    def test_rank_bounded_by_candidate_count(self):
-        assert type2_count(3) == 84
-        assert type2_count(8) == 262_112 <= MAX_TYPE2_CANDIDATES < type2_count(9)
-        assert MAX_MINIMALITY_RANK == 8
-        for rank in (9, 27, 10**9):
-            with pytest.raises(ValueError):
-                enumerate_type2(rank)
-        with pytest.raises(ValueError):
-            minimize(CyclicWord((0, 2), 9))
 
     def test_all_proper(self):
         for t in enumerate_type2(2):
@@ -176,10 +194,13 @@ class TestReducingMoves:
         found = 0
         for w in mixed_words(3, 60, seed=13):
             expected = [t for t in autos if len(apply_automorphism(t, w)) < len(w)]
-            assert reducing_moves(w) == expected
             assert is_minimal(w) == (not expected)
             found += len(expected)
         assert found > 0
+
+    def test_rank_2_only(self):
+        with pytest.raises(ValueError):
+            reducing_moves(CyclicWord((0, 2, 0, 2), 3))
 
 
 class TestLengthChange:
@@ -233,6 +254,37 @@ class TestMinimality:
                 m, _ = minimize(w)
                 assert len(m) == bfs_orbit_min(w), str(w)
 
+    @settings(max_examples=150, deadline=None)
+    @given(pushed_words())
+    @example(CyclicWord((0, 2, 0, 2), 3))
+    def test_cut_matches_enumeration(self, w):
+        """Above rank 2 the verdict and the first move come from min cuts;
+        the enumeration's first argmin is the reference."""
+        autos, changes = enumerated_changes(w)
+        assert is_minimal(w) == (changes.min() >= 0)
+        if changes.min() < 0:
+            assert minimize(w)[1][0] == autos[int(np.argmin(changes))]
+
+    def test_rank_12_smoke(self):
+        rng = np.random.default_rng(12)
+        base = random_word(150, 12, cyclic=True, rng=rng)
+        w = base
+        while len(w) < 200:
+            w = apply_automorphism(random_type2(12, rng), w)
+        start = time.perf_counter()
+        verdict = is_minimal(w)
+        m, chain = minimize(w)
+        elapsed = time.perf_counter() - start
+        assert not verdict and is_minimal(m)
+        assert len(m) <= len(base) and chain
+        current = w
+        for t in chain:
+            nxt = apply_automorphism(t, current)
+            assert len(nxt) < len(current)
+            current = nxt
+        assert current == m
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("rank", [2, 3])
     def test_matches_trial_application_descent(self, rank):
         steps = 0
@@ -266,7 +318,8 @@ class TestApplicationCounts:
         calls[0] = 0
         for w in words:
             is_minimal(w)
-            reducing_moves(w)
+            if rank == 2:
+                reducing_moves(w)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("rank", [2, 3])

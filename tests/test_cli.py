@@ -91,13 +91,30 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flags", [["--kind", "SR", "--rank", "1"],
                                        ["--kind", "D", "--max-len", "0"],
-                                       ["--kind", "D", "--rank", "9"],
                                        ["--kind", "D", "--rank", "27"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
         assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE
         assert _one_error_line(capsys)
         assert not out.exists()
+
+    def test_rank_9(self, tmp_path, capsys):
+        out = tmp_path / "r9.tsv"
+        assert main(["generate", "--kind", "D", "--rank", "9", "--max-len", "8",
+                     "--per-len", "2", "--seed", "1", "-o", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 8 * 2
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--train", "unused.tsv", "-o", "unused.json"],
+    ["select-features", "--train", "unused.tsv", "--val", "unused.tsv"],
+])
+@pytest.mark.parametrize("rank", ["1", "27"])
+def test_rank_outside_range_is_usage_error(capsys, command, rank):
+    """Checked before any file is read: the text encoding has a..z only.
+    TestGenerate and TestWordCommands cover generate and minimize."""
+    assert main([*command, "--rank", rank]) == EXIT_USAGE
+    assert _one_error_line(capsys)
 
 
 class TestTrainEvaluate:
@@ -134,6 +151,14 @@ class TestTrainEvaluate:
     def test_empty_word_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "empty_word.tsv"
         bad.write_text("abab\tmin\t4\n\tmin\t0\n")
+        with pytest.raises(SystemExit) as e:
+            main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
+        assert e.value.code == EXIT_DATA
+        assert _one_error_line(capsys)
+
+    def test_bad_length_column_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad_length.tsv"
+        bad.write_text("abab\tmin\t4\nab\tmin\tx\n")
         with pytest.raises(SystemExit) as e:
             main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
         assert e.value.code == EXIT_DATA
@@ -210,6 +235,17 @@ class TestSelectFeatures:
                      "--val", workdir["test"]]) == EXIT_DATA
         assert _one_error_line(capsys)
 
+    @pytest.mark.parametrize("which", ["train", "val"])
+    def test_empty_set_is_data_error(self, workdir, tmp_path, capsys, which):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# word\tlabel\tlength\n")
+        files = {"train": workdir["train"], "val": workdir["test"], which: str(empty)}
+        assert main(["select-features", "--pool", "1-1", "--train", files["train"],
+                     "--val", files["val"]]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert ("training" if which == "train" else "validation") in err
+
 
 class TestCluster:
     def test_summary_and_centers(self, cluster_data, tmp_path, capsys):
@@ -234,7 +270,12 @@ class TestWordCommands:
         # free and cyclic reduction happen before minimization
         assert main(["minimize", "--word", "aAbabA"]) == EXIT_OK
 
-    @pytest.mark.parametrize("rank", ["1", "9", "27"])
+    def test_minimize_rank_9(self, capsys):
+        # the square of a primitive element minimizes to a generator squared
+        assert main(["minimize", "--word", "abcdefghi" * 2, "--rank", "9"]) == EXIT_OK
+        assert "length: 18 -> 2 in " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rank", ["1", "27"])
     def test_minimize_rank_outside_bound_is_usage_error(self, capsys, rank):
         assert main(["minimize", "--word", "ab", "--rank", rank]) == EXIT_USAGE
         assert _one_error_line(capsys)

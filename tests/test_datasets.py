@@ -22,10 +22,17 @@ class TestSpec:
         with pytest.raises(ValueError):
             DatasetSpec("D", max_length=0)
 
-    @pytest.mark.parametrize("rank", [1, 9, 27])
+    @pytest.mark.parametrize("rank", [1, 27])
     def test_rank_outside_minimality_bound(self, rank):
         with pytest.raises(ValueError):
             DatasetSpec("SR", rank=rank)
+
+    def test_primitives_labelled_by_length_at_rank_6(self):
+        # a primitive element is minimal exactly when it is one letter
+        sp = generate_dataset(DatasetSpec("SP", rank=6, size=60, seed=3))
+        assert {r.label for r in sp.records} == {LABEL_MIN, LABEL_NONMIN}
+        for r in sp.records:
+            assert (r.label == LABEL_MIN) == (len(r.word) == 1)
 
 
 class TestGenerateD(object):
@@ -119,6 +126,7 @@ class TestTsv:
         "abab\tnonmin\t5",              # wrong length
         "abA\tmin\t3",                  # not cyclically reduced
         "\tmin\t0",                     # empty word
+        "ab\tmin\tx",                   # non-numeric length
     ])
     def test_malformed_rejected(self, tmp_path, line):
         path = tmp_path / "bad.tsv"

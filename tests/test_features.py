@@ -175,6 +175,10 @@ class TestFeatureVector:
         feature_vector(random_word(7, 2, cyclic=True, rng=rng), fmap)
         assert calls == list(fmap.patterns)
 
+    def test_empty_word_list(self):
+        X = feature_matrix([], builtin_map("f6", 2))
+        assert X.shape == (0, 60) and X.dtype == np.float64
+
     def test_partition_identity(self):
         # summing x1 . U_k . x2 over all ordered pairs covers every position
         rng = np.random.default_rng(7)
