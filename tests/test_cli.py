@@ -91,6 +91,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("flags", [["--kind", "SR", "--rank", "1"],
                                        ["--kind", "D", "--max-len", "0"],
+                                       ["--kind", "D", "--rank", "0"],
                                        ["--kind", "D", "--rank", "27"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
