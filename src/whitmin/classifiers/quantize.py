@@ -88,7 +88,7 @@ def build_quantizer(
     equal_probability: M bins with per-bin counts differing by at most one
     min_error:         dynamic-programming boundary placement minimizing the
                        majority-vote training error (O(n^2 M) in the number of
-                       distinct scores)
+                       distinct scores, one numpy row per bin count and end)
     """
     if num_intervals < 2:
         raise ValueError("need at least 2 intervals")
@@ -127,7 +127,7 @@ def build_quantizer(
 def _min_error_boundaries(s: np.ndarray, y: np.ndarray, m: int) -> List[float]:
     """DP over distinct sorted scores; candidate cuts are midpoints between
     consecutive distinct values."""
-    vals, starts = np.unique(s, return_index=True)
+    vals = np.unique(s)
     n = len(vals)
     # per-distinct-value class counts, then prefix sums
     cnt1 = np.zeros(n, dtype=np.int64)
@@ -138,30 +138,19 @@ def _min_error_boundaries(s: np.ndarray, y: np.ndarray, m: int) -> List[float]:
     p1 = np.concatenate([[0], np.cumsum(cnt1)])
     p2 = np.concatenate([[0], np.cumsum(cnt2)])
 
-    def seg_err(i: int, j: int) -> int:
-        # error of one bin covering distinct values i..j-1
-        a = int(p1[j] - p1[i])
-        b = int(p2[j] - p2[i])
-        return a + b - max(a, b)
-
     m = min(m, n)
-    INF = 1 << 60
-    # cost[k][j]: best error covering values 0..j-1 with k bins
-    prev = [seg_err(0, j) for j in range(n + 1)]
-    choice: List[List[int]] = []
+    # prev[j]: least error covering values 0..j-1 with k - 1 bins; a bin over
+    # values i..j-1 errs on its minority count
+    prev = np.minimum(p1, p2)
+    choice: List[np.ndarray] = []
     for k in range(2, m + 1):
-        cur = [INF] * (n + 1)
-        ch = [0] * (n + 1)
+        cur = np.zeros(n + 1, dtype=np.int64)
+        ch = np.zeros(n + 1, dtype=np.int64)
         for j in range(k, n + 1):
-            best = INF
-            arg = k - 1
-            for i in range(k - 1, j):
-                c = prev[i] + seg_err(i, j)
-                if c < best:
-                    best = c
-                    arg = i
-            cur[j] = best
-            ch[j] = arg
+            c = prev[k - 1:j] + np.minimum(p1[j] - p1[k - 1:j], p2[j] - p2[k - 1:j])
+            i = int(np.argmin(c))  # the first minimum, the leftmost cut
+            cur[j] = c[i]
+            ch[j] = k - 1 + i
         choice.append(ch)
         prev = cur
 

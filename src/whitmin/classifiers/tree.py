@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtri
 
 from .base import LabeledSet
 
@@ -146,7 +146,7 @@ def fit_tree(data: LabeledSet, params: TreeParams = TreeParams()) -> TreeModel:
         max_depth = max(1, int(math.log2(N)) - 1)
     chi2_cutoff = params.chi2_cutoff
     if chi2_cutoff is None:
-        chi2_cutoff = float(stats.chi2.ppf(0.95, max(M - 1, 1)))
+        chi2_cutoff = float(chdtri(max(M - 1, 1), 1.0 - 0.95))
     if params.criterion not in ("purity", "misclassification"):
         raise ValueError(f"unknown criterion {params.criterion!r}")
 

@@ -188,9 +188,12 @@ def _cmd_cluster(args) -> int:
     from .features import resolve_map
     if args.k != 4:
         return _fail("only --k 4 is supported (one cluster per Nielsen move)", EXIT_USAGE)
+    try:
+        fmap = resolve_map(args.features, 2)
+    except ValueError as e:
+        return _fail(f"bad feature map {args.features!r}: {e}", EXIT_USAGE)
     data = _load_dataset(args.data, 2)
     nonmin = data.subset([r.label == "nonmin" for r in data.records])
-    fmap = resolve_map(args.features, 2)
     try:
         report = clustering_experiment(nonmin, fmap, init=args.init, seed=args.seed)
     except (EmptyPureSet, ValueError) as e:

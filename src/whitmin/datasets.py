@@ -173,9 +173,13 @@ def save_tsv(ds: LabeledWordSet, path: str) -> None:
 
 def load_tsv(path: str, rank: int = 2) -> LabeledWordSet:
     records = []
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape defers a non-ASCII byte to the per-line check below,
+    # which can name the line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            if not line.isascii():
+                raise DataFormatError(f"{path}:{lineno}: non-ASCII byte")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -1,6 +1,8 @@
-"""Small dense linear algebra for the classifiers: sample statistics, a Jacobi
-symmetric eigensolver, the one ridge rule for numerically singular matrices,
-normal-equation least squares, and a hard-margin QP.
+"""Small dense linear algebra for the classifiers: sample statistics, the
+symmetric eigensolver (LAPACK), the one ridge rule for numerically singular
+matrices, normal-equation least squares, and the hard-margin SVM problem as a
+nonnegative least squares.  Every solver is exact and finite; none takes an
+iteration cap or a tolerance parameter.
 """
 
 from __future__ import annotations
@@ -9,10 +11,14 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import nnls
+
+# Largest shortfall below 1 that qp_hard_margin accepts in a margin.
+MARGIN_TOL = 1e-6
 
 
-class NonSeparable(Exception):
-    """Hard-margin QP could not satisfy the margin constraints."""
+class NonSeparable(ValueError):
+    """No hyperplane separates the two classes of a hard-margin problem."""
 
 
 @dataclass(frozen=True)
@@ -35,53 +41,16 @@ def mean_and_covariance(samples: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.n
     return mu, C
 
 
-def sym_eigen(C: np.ndarray, max_sweeps: int = 100) -> EigenResult:
-    """Full spectrum of a symmetric matrix via cyclic Jacobi rotations.
-
-    Converges when the largest off-diagonal entry drops below
-    1e-12 * ||C||_inf.
-    """
+def sym_eigen(C: np.ndarray) -> EigenResult:
+    """Full spectrum of a symmetric matrix (LAPACK, via numpy's eigh)."""
     C = np.asarray(C, dtype=np.float64)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError("matrix must be square")
     norm = np.abs(C).max() if C.size else 0.0
     if C.size and np.abs(C - C.T).max() > 1e-10 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
-    n = C.shape[0]
-    A = C.copy()
-    V = np.eye(n)
-    if n <= 1:
-        return EigenResult(np.diag(A).copy(), V)
-
-    tol = 1e-12 * max(norm, np.finfo(float).tiny)
-    for _ in range(max_sweeps):
-        off = np.abs(A - np.diag(np.diag(A))).max()
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol / n:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenResult(values[order], V[:, order])
+    values, vectors = np.linalg.eigh(C)
+    return EigenResult(values[::-1], vectors[:, ::-1])
 
 
 def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -113,46 +82,28 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, A.T @ b)
 
 
-def qp_hard_margin(
-    A: np.ndarray,
-    max_iter: int = 1_000_000,
-    feas_tol: float = 1e-6,
-    gap_tol: float = 1e-5,
-) -> np.ndarray:
+def qp_hard_margin(A: np.ndarray) -> np.ndarray:
     """Minimize w'w subject to Aw >= 1 (rows of A are y_k z_k').
 
-    Projected gradient ascent on the nonnegative dual: maximize
-    sum(alpha) - alpha' A A' alpha / 2 over alpha >= 0, with w = A' alpha.
-    Raises NonSeparable when the iteration cap is hit with the margin
-    constraints still violated.
+    A least-distance program, solved as one nonnegative least squares
+    (Lawson & Hanson, ch. 23): u >= 0 minimizing ||Eu - f|| with
+    E = [A'; 1'] and f = (0, ..., 0, 1).  With r = Eu - f, the optimum is
+    w = -r[:d] / r[d].  A zero residual means u >= 0, sum(u) = 1 and
+    A'u = 0, so no w separates the rows (Gordan); NonSeparable is raised
+    then, and whenever the recovered w misses a margin by more than
+    MARGIN_TOL.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] == 0:
         raise ValueError("A must be a nonempty 2-d matrix")
-    Q = A @ A.T
-    # power iteration for a safe step size
-    v = np.ones(Q.shape[0])
-    lam = 1.0
-    for _ in range(200):
-        u = Q @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            break
-        lam = nu / np.linalg.norm(v)
-        v = u / nu
-    step = 1.0 / (lam * 1.01 + 1e-12)
-
-    alpha = np.zeros(Q.shape[0])
-    w = A.T @ alpha
-    for it in range(max_iter):
-        grad = 1.0 - Q @ alpha
-        alpha = np.maximum(0.0, alpha + step * grad)
-        if it % 50 == 0 or it == max_iter - 1:
-            w = A.T @ alpha
-            margins = A @ w
-            if margins.min() >= 1.0 - feas_tol:
-                primal = 0.5 * w @ w
-                dual = alpha.sum() - 0.5 * alpha @ Q @ alpha
-                if primal - dual <= gap_tol * max(1.0, primal):
-                    return w
-    raise NonSeparable("margin constraints not satisfied within iteration cap")
+    n, d = A.shape
+    E = np.vstack([A.T, np.ones((1, n))])
+    f = np.zeros(d + 1)
+    f[d] = 1.0
+    u, _ = nnls(E, f)
+    r = E @ u - f
+    if r[d] < 0.0:
+        w = -r[:d] / r[d]
+        if (A @ w).min() >= 1.0 - MARGIN_TOL:
+            return w
+    raise NonSeparable("no hyperplane separates the training classes")

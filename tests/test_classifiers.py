@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import chdtri
 
 from whitmin.classifiers import (DistanceModel, KMeansModel, LabeledSet,
                                  LinearModel, Quantizer, TreeParams,
@@ -218,6 +222,17 @@ class TestQuantizers:
         qm = build_quantizer(s, y, 4, kind="min_error")
         assert quantizer_error(qm, s, y) == 0.0
 
+    def test_min_error_matches_brute_force(self):
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            n = int(rng.integers(1, 11))
+            m = int(rng.integers(2, 5))
+            scores = rng.integers(0, 6, size=n).astype(float)
+            labels = rng.integers(1, 3, size=n)
+            q = build_quantizer(scores, labels, m, kind="min_error")
+            errors = round(quantizer_error(q, scores, labels) * n)
+            assert errors == _least_binned_error(scores, labels, m)
+
     def test_intervals_partition_the_line(self):
         q = Quantizer("equal_interval", (0.0, 1.0), (1, 2, 1))
         assert q.classify(-5.0) == 1
@@ -238,6 +253,22 @@ class TestQuantizers:
     def test_degenerate_all_equal(self):
         q = build_quantizer(np.zeros(5), np.array([1, 1, 1, 2, 2]), 4)
         assert q.degenerate and q.classify(0.0) == 1
+
+
+def _least_binned_error(scores, labels, m):
+    """Least majority-vote error over every set of at most m - 1 cuts at
+    midpoints between distinct scores."""
+    vals = np.unique(scores)
+    mids = (vals[:-1] + vals[1:]) / 2.0
+    best = len(scores)
+    for k in range(min(m - 1, len(mids)) + 1):
+        for cuts in itertools.combinations(mids, k):
+            bins = np.searchsorted(np.array(cuts), scores)
+            err = sum(min(int(((bins == b) & (labels == 1)).sum()),
+                          int(((bins == b) & (labels == 2)).sum()))
+                      for b in range(k + 1))
+            best = min(best, err)
+    return best
 
 
 class TestNodeStats:
@@ -290,6 +321,17 @@ class TestTree:
         y = rng.integers(1, 3, size=60)
         strict = fit_tree(LabeledSet(X, y, 2), TreeParams(chi2_cutoff=1e9))
         assert strict.depth() == 0
+
+    def test_default_chi2_cutoff_is_the_95th_percentile(self):
+        # scipy.stats is the reference; the package uses scipy.special alone
+        rng = np.random.default_rng(18)
+        for M in range(2, 7):
+            cutoff = float(stats.chi2.ppf(0.95, M - 1))
+            assert float(chdtri(M - 1, 1.0 - 0.95)) == cutoff
+            data = LabeledSet(rng.uniform(size=(80, 2)),
+                              rng.integers(1, M + 1, size=80), M)
+            explicit = fit_tree(data, TreeParams(chi2_cutoff=cutoff))
+            assert fit_tree(data).root == explicit.root
 
     def test_misclassification_criterion_with_caps(self):
         rng = np.random.default_rng(17)

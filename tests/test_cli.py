@@ -178,6 +178,25 @@ class TestTrainEvaluate:
             main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
         assert e.value.code == EXIT_MODEL
 
+    def test_non_ascii_tsv_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "non_ascii.tsv"
+        bad.write_bytes("abab\tmin\t4\n\u00e9b\tmin\t2\n".encode("utf-8"))
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--train", str(bad), "-o", str(tmp_path / "m.json")])
+        assert e.value.code == EXIT_DATA
+        assert _one_error_line(capsys)
+
+    def test_svm_on_nonseparable_set_is_model_error(self, tmp_path, capsys):
+        data = str(tmp_path / "d.tsv")
+        out = tmp_path / "svm.json"
+        assert main(["generate", "--kind", "D", "--max-len", "60", "--per-len", "3",
+                     "--seed", "1", "-o", data]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--model", "svm", "--train", data,
+                     "-o", str(out)]) == EXIT_MODEL
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
     def test_malformed_tsv_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abab\tnonsense\t4\n")
@@ -259,6 +278,12 @@ class TestCluster:
 
     def test_k_must_be_4(self, workdir, capsys):
         assert main(["cluster", "--data", workdir["train"], "--k", "3"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("features", ["f9", "pool:x"])
+    def test_unknown_feature_map_is_usage_error(self, workdir, capsys, features):
+        assert main(["cluster", "--data", workdir["train"],
+                     "--features", features]) == EXIT_USAGE
+        assert _one_error_line(capsys)
 
 
 class TestWordCommands:

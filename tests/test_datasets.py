@@ -127,10 +127,11 @@ class TestTsv:
         "abA\tmin\t3",                  # not cyclically reduced
         "\tmin\t0",                     # empty word
         "ab\tmin\tx",                   # non-numeric length
+        "\u00e9b\tmin\t2",              # non-ASCII byte
     ])
     def test_malformed_rejected(self, tmp_path, line):
         path = tmp_path / "bad.tsv"
-        path.write_text("# word\tlabel\tlength\n" + line + "\n")
+        path.write_text("# word\tlabel\tlength\n" + line + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_tsv(str(path), rank=2)
 

@@ -1,12 +1,16 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from whitmin.classifiers import LabeledSet, fit_distance
 from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import builtin_map, feature_matrix
-from whitmin.numerics import (EigenResult, NonSeparable, least_squares,
-                              mean_and_covariance, qp_hard_margin,
-                              ridge_if_singular, sym_eigen)
+from whitmin.numerics import (MARGIN_TOL, EigenResult, NonSeparable,
+                              least_squares, mean_and_covariance,
+                              qp_hard_margin, ridge_if_singular, sym_eigen)
 
 
 class TestMeanCovariance:
@@ -140,4 +144,75 @@ class TestHardMarginQP:
         # w >= 1 and -w >= 1 cannot both hold
         A = np.array([[1.0], [-1.0]])
         with pytest.raises(NonSeparable):
-            qp_hard_margin(A, max_iter=2000)
+            qp_hard_margin(A)
+
+    def test_matches_active_set_and_linprog_oracles(self):
+        rng = np.random.default_rng(20)
+        verdicts = []
+        for _ in range(500):
+            A = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 4))))
+            lp = linprog(np.zeros(A.shape[1]), A_ub=-A, b_ub=-np.ones(len(A)),
+                         bounds=[(None, None)] * A.shape[1])
+            best = _least_norm_by_active_sets(A)
+            assert (lp.status == 0) == (best is not None)
+            verdicts.append(best is not None)
+            if best is None:
+                with pytest.raises(NonSeparable):
+                    qp_hard_margin(A)
+            else:
+                w = qp_hard_margin(A)
+                assert (A @ w).min() >= 1.0 - MARGIN_TOL
+                assert abs(w @ w - best) <= 1e-6 * max(1.0, best)
+        assert 100 < sum(verdicts) < 400  # both verdicts well represented
+
+    def test_c6_instance_18_is_separable(self):
+        # the 19th draw of C6's generator (n = 14, d = 2): margin 0.73 along
+        # its generating direction; projected gradient ascent gave up on it
+        rng = np.random.default_rng(2024)
+        for _ in range(19):
+            A, direction = _c6_svm_instance(rng)
+        assert A.shape == (14, 2) and (A @ direction).min() > 0.7
+        w = qp_hard_margin(A)
+        assert (A @ w).min() >= 1.0 - MARGIN_TOL
+
+    def test_f6_d_set_is_certified_nonseparable_quickly(self):
+        ds = generate_dataset(DatasetSpec("D", max_length=60, per_length=3, seed=1))
+        X = feature_matrix(ds.words(), builtin_map("f6", 2))
+        y = np.where(ds.labels() == 1, 1.0, -1.0)
+        t0 = time.perf_counter()
+        with pytest.raises(NonSeparable):
+            qp_hard_margin(X * y[:, None])
+        assert time.perf_counter() - t0 < 1.0
+
+
+def _least_norm_by_active_sets(A):
+    """Least w'w subject to Aw >= 1 by brute force, or None if infeasible.
+
+    The optimum is a nonnegative combination of at most d linearly independent
+    rows that it meets with equality, so it is the least-norm solution of
+    A_S w = 1 for some set S of at most d rows."""
+    n, d = A.shape
+    best = None
+    for k in range(1, min(n, d) + 1):
+        for rows in itertools.combinations(range(n), k):
+            AS = A[list(rows)]
+            w = np.linalg.lstsq(AS, np.ones(k), rcond=None)[0]
+            if np.abs(AS @ w - 1.0).max() > 1e-9 or (A @ w).min() < 1.0 - 1e-9:
+                continue
+            if best is None or w @ w < best:
+                best = float(w @ w)
+    return best
+
+
+def _c6_svm_instance(rng):
+    """One draw of C6's separable generator: rows y_k z_k' and the direction
+    they were pushed apart along."""
+    d = int(rng.integers(2, 5))
+    n = int(rng.integers(4, 25))
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    pts = rng.normal(size=(n, d))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    proj = pts @ direction
+    pts += np.outer(y * rng.uniform(0.5, 2.0, size=n) - proj, direction)
+    return pts * y[:, None], direction
