@@ -1,4 +1,5 @@
-"""Shared classifier types: labeled sets and threshold selection."""
+"""Shared classifier types: labeled sets, sorted class counts and threshold
+selection."""
 
 from __future__ import annotations
 
@@ -32,43 +33,43 @@ class LabeledSet:
         return self.features[self.labels == c]
 
 
+def sorted_class_counts(values: np.ndarray, labels: np.ndarray, num_classes: int
+                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stably sorted values and labels, and the (N+1) x M cumulative counts:
+    row k counts classes 1..M among the first k sorted values, so the counts
+    at or below theta are row searchsorted(values, theta, "right")."""
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    y = labels[order]
+    counts = np.zeros((len(v) + 1, num_classes), dtype=np.int64)
+    np.cumsum(y[:, None] == np.arange(1, num_classes + 1), axis=0, out=counts[1:])
+    return v, y, counts
+
+
 def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> Tuple[float, int, float]:
     """Pick (theta, orientation, training_error_rate) minimizing the error of
     the rule  score <= theta -> orientation class, else the other class.
 
     Candidates are the midpoints between adjacent sorted scores of differing
-    labels; both orientations are tried; ties resolve to the smallest theta
-    and then to orientation 1.
+    labels, plus the max score (the constant rules); both orientations are
+    tried; ties resolve to the smallest theta and then to orientation 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = scores.shape[0]
     if n == 0 or not ((labels == 1).any() and (labels == 2).any()):
         raise ValueError("need at least one score per class")
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-
-    cands = sorted({(s[i] + s[i + 1]) / 2.0 for i in range(n - 1) if y[i] != y[i + 1]})
-    # the max score covers the constant rules (everything on one side)
-    cands.append(float(s[-1]))
+    s, y, counts = sorted_class_counts(scores, labels, 2)
+    change = y[:-1] != y[1:]
+    cands = np.unique(np.append((s[:-1][change] + s[1:][change]) / 2.0, s[-1]))
 
     # at threshold theta, errors = (#class2 with score <= theta) +
     # (#class1 with score > theta) for orientation 1, mirrored for 2
-    ones = np.cumsum(y == 1)
-    twos = np.cumsum(y == 2)
-    n1, n2 = int(ones[-1]), int(twos[-1])
-    best = None
-    for theta in cands:
-        k = int(np.searchsorted(s, theta, side="right"))
-        le1 = int(ones[k - 1]) if k else 0
-        le2 = int(twos[k - 1]) if k else 0
-        for orient, err in ((1, le2 + (n1 - le1)), (2, le1 + (n2 - le2))):
-            cand = (err, theta, orient)
-            if best is None or cand < best:
-                best = cand
-    err, theta, orient = best
-    return float(theta), int(orient), err / n
+    le1, le2 = counts[np.searchsorted(s, cands, side="right")].T
+    n1, n2 = counts[-1]
+    err = np.stack([le2 + (n1 - le1), le1 + (n2 - le2)], axis=1)
+    k, orient = divmod(int(np.argmin(err)), 2)  # row-major: theta, then orientation
+    return float(cands[k]), orient + 1, int(err[k, orient]) / n
 
 
 def threshold_labels(scores: np.ndarray, theta: float, orientation: int) -> np.ndarray:

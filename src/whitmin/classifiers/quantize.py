@@ -7,6 +7,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .base import sorted_class_counts
+
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -41,31 +43,17 @@ class Quantizer:
 
 
 def _majority_labels(
-    scores: np.ndarray, labels: np.ndarray, boundaries: List[float]
+    s: np.ndarray, counts: np.ndarray, boundaries: List[float]
 ) -> List[int]:
-    """Majority class per bin; empty bins inherit the nearest labelled
-    neighbour's label (ties toward the left)."""
-    idx = np.searchsorted(np.asarray(boundaries), scores, side="left")
-    m = len(boundaries) + 1
-    labs: List[int] = []
-    for i in range(m):
-        in_bin = labels[idx == i]
-        if len(in_bin) == 0:
-            labs.append(0)
-        else:
-            c1 = int((in_bin == 1).sum())
-            c2 = int((in_bin == 2).sum())
-            labs.append(1 if c1 >= c2 else 2)
-    for i in range(m):
-        if labs[i] == 0:
-            best = None
-            for j in range(m):
-                if labs[j] != 0:
-                    d = abs(j - i)
-                    if best is None or d < best[0]:
-                        best = (d, labs[j])
-            labs[i] = best[1]
-    return labs
+    """Majority class per bin (ties to class 1), from the sorted scores and
+    their cumulative class counts.  An empty bin takes the label of the last
+    nonempty bin before it; leading empty bins take the first nonempty bin's."""
+    ends = np.searchsorted(s, np.asarray(boundaries, dtype=np.float64), side="right")
+    per_bin = np.diff(counts[np.concatenate([[0], ends, [len(s)]])], axis=0)
+    labs = np.where(per_bin[:, 0] >= per_bin[:, 1], 1, 2)
+    filled = per_bin.sum(axis=1) > 0
+    source = np.where(filled, np.arange(len(labs)), np.argmax(filled))
+    return labs[np.maximum.accumulate(source)].tolist()
 
 
 def _dedupe(boundaries: List[float]) -> List[float]:
@@ -98,45 +86,35 @@ def build_quantizer(
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape[0] == 0:
         raise ValueError("no scores")
-    lo, hi = float(scores.min()), float(scores.max())
+    s, _, counts = sorted_class_counts(scores, labels, 2)
+    lo, hi = float(s[0]), float(s[-1])
     if hi <= lo:
-        lab = 1 if int((labels == 1).sum()) >= int((labels == 2).sum()) else 2
-        return Quantizer(kind, (), (lab,), degenerate=True)
-
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
+        n1, n2 = counts[-1]
+        return Quantizer(kind, (), (1 if n1 >= n2 else 2,), degenerate=True)
 
     if kind == "equal_interval":
         bounds = [lo + (hi - lo) * i / num_intervals for i in range(1, num_intervals)]
         bounds = _dedupe(bounds)
     elif kind == "equal_probability":
-        chunks = np.array_split(np.arange(len(s)), num_intervals)
-        bounds = []
-        for i in range(len(chunks) - 1):
-            if len(chunks[i]) == 0 or len(chunks[i + 1]) == 0:
-                continue
-            bounds.append((s[chunks[i][-1]] + s[chunks[i + 1][0]]) / 2.0)
-        bounds = _dedupe(bounds)
+        # the first n % M bins hold one score more; cut where two nonempty meet
+        q, r = divmod(len(s), num_intervals)
+        i = np.arange(1, num_intervals)
+        starts = i * q + np.minimum(i, r)
+        starts = starts[starts < len(s)]
+        bounds = _dedupe(((s[starts - 1] + s[starts]) / 2.0).tolist())
     else:
-        bounds = _min_error_boundaries(s, y, num_intervals)
+        bounds = _min_error_boundaries(s, counts, num_intervals)
 
-    return Quantizer(kind, tuple(bounds), tuple(_majority_labels(scores, labels, bounds)))
+    return Quantizer(kind, tuple(bounds), tuple(_majority_labels(s, counts, bounds)))
 
 
-def _min_error_boundaries(s: np.ndarray, y: np.ndarray, m: int) -> List[float]:
+def _min_error_boundaries(s: np.ndarray, counts: np.ndarray, m: int) -> List[float]:
     """DP over distinct sorted scores; candidate cuts are midpoints between
     consecutive distinct values."""
     vals = np.unique(s)
     n = len(vals)
-    # per-distinct-value class counts, then prefix sums
-    cnt1 = np.zeros(n, dtype=np.int64)
-    cnt2 = np.zeros(n, dtype=np.int64)
-    pos = np.searchsorted(vals, s)
-    np.add.at(cnt1, pos[y == 1], 1)
-    np.add.at(cnt2, pos[y == 2], 1)
-    p1 = np.concatenate([[0], np.cumsum(cnt1)])
-    p2 = np.concatenate([[0], np.cumsum(cnt2)])
+    # p1[j], p2[j]: class counts over the first j distinct values
+    p1, p2 = counts[np.concatenate([[0], np.searchsorted(s, vals, side="right")])].T
 
     m = min(m, n)
     # prev[j]: least error covering values 0..j-1 with k - 1 bins; a bin over

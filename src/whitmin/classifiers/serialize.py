@@ -120,7 +120,8 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
 
 def model_from_dict(doc: Dict[str, Any]):
     """The model a document describes.  Raises ModelFormatError for an unknown
-    schema or method, a missing key, or a value the model rejects."""
+    schema or method, a missing key, a value the model rejects, or a tree
+    nested deeper than the interpreter's recursion limit."""
     if not isinstance(doc, dict):
         raise ModelFormatError("a model document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -133,6 +134,8 @@ def model_from_dict(doc: Dict[str, Any]):
         raise ModelFormatError(f"{doc.get('method')} model lacks key {e}") from e
     except (TypeError, ValueError) as e:
         raise ModelFormatError(f"bad {doc.get('method')} model: {e}") from e
+    except RecursionError as e:
+        raise ModelFormatError(f"{doc.get('method')} model is nested too deeply") from e
 
 
 def _model_from_dict(doc: Dict[str, Any]):
@@ -180,6 +183,6 @@ def dumps(model, feature_map: str = "") -> str:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(str(e)) from e
     return model_from_dict(doc)

@@ -4,40 +4,41 @@ the entropy purity (or by misclassification with type I/II error caps)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from scipy.special import chdtri
 
-from .base import LabeledSet
+from .base import LabeledSet, sorted_class_counts
 
 
-def node_stats(counts_left: np.ndarray, counts_right: np.ndarray) -> Tuple[float, float]:
+def node_stats(counts_left: np.ndarray, counts_right: np.ndarray):
     """Purity and chi-square of a split given per-class left/right counts.
 
     PR = sum_c (n_Lc ln p_Lc + n_Rc ln p_Rc) with 0 ln 0 = 0;
-    chi2 = PR - sum_c N_c ln(N_c / N).
+    chi2 = PR - sum_c N_c ln(N_c / N).  On K x M counts, one split per row:
+    returns two length-K arrays instead of two floats.
     """
     nl = np.asarray(counts_left, dtype=np.float64)
     nr = np.asarray(counts_right, dtype=np.float64)
     if (nl < 0).any() or (nr < 0).any():
         raise ValueError("counts must be nonnegative")
-    NL, NR = nl.sum(), nr.sum()
+    NL = nl.sum(-1, keepdims=True)
+    NR = nr.sum(-1, keepdims=True)
     N = NL + NR
-    if N == 0:
+    if (N == 0).any():
         raise ValueError("all counts are zero")
 
-    def xlogq(x: np.ndarray, q: float) -> float:
-        mask = x > 0
-        if q <= 0:
-            return 0.0
-        return float((x[mask] * np.log(x[mask] / q)).sum())
+    def xlogq(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # x ln(x / q) per class in class order, 0 where x = 0
+        return (x * np.log(np.divide(x, q, out=np.ones_like(x), where=x > 0))).sum(-1)
 
     pr = xlogq(nl, NL) + xlogq(nr, NR)
-    nc = nl + nr
-    const = float((nc[nc > 0] * np.log(nc[nc > 0] / N)).sum())
-    return pr, pr - const
+    chi2 = pr - xlogq(nl + nr, N)
+    if nl.ndim == 1:
+        return float(pr), float(chi2)
+    return pr, chi2
 
 
 @dataclass(frozen=True)
@@ -100,37 +101,48 @@ def _majority(labels: np.ndarray, num_classes: int) -> int:
     return int(np.argmax(counts[1:]) + 1)
 
 
-def _candidate_thresholds(values: np.ndarray, labels: np.ndarray) -> List[float]:
-    """Midpoints between adjacent sorted values where the class changes."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
-    cands = set()
-    for i in range(len(v) - 1):
-        if y[i] != y[i + 1] and v[i] < v[i + 1]:
-            cands.add((v[i] + v[i + 1]) / 2.0)
-    return sorted(cands)
-
-
-def _split_counts(values: np.ndarray, labels: np.ndarray, theta: float,
-                  num_classes: int) -> Tuple[np.ndarray, np.ndarray]:
-    left = values <= theta
-    nl = np.bincount(labels[left], minlength=num_classes + 1)[1:]
-    nr = np.bincount(labels[~left], minlength=num_classes + 1)[1:]
-    return nl, nr
-
-
-def _type_errors(nl: np.ndarray, nr: np.ndarray) -> Tuple[float, float]:
-    """Type I / II errors of the split, with class c grouped on the side that
-    holds the majority of its samples (ties toward the left)."""
+def _type_errors(nl: np.ndarray, nr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Type I / II errors of each split (row), with class c grouped on the side
+    that holds the majority of its samples (ties toward the left)."""
     left_classes = nl >= nr
-    nL_own = nl[left_classes].sum()
-    nL_cross = nr[left_classes].sum()      # left-group units sent right
-    nR_own = nr[~left_classes].sum()
-    nR_cross = nl[~left_classes].sum()     # right-group units sent left
-    t1 = nL_cross / (nL_own + nL_cross) if (nL_own + nL_cross) else 0.0
-    t2 = nR_cross / (nR_own + nR_cross) if (nR_own + nR_cross) else 0.0
-    return float(t1), float(t2)
+    nL_own = np.where(left_classes, nl, 0).sum(-1)
+    nL_cross = np.where(left_classes, nr, 0).sum(-1)    # left-group units sent right
+    nR_own = np.where(left_classes, 0, nr).sum(-1)
+    nR_cross = np.where(left_classes, 0, nl).sum(-1)    # right-group units sent left
+
+    def rate(cross: np.ndarray, own: np.ndarray) -> np.ndarray:
+        total = own + cross
+        return np.divide(cross, total, out=np.zeros(total.shape), where=total > 0)
+
+    return rate(nL_cross, nL_own), rate(nR_cross, nR_own)
+
+
+def _best_split(col: np.ndarray, y: np.ndarray, M: int, params: TreeParams):
+    """(key, theta, chi2) of the column's best admissible threshold, or None.
+    Candidates are the midpoints between adjacent distinct sorted values
+    where the class changes; ties go to the smallest theta."""
+    v, ys, counts = sorted_class_counts(col, y, M)
+    cut = (ys[:-1] != ys[1:]) & (v[:-1] < v[1:])
+    thetas = np.unique((v[:-1][cut] + v[1:][cut]) / 2.0)
+    nl = counts[np.searchsorted(v, thetas, side="right")]
+    nr = counts[-1] - nl
+    ok = (nl.sum(-1) > 0) & (nr.sum(-1) > 0)
+    if params.criterion == "misclassification":
+        t1, t2 = _type_errors(nl, nr)
+        if params.eps_type1 is not None:
+            ok &= t1 < params.eps_type1
+        if params.eps_type2 is not None:
+            ok &= t2 < params.eps_type2
+    if not ok.any():
+        return None
+    thetas, nl, nr = thetas[ok], nl[ok], nr[ok]
+    pr, chi2 = node_stats(nl, nr)
+    if params.criterion == "purity":
+        keys = -pr
+    else:
+        keys = (nl.sum(-1) - nl.max(-1)) + (nr.sum(-1) - nr.max(-1))
+    i = int(np.argmin(keys))
+    return keys[i].item(), thetas[i].item(), chi2[i].item()
 
 
 def fit_tree(data: LabeledSet, params: TreeParams = TreeParams()) -> TreeModel:
@@ -155,23 +167,10 @@ def fit_tree(data: LabeledSet, params: TreeParams = TreeParams()) -> TreeModel:
             return TreeLeaf(_majority(y, M))
         best = None  # (key, feature, theta, chi2)
         for j in range(X.shape[1]):
-            col = X[:, j]
-            for theta in _candidate_thresholds(col, y):
-                nl, nr = _split_counts(col, y, theta, M)
-                if nl.sum() == 0 or nr.sum() == 0:
-                    continue
-                pr, chi2 = node_stats(nl, nr)
-                if params.criterion == "purity":
-                    key = (-pr, j, theta)
-                else:
-                    t1, t2 = _type_errors(nl, nr)
-                    if params.eps_type1 is not None and t1 >= params.eps_type1:
-                        continue
-                    if params.eps_type2 is not None and t2 >= params.eps_type2:
-                        continue
-                    mis = (nl.sum() - nl.max()) + (nr.sum() - nr.max())
-                    key = (mis, j, theta)
-                if best is None or key < best[0]:
+            split = _best_split(X[:, j], y, M, params)
+            if split is not None:
+                key, theta, chi2 = split
+                if best is None or (key, j, theta) < best[:3]:
                     best = (key, j, theta, chi2)
         if best is None or best[3] < chi2_cutoff:
             return TreeLeaf(_majority(y, M))

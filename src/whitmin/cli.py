@@ -111,13 +111,21 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .features import resolve_map
     from .pipeline import PipelineConfig, pipeline_to_json, train_pipeline
     kinds = {"equal": "equal_interval", "prob": "equal_probability",
              "minerr": "min_error", "none": None}
+    try:
+        resolve_map(args.features, args.rank)
+    except ValueError as e:
+        return _fail(f"bad feature map {args.features!r}: {e}", EXIT_USAGE)
+    try:
+        cfg = PipelineConfig(feature_map=args.features, method=args.model,
+                             quantizer_kind=kinds[args.quantizer],
+                             quantizer_bins=args.bins, rank=args.rank)
+    except ValueError as e:
+        return _fail(e, EXIT_USAGE)
     train = _load_dataset(args.train_file, args.rank)
-    cfg = PipelineConfig(feature_map=args.features, method=args.model,
-                         quantizer_kind=kinds[args.quantizer],
-                         quantizer_bins=args.bins, rank=args.rank)
     try:
         pipeline = train_pipeline(train, cfg)
     except ValueError as e:

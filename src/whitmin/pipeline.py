@@ -38,6 +38,9 @@ class PipelineConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "tree" and self.threshold_override is not None:
             raise ValueError("a tree has no score to apply threshold_override to")
+        if (self.method in ("regression", "fisher", "svm") and self.quantizer_kind
+                and self.quantizer_bins < 2):
+            raise ValueError(f"a quantizer needs at least 2 bins, got {self.quantizer_bins}")
 
 
 @dataclass
@@ -247,7 +250,7 @@ def pipeline_from_json(text: str) -> Pipeline:
     the document is malformed or its model does not fit its feature map."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ModelFormatError(str(e)) from e
     model = model_from_dict(doc)
     c = doc.get("config", {})

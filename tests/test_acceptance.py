@@ -13,7 +13,7 @@ from whitmin.classifiers.tree import node_stats
 from whitmin.clustering import clustering_experiment
 from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
 from whitmin.features import builtin_map
-from whitmin.numerics import (least_squares, mean_and_covariance,
+from whitmin.numerics import (NonSeparable, least_squares, mean_and_covariance,
                               qp_hard_margin, sym_eigen)
 from whitmin.classifiers import kmeans, LabeledSet
 from whitmin.pipeline import (PipelineConfig, evaluate, pipeline_to_json,
@@ -252,3 +252,36 @@ def test_c7_determinism(capsys, tmp_path):
     _report(capsys, "C7 seed determinism", ok,
             f"dataset {data_same}, model {model_same}, "
             f"report {report_same}, clustering {cluster_same}")
+
+
+def test_c8_every_method_at_paper_scale(capsys, dataset_cache):
+    """Every method the paper lists trains on the 10,000-word D set (f6) and
+    classifies Se out of sample; the hard-margin SVM certifies that D is not
+    separable."""
+    train = dataset_cache("D", 11)
+    test = dataset_cache("Se", 12)
+    t0 = time.monotonic()
+    configs = {
+        "fisher+prob": PipelineConfig(method="fisher", quantizer_kind="equal_probability"),
+        "regression+minerr8": PipelineConfig(quantizer_kind="min_error", quantizer_bins=8),
+        "distance": PipelineConfig(method="distance"),
+        "tree": PipelineConfig(method="tree"),
+    }
+    results = []
+    for name, cfg in configs.items():
+        t = time.monotonic()
+        report = evaluate(train_pipeline(train, cfg), test)
+        results.append((name, report.accuracy(0), report.accuracy(100),
+                        time.monotonic() - t))
+    try:
+        train_pipeline(train, PipelineConfig(method="svm"))
+        svm_nonseparable = False
+    except NonSeparable:
+        svm_nonseparable = True
+    dt = time.monotonic() - t0
+    ok = (len(train) >= 10000 and svm_nonseparable and dt < 120.0
+          and all(acc >= 0.97 and long_acc >= 0.99 for _, acc, long_acc, _ in results))
+    _report(capsys, "C8 every method at paper scale", ok,
+            ", ".join(f"{name} {acc:.4f} / |w|>100 {long_acc:.4f} in {s:.1f}s"
+                      for name, acc, long_acc, s in results)
+            + f", svm non-separable {svm_nonseparable}, {dt:.0f}s")

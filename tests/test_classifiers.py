@@ -12,9 +12,23 @@ from whitmin.classifiers import (DistanceModel, KMeansModel, LabeledSet,
                                  fit_linear, fit_tree, kmeans, node_stats,
                                  quantizer_error, scatter_matrices,
                                  threshold_labels)
+from whitmin.classifiers.base import sorted_class_counts
+from whitmin.classifiers.quantize import _majority_labels
 from whitmin.classifiers.serialize import (ModelFormatError, dumps, loads,
                                            model_from_dict, model_to_dict)
-from whitmin.classifiers.tree import TreeNode
+from whitmin.classifiers.tree import TreeLeaf, TreeNode
+
+
+def random_scores(rng, n):
+    """Continuous, tied, tiny or huge scores."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:
+        return rng.integers(0, 5, size=n).astype(float)
+    if kind == 2:
+        return rng.normal(size=n) * 10.0 ** int(rng.integers(-300, 308))
+    return np.round(rng.normal(size=n) * 1e6, 1)
 
 
 def two_blob_set(rng, n=60, d=3, sep=4.0):
@@ -68,6 +82,56 @@ class TestThreshold:
                     for o in (1, 2))
                 for t in grid)
             assert err <= best + 1e-12
+
+
+    def test_matches_candidate_loop(self):
+        rng = np.random.default_rng(27)
+        checked = 0
+        while checked < 2000:
+            n = int(rng.integers(2, 40))
+            scores, labels = random_scores(rng, n), rng.integers(1, 3, size=n)
+            if not ((labels == 1).any() and (labels == 2).any()):
+                continue
+            got = choose_threshold(scores, labels)
+            want = _loop_threshold(scores, labels)
+            assert got == want and [type(x) for x in got] == [float, int, float]
+            checked += 1
+
+
+def _loop_threshold(scores, labels):
+    """One searchsorted per candidate, the least (error, theta, orientation)
+    tuple."""
+    order = np.argsort(scores, kind="stable")
+    s, y = scores[order], labels[order]
+    n = len(s)
+    cands = sorted({(s[i] + s[i + 1]) / 2.0 for i in range(n - 1) if y[i] != y[i + 1]})
+    cands.append(float(s[-1]))
+    ones, twos = np.cumsum(y == 1), np.cumsum(y == 2)
+    best = None
+    for theta in cands:
+        k = int(np.searchsorted(s, theta, side="right"))
+        le1 = int(ones[k - 1]) if k else 0
+        le2 = int(twos[k - 1]) if k else 0
+        for orient, err in ((1, le2 + (ones[-1] - le1)), (2, le1 + (twos[-1] - le2))):
+            if best is None or (err, theta, orient) < best:
+                best = (err, theta, orient)
+    err, theta, orient = best
+    return float(theta), int(orient), int(err) / n
+
+
+class TestSortedClassCounts:
+    def test_rows_count_each_prefix(self):
+        rng = np.random.default_rng(28)
+        values = rng.integers(0, 6, size=50).astype(float)
+        labels = rng.integers(1, 4, size=50)
+        v, y, counts = sorted_class_counts(values, labels, 3)
+        order = np.argsort(values, kind="stable")
+        assert np.array_equal(v, values[order]) and np.array_equal(y, labels[order])
+        assert counts.shape == (51, 3) and counts.dtype == np.int64
+        for theta in np.arange(-1.0, 7.0, 0.5):
+            row = counts[np.searchsorted(v, theta, side="right")]
+            assert row.tolist() == [int(((values <= theta) & (labels == c)).sum())
+                                    for c in (1, 2, 3)]
 
 
 class TestFlats:
@@ -250,9 +314,55 @@ class TestQuantizers:
         assert 0 not in q.interval_labels
         assert q.classify(3.0) in (1, 2)
 
+    @pytest.mark.parametrize("scores, labels, bounds, want", [
+        ([5.0, 6.0], [2, 2], [0.0, 1.0, 5.5], [2, 2, 2, 2]),        # leading
+        ([0.0, 0.5, 3.0], [1, 1, 2], [1.0, 2.0], [1, 1, 2]),      # inner
+        ([0.0, 3.0], [2, 1], [1.0, 4.0, 5.0], [2, 1, 1, 1]),      # trailing
+        ([0.0, 0.0, 4.0, 4.0], [1, 2, 2, 2], [1.0, 2.0, 3.0], [1, 1, 1, 2]),  # tie to 1
+    ])
+    def test_empty_bins_take_the_last_label_before(self, scores, labels, bounds, want):
+        scores, labels = np.array(scores), np.array(labels)
+        got = _majority_labels(*_sorted_counts(scores, labels), bounds)
+        assert got == want == _loop_majority_labels(scores, labels, bounds)
+
+    def test_majority_labels_match_fill_loop(self):
+        rng = np.random.default_rng(29)
+        for _ in range(3000):
+            n = int(rng.integers(1, 30))
+            scores, labels = random_scores(rng, n), rng.integers(1, 3, size=n)
+            pool = np.concatenate([scores, rng.normal(size=4) * np.abs(scores).max()])
+            bounds = sorted(set(rng.choice(pool, size=int(rng.integers(0, 10))).tolist()))
+            got = _majority_labels(*_sorted_counts(scores, labels), bounds)
+            assert got == _loop_majority_labels(scores, labels, bounds)
+            assert all(type(x) is int for x in got)
+
     def test_degenerate_all_equal(self):
         q = build_quantizer(np.zeros(5), np.array([1, 1, 1, 2, 2]), 4)
         assert q.degenerate and q.classify(0.0) == 1
+
+
+def _sorted_counts(scores, labels):
+    s, _, counts = sorted_class_counts(scores, labels, 2)
+    return s, counts
+
+
+def _loop_majority_labels(scores, labels, boundaries):
+    """One mask per bin, then the in-place fill: each empty bin takes the
+    label of the nearest bin labelled so far, ties toward the left."""
+    idx = np.searchsorted(np.asarray(boundaries), scores, side="left")
+    m = len(boundaries) + 1
+    labs = []
+    for i in range(m):
+        in_bin = labels[idx == i]
+        if len(in_bin) == 0:
+            labs.append(0)
+        else:
+            labs.append(1 if (in_bin == 1).sum() >= (in_bin == 2).sum() else 2)
+    for i in range(m):
+        if labs[i] == 0:
+            _, j = min((abs(j - i), j) for j in range(m) if labs[j])
+            labs[i] = labs[j]
+    return labs
 
 
 def _least_binned_error(scores, labels, m):
@@ -295,6 +405,37 @@ class TestNodeStats:
             node_stats([-1, 2], [0, 0])
         with pytest.raises(ValueError):
             node_stats([0, 0], [0, 0])
+        with pytest.raises(ValueError):
+            node_stats([[1, 2], [0, 0]], [[3, 0], [0, 0]])
+
+    def test_rows_match_single_calls_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for M in range(1, 7):
+            nl = rng.integers(0, 40, size=(50, M))
+            nr = rng.integers(0, 40, size=(50, M))
+            nl[rng.random(nl.shape) < 0.3] = 0
+            nr[0] = 0   # one-sided splits score too
+            nr[1:, 0] += 1
+            pr, chi2 = node_stats(nl, nr)
+            assert pr.shape == chi2.shape == (50,)
+            for k in range(50):
+                one = node_stats(nl[k], nr[k])
+                assert [float.hex(x) for x in one] == \
+                    [float.hex(float(pr[k])), float.hex(float(chi2[k]))]
+                assert one == _masked_node_stats(nl[k], nr[k])
+
+
+def _masked_node_stats(nl, nr):
+    """PR and chi2 summing only the positive counts' terms."""
+    nl, nr = np.asarray(nl, dtype=np.float64), np.asarray(nr, dtype=np.float64)
+
+    def xlogq(x, q):
+        x = x[x > 0]
+        return float((x * np.log(x / q)).sum()) if q > 0 else 0.0
+
+    nc = nl + nr
+    pr = xlogq(nl, nl.sum()) + xlogq(nr, nr.sum())
+    return pr, pr - xlogq(nc, nc.sum())
 
 
 class TestTree:
@@ -363,6 +504,87 @@ class TestTree:
         assert model.predict(data.features).tolist() == [walk(x) for x in data.features]
 
 
+    @pytest.mark.parametrize("criterion", ["purity", "misclassification"])
+    def test_matches_per_threshold_scan(self, criterion):
+        rng = np.random.default_rng(31 if criterion == "purity" else 32)
+        for it in range(120):
+            M, n, d = int(rng.integers(2, 5)), int(rng.integers(2, 100)), int(rng.integers(1, 4))
+            X = np.column_stack([random_scores(rng, n) for _ in range(d)])
+            y = rng.integers(1, M + 1, size=n)
+            caps = {}
+            if criterion == "misclassification" and it % 3:
+                # simple fractions, so some splits sit exactly on a cap
+                fracs = (0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5)
+                caps = dict(eps_type1=float(rng.choice(fracs)),
+                            eps_type2=float(rng.choice(fracs)) if it % 2 else None)
+            params = TreeParams(criterion=criterion, min_node=int(rng.integers(2, 12)),
+                                chi2_cutoff=None if it % 4 else 0.0, **caps)
+            data = LabeledSet(X, y, M)
+            got = fit_tree(data, params).root
+            want = _scan_tree(data, params)
+            assert _tree_text(got) == _tree_text(want)
+
+
+def _tree_text(node):
+    if isinstance(node, TreeLeaf):
+        return str(node.label)
+    return (f"({node.feature} {float.hex(node.threshold)} "
+            f"{_tree_text(node.left)} {_tree_text(node.right)})")
+
+
+def _scan_tree(data, params):
+    """Top-down growth scoring every (feature, theta) with its own masks and
+    bincounts, the least (key, feature, theta) winning."""
+    M = data.num_classes
+    max_depth = params.max_depth or max(1, int(np.log2(len(data.labels))) - 1)
+    cutoff = params.chi2_cutoff
+    if cutoff is None:
+        cutoff = float(chdtri(max(M - 1, 1), 0.05))
+
+    def majority(y):
+        return TreeLeaf(int(np.argmax(np.bincount(y, minlength=M + 1)[1:]) + 1))
+
+    def grow(X, y, depth):
+        if depth >= max_depth or len(y) < params.min_node or len(np.unique(y)) == 1:
+            return majority(y)
+        best = None
+        for j in range(X.shape[1]):
+            order = np.argsort(X[:, j], kind="stable")
+            v, ys = X[order, j], y[order]
+            thetas = sorted({(v[i] + v[i + 1]) / 2.0 for i in range(len(v) - 1)
+                             if ys[i] != ys[i + 1] and v[i] < v[i + 1]})
+            for theta in thetas:
+                left = X[:, j] <= theta
+                nl = np.bincount(y[left], minlength=M + 1)[1:]
+                nr = np.bincount(y[~left], minlength=M + 1)[1:]
+                if nl.sum() == 0 or nr.sum() == 0:
+                    continue
+                pr, chi2 = _masked_node_stats(nl, nr)
+                if params.criterion == "purity":
+                    key = (-pr, j, theta)
+                else:
+                    own = nl >= nr
+                    lo, lx = nl[own].sum(), nr[own].sum()
+                    ro, rx = nr[~own].sum(), nl[~own].sum()
+                    t1 = lx / (lo + lx) if lo + lx else 0.0
+                    t2 = rx / (ro + rx) if ro + rx else 0.0
+                    if params.eps_type1 is not None and t1 >= params.eps_type1:
+                        continue
+                    if params.eps_type2 is not None and t2 >= params.eps_type2:
+                        continue
+                    key = ((nl.sum() - nl.max()) + (nr.sum() - nr.max()), j, theta)
+                if best is None or key < best[0]:
+                    best = (key, chi2)
+        if best is None or best[1] < cutoff:
+            return majority(y)
+        _, j, theta = best[0]
+        mask = X[:, j] <= theta
+        return TreeNode(j, float(theta), grow(X[mask], y[mask], depth + 1),
+                        grow(X[~mask], y[~mask], depth + 1))
+
+    return grow(data.features, data.labels, 0)
+
+
 class TestKMeans:
     def test_recovers_separated_clusters(self):
         rng = np.random.default_rng(19)
@@ -422,6 +644,16 @@ class TestSerialization:
             loads("not json at all {")
         with pytest.raises(ModelFormatError):
             model_from_dict({"schema_version": 1, "method": "mystery"})
+
+    def test_rejects_deeply_nested_tree(self):
+        rng = np.random.default_rng(25)
+        doc = model_to_dict(fit_tree(two_blob_set(rng)))
+        node = {"leaf": 1}
+        for _ in range(5000):
+            node = {"feature": 0, "threshold": 0.0, "left": node, "right": {"leaf": 2}}
+        doc["tree"] = node
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)
 
     def test_json_text_stable(self):
         rng = np.random.default_rng(24)

@@ -197,6 +197,15 @@ class TestTrainEvaluate:
         assert _one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--features", "f9"],
+                                       ["--features", "pool:2-1"],
+                                       ["--bins", "1"]])
+    def test_bad_train_flags_are_usage_errors(self, capsys, flags):
+        """Checked before the (here nonexistent) training file is read."""
+        assert main(["train", *flags, "--train", "unused.tsv",
+                     "-o", "unused.json"]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+
     def test_malformed_tsv_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abab\tnonsense\t4\n")
@@ -237,6 +246,22 @@ class TestBadModelFiles:
         assert e.value.code == EXIT_MODEL
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+    def test_deeply_nested_tree(self, workdir, tmp_path, capsys):
+        # written as text: json.dumps itself stops at the recursion limit
+        node = '{"leaf": 1}'
+        for _ in range(5000):
+            node = f'{{"feature": 0, "threshold": 0.5, "left": {node}, "right": {{"leaf": 2}}}}'
+        doc = json.loads(open(workdir["tree"]).read())
+        doc["tree"] = "NODE"
+        bad = tmp_path / "deep.json"
+        bad.write_text(json.dumps(doc).replace('"NODE"', node))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
+        assert e.value.code == EXIT_MODEL
+        assert _one_error_line(capsys)
 
 
 class TestSelectFeatures:

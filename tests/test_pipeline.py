@@ -51,6 +51,13 @@ class TestTraining:
         with pytest.raises(ValueError):
             PipelineConfig(method="tree", threshold_override=0.5)
 
+    def test_quantizer_needs_two_bins(self):
+        with pytest.raises(ValueError):
+            PipelineConfig(method="fisher", quantizer_bins=1)
+        # no quantizer, or a method without a score: the bin count is unused
+        PipelineConfig(quantizer_kind=None, quantizer_bins=1)
+        PipelineConfig(method="tree", quantizer_bins=1)
+
     def test_threshold_override(self, train_set):
         cfg = PipelineConfig(feature_map="f6", quantizer_kind=None,
                              threshold_override=0.5)
