@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, pair_counts, reduce_codes, split_conjugate
+from .words import (CyclicWord, Word, check_rank, pair_counts, reduce_codes,
+                    split_conjugate)
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,23 @@ def apply_to_word(t: WhiteheadAutomorphism, w: Word) -> Word:
     return Word(reduce_codes(out), w.rank)
 
 
+def _cyclic_image(t: WhiteheadAutomorphism, letters: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Apply letter images, freely reduce and cyclically reduce: the core of
+    t(w) in whatever rotation it lands in.  Every rotation of w gives the
+    same core up to rotation, and the Whitehead graph ignores rotation, so a
+    chain of moves can step on these cores and canonicalize once."""
+    table = _image_table(t)
+    out: list = []
+    for c in letters:
+        out.extend(table[c])
+    return split_conjugate(reduce_codes(out))[1]
+
+
 def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:
     """Apply letter images, freely reduce, cyclically reduce, canonicalize."""
     if t.rank != w.rank:
         raise ValueError(f"rank mismatch: automorphism {t.rank}, word {w.rank}")
-    table = _image_table(t)
-    out: list = []
-    for c in w.letters:
-        out.extend(table[c])
-    _, core = split_conjugate(reduce_codes(out))
-    return CyclicWord(core, w.rank)
+    return CyclicWord(_cyclic_image(t, w.letters), w.rank)
 
 
 def type2_count(rank: int) -> int:
@@ -167,9 +175,10 @@ def nielsen_inverse_automorphism(move: NielsenMove) -> TypeII:
 # at a (Whitehead 1936; Roig, Ventura & Weil, IJAC 2007, arXiv:math/0608779).
 # One O(|w|) pair count thus prices every candidate without applying any.
 
-def edge_table(w: CyclicWord) -> np.ndarray:
-    """Whitehead graph of w as a symmetric (2r x 2r) edge-count table."""
-    t = pair_counts(w.letters, 0, w.rank)[:, np.arange(2 * w.rank) ^ 1]
+def edge_table(letters: Sequence[int], rank: int) -> np.ndarray:
+    """Whitehead graph of the cyclic word with these letters (any rotation)
+    as a symmetric (2r x 2r) edge-count table."""
+    t = pair_counts(letters, 0, rank)[:, np.arange(2 * rank) ^ 1]
     return t + t.T
 
 
@@ -191,8 +200,8 @@ _NIELSEN_MEMBER = np.array([[c in m.automorphism.subset for c in range(4)]
 _NIELSEN_MULTIPLIERS = np.array([m.automorphism.multiplier for m in NIELSEN_MOVES])
 
 
-def _nielsen_changes(w: CyclicWord) -> np.ndarray:
-    return _length_changes(edge_table(w), _NIELSEN_MEMBER, _NIELSEN_MULTIPLIERS)
+def _nielsen_changes(letters: Tuple[int, ...]) -> np.ndarray:
+    return _length_changes(edge_table(letters, 2), _NIELSEN_MEMBER, _NIELSEN_MULTIPLIERS)
 
 
 # Above rank 2, the least cap(A) over the A with a in A and a^-1 outside is a
@@ -273,7 +282,7 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
         raise ValueError(f"reducing_moves lists the rank-2 Nielsen moves; got rank {w.rank}")
     if len(w) <= 1:
         return []
-    return [m for m, d in zip(NIELSEN_MOVES, _nielsen_changes(w)) if d < 0]
+    return [m for m, d in zip(NIELSEN_MOVES, _nielsen_changes(w.letters)) if d < 0]
 
 
 def is_minimal(w: CyclicWord) -> bool:
@@ -281,20 +290,20 @@ def is_minimal(w: CyclicWord) -> bool:
     if len(w) <= 1:
         return True
     if w.rank == 2:
-        return bool(_nielsen_changes(w).min() >= 0)
-    cap = edge_table(w).tolist()
+        return bool(_nielsen_changes(w.letters).min() >= 0)
+    cap = edge_table(w.letters, w.rank).tolist()
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
 
 
-def _best_move(w: CyclicWord) -> Tuple[int, Optional[TypeII]]:
+def _best_move(letters: Tuple[int, ...], rank: int) -> Tuple[int, Optional[TypeII]]:
     """The move with the greatest length drop and that drop, first in scan
     order: the four Nielsen moves at rank 2, else multiplier ascending, then
     A-bitmask ascending over every proper type II."""
-    if w.rank == 2:
-        changes = _nielsen_changes(w)
+    if rank == 2:
+        changes = _nielsen_changes(letters)
         best = int(np.argmin(changes))
         return int(changes[best]), NIELSEN_MOVES[best].automorphism
-    cap = edge_table(w).tolist()
+    cap = edge_table(letters, rank).tolist()
     best, move = 0, None
     # (A^c, a^-1) changes |w| as (A, a) does and comes later in the scan, so
     # only a = 2g is scanned; the least source side is a submask of every
@@ -302,23 +311,24 @@ def _best_move(w: CyclicWord) -> Tuple[int, Optional[TypeII]]:
     for a in range(0, len(cap), 2):
         change, side = _best_cut(cap, a)
         if change < best:
-            best, move = change, TypeII(w.rank, a, frozenset(side))
+            best, move = change, TypeII(rank, a, frozenset(side))
     return best, move
 
 
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     """Greedy steepest descent: repeatedly apply the move with the greatest
     length drop (ties: multiplier ascending, then A-bitmask ascending) until
-    no move shortens the word."""
+    no move shortens the word.  The steps work on cyclic cores in any
+    rotation; only the result is canonicalized."""
     chain: AutomorphismChain = []
-    current = w
-    while len(current) > 1:
-        change, move = _best_move(current)
+    letters = w.letters
+    while len(letters) > 1:
+        change, move = _best_move(letters, w.rank)
         if change >= 0:
             break
         chain.append(move)
-        current = apply_automorphism(move, current)
-    return current, chain
+        letters = _cyclic_image(move, letters)
+    return (CyclicWord(letters, w.rank) if chain else w), chain
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,8 @@ def random_primitive(rank: int, num_autos: int, rng: np.random.Generator) -> Cyc
     Whitehead automorphisms (both types), cyclically reduced at each step."""
     if num_autos < 0:
         raise ValueError("num_autos must be >= 0")
-    w = CyclicWord((int(rng.integers(0, 2 * rank)),), rank)
+    check_rank(rank)
+    letters = (int(rng.integers(0, 2 * rank)),)
     for _ in range(num_autos):
-        w = apply_automorphism(random_automorphism(rank, rng), w)
-    return w
+        letters = _cyclic_image(random_automorphism(rank, rng), letters)
+    return CyclicWord(letters, rank)

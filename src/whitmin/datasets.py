@@ -100,7 +100,7 @@ def _substitute_longer(v: CyclicWord, rng: np.random.Generator) -> Optional[Cycl
     """A strictly longer cyclically reduced image of v under a random proper
     type-II automorphism, or None after the retry cap.  Only the accepted
     draw is applied; the others are priced on v's Whitehead graph."""
-    edges = edge_table(v)
+    edges = edge_table(v.letters, v.rank)
     for _ in range(SUBSTITUTION_RETRIES):
         t = random_type2(v.rank, rng)
         if length_change(edges, t) > 0:

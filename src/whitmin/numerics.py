@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 # Largest shortfall below 1 that qp_hard_margin accepts in a margin.
 MARGIN_TOL = 1e-6
@@ -93,6 +92,10 @@ def qp_hard_margin(A: np.ndarray) -> np.ndarray:
     then, and whenever the recovered w misses a margin by more than
     MARGIN_TOL.
     """
+    # scipy.optimize takes most of the package's import time; only this
+    # solver needs it
+    from scipy.optimize import nnls
+
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] == 0:
         raise ValueError("A must be a nonempty 2-d matrix")

@@ -46,10 +46,32 @@ class Letter:
         return Letter(code >> 1, 1 if code % 2 == 0 else -1)
 
 
-def check_codes(codes: Iterable[int], rank: int) -> None:
-    for c in codes:
-        if not 0 <= c < 2 * rank:
-            raise InvalidLetterError(f"letter code {c} invalid for rank {rank}")
+# codes 0..2r-1 are _CODES[:2r]; _PAIRS[c] is the cancelling pair c c^-1
+_CODES = bytes(range(2 * MAX_RANK))
+_PAIRS = [bytes((c, c ^ 1)) for c in _CODES]
+
+
+def check_codes(codes: Iterable[int], rank: int) -> bytes:
+    """Raise InvalidLetterError naming the first code outside 0..2r-1; return
+    the codes as bytes."""
+    if not isinstance(codes, (tuple, list)):
+        # bytes() of a buffer such as an ndarray would copy its raw memory
+        codes = tuple(codes)
+    try:
+        b = bytes(codes)
+    except ValueError:      # a code outside 0..255
+        b = None
+    if b is None or b.translate(None, _CODES[:2 * rank]):
+        bad = next(c for c in codes if not 0 <= c < 2 * rank)
+        raise InvalidLetterError(f"letter code {bad} invalid for rank {rank}")
+    return b
+
+
+def _check_reduced(b: bytes, rank: int) -> None:
+    """Raise ValueError at the first position i with b[i + 1] = b[i]^-1."""
+    hits = [i for i in map(b.find, _PAIRS[:2 * rank]) if i >= 0]
+    if hits:
+        raise ValueError(f"word not freely reduced at position {min(hits)}")
 
 
 def check_rank(rank: int) -> None:
@@ -80,10 +102,7 @@ class Word:
 
     def __post_init__(self):
         check_rank(self.rank)
-        check_codes(self.letters, self.rank)
-        for i in range(len(self.letters) - 1):
-            if self.letters[i] == self.letters[i + 1] ^ 1:
-                raise ValueError(f"word not freely reduced at position {i}")
+        _check_reduced(check_codes(self.letters, self.rank), self.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -108,16 +127,12 @@ class CyclicWord:
 
     def __post_init__(self):
         check_rank(self.rank)
-        check_codes(self.letters, self.rank)
-        ls = self.letters
-        n = len(ls)
-        for i in range(n - 1):
-            if ls[i] == ls[i + 1] ^ 1:
-                raise ValueError(f"word not freely reduced at position {i}")
-        if n >= 2 and ls[0] == ls[-1] ^ 1:
+        b = check_codes(self.letters, self.rank)
+        _check_reduced(b, self.rank)
+        if len(b) >= 2 and b[0] == b[-1] ^ 1:
             raise ValueError("word not cyclically reduced")
-        canon = least_rotation(ls)
-        if canon != ls:
+        canon = least_rotation(b)
+        if canon != self.letters:
             object.__setattr__(self, "letters", canon)
 
     def __len__(self) -> int:
@@ -136,51 +151,71 @@ class CyclicWord:
 
 
 def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically least rotation (Booth's algorithm, O(n))."""
+    """Lexicographically least rotation of a sequence of letter codes.
+
+    Candidate elimination (after Shiloach, Fast canonization of circular
+    strings, J. Algorithms 1981) on bytes.  The candidates are the starts of
+    the longest cyclic runs of the least letter; they share a prefix of length
+    L = that run length.  Each round keeps the candidates whose next L letters
+    are least, doubles L, and drops every candidate within L of the one before
+    it.  The drop is sound: if i < j share their first L letters and
+    j - i <= L, then rot(j) < rot(i) implies rot(2j - i) < rot(j), so j is
+    never the only least rotation and the leftmost least candidate survives.
+    Survivors lie more than L apart, so a round costs O(n) bytes work in
+    O(n / L) steps: O(n log n) in all, whatever the word.
+    """
     s = tuple(seq)
-    k = _least_rotation_offset(s)
+    k = _least_rotation_offset(seq if isinstance(seq, bytes) else bytes(s))
     return s[k:] + s[:k]
 
 
-def _least_rotation_offset(seq: Tuple[int, ...]) -> int:
-    """Booth's algorithm: an offset k with seq[k:] + seq[:k] least."""
-    n = len(seq)
+def _least_rotation_offset(b: bytes) -> int:
+    """An offset k with b[k:] + b[:k] least (see least_rotation)."""
+    n = len(b)
     if n <= 1:
         return 0
-    s = seq + seq
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
+    least = min(b)
+    count = b.count(least)
+    if count == 1:
+        return b.index(least)
+    if count == n:
+        return 0
+    d = b + b
+    least = bytes((least,))
+    # lo ends as the longest cyclic run of the least letter: every run of d
+    # lies inside a cyclic run, and each cyclic run lies whole in d
+    lo, hi = 1, 2
+    while least * hi in d:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if least * mid in d:
+            lo = mid
         else:
-            f[j - k] = i + 1
-    return k % n
+            hi = mid
+    run = least * lo
+    cands = []
+    i = d.find(run)
+    while 0 <= i < n:
+        cands.append(i)
+        i = d.find(run, i + lo + 1)
+    L = lo
+    while len(cands) > 1 and L < n:
+        L2 = min(2 * L, n)
+        blocks = [d[i + L:i + L2] for i in cands]
+        best = min(blocks)
+        cands = [i for i, blk in zip(cands, blocks) if blk == best]
+        L = L2
+        cands = [j for i, j in zip([-2 * n] + cands, cands) if j - i > L]
+    return cands[0]
 
 
 def _smallest_period(seq: Sequence[int]) -> int:
-    """Least p > 0 with seq equal to its rotation by p (KMP failure function)."""
-    n = len(seq)
-    if n == 0:
+    """Least p > 0 with seq equal to its rotation by p."""
+    if not seq:
         return 1
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and seq[i] != seq[k]:
-            k = fail[k - 1]
-        if seq[i] == seq[k]:
-            k += 1
-        fail[i] = k
-    p = n - fail[-1]
-    return p if n % p == 0 else n
+    b = bytes(seq)
+    return (b + b).find(b, 1)
 
 
 def free_reduce(raw: Sequence[int], rank: int) -> Word:
@@ -209,7 +244,7 @@ def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
     # stripped is canon rotated by the least k >= 0 with k = -offset (mod the
     # period): stripped = c1^-1 canon c1 with c1 = canon[:k], hence
     # w = (g c1^-1) canon (g c1^-1)^-1
-    k = -_least_rotation_offset(stripped) % _smallest_period(canon)
+    k = -_least_rotation_offset(bytes(stripped)) % _smallest_period(canon)
     c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
     return core, Word(reduce_codes(prefix + c1_inv), w.rank)
 
@@ -243,27 +278,26 @@ def pair_counts(letters: Sequence[int], gap: int, rank: int) -> np.ndarray:
 # text encoding: a..z generators, A..Z inverses, one word per line
 # ---------------------------------------------------------------------------
 
+# _TEXT[c] is the character of code c; translation tables both ways, with
+# _NOT_TEXT for every byte that is no letter
+_TEXT = bytes(c for g in range(MAX_RANK) for c in (ord("a") + g, ord("A") + g))
+_TO_TEXT = bytes.maketrans(_CODES, _TEXT)
+_NOT_TEXT = 0xFF
+_FROM_TEXT = bytes(_TEXT.index(c) if c in _TEXT else _NOT_TEXT for c in range(256))
+
+
 def format_codes(codes: Sequence[int]) -> str:
-    out = []
-    for c in codes:
-        g = c >> 1
-        if g >= MAX_RANK:
-            raise ValueError(f"text encoding supports at most {MAX_RANK} generators")
-        ch = chr(ord("a") + g)
-        out.append(ch if c % 2 == 0 else ch.upper())
-    return "".join(out)
+    return check_codes(codes, MAX_RANK).translate(_TO_TEXT).decode("ascii")
 
 
 def parse_codes(text: str) -> Tuple[int, ...]:
-    codes = []
-    for ch in text.strip():
-        if "a" <= ch <= "z":
-            codes.append(2 * (ord(ch) - ord("a")))
-        elif "A" <= ch <= "Z":
-            codes.append(2 * (ord(ch) - ord("A")) + 1)
-        else:
-            raise ValueError(f"invalid character {ch!r} in word {text!r}")
-    return tuple(codes)
+    s = text.strip()
+    # a non-ASCII character encodes as one "?", so byte i is still s[i]
+    b = s.encode("ascii", errors="replace").translate(_FROM_TEXT)
+    bad = b.find(_NOT_TEXT)
+    if bad >= 0:
+        raise ValueError(f"invalid character {s[bad]!r} in word {text!r}")
+    return tuple(b)
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -298,11 +332,11 @@ def random_word(
         return CyclicWord((), rank) if cyclic else Word((), rank)
 
     m = 2 * rank
-    draws = rng.integers(0, m - 1, size=length)
+    draws = rng.integers(0, m - 1, size=length).tolist()
     letters = [int(rng.integers(0, m))]
     for i in range(1, length):
         banned = letters[-1] ^ 1
-        c = int(draws[i])
+        c = draws[i]
         if c >= banned:
             c += 1
         letters.append(c)

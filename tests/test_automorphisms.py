@@ -89,7 +89,7 @@ def _enumeration(rank):
 def enumerated_changes(w):
     """cap(A) - deg(a) of every proper type II in enumeration order."""
     autos, member, multipliers = _enumeration(w.rank)
-    edges = edge_table(w)
+    edges = edge_table(w.letters, w.rank)
     return autos, (((member @ edges) * (1 - member)).sum(1)
                    - edges.sum(1)[multipliers])
 
@@ -209,13 +209,13 @@ class TestLengthChange:
     @example(CyclicWord((3,), 3))
     @example(CyclicWord((0,), 2))
     def test_matches_applied_length_change(self, w):
-        edges = edge_table(w)
+        edges = edge_table(w.letters, w.rank)
         for t in enumerate_type2(w.rank):
             assert length_change(edges, t) == len(apply_automorphism(t, w)) - len(w)
 
     def test_edge_table_is_whitehead_graph(self):
         # abAB: subwords ab, bA, AB, Ba give edges {a,B}, {b,a}, {A,b}, {B,A}
-        edges = edge_table(cw("abAB"))
+        edges = edge_table(cw("abAB").letters, 2)
         assert (edges == edges.T).all() and edges.sum() == 2 * 4
         assert (edges[0, 3], edges[2, 0], edges[1, 2], edges[3, 1]) == (1, 1, 1, 1)
 
@@ -301,15 +301,16 @@ class TestApplicationCounts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # every application, public or inside minimize / random_primitive,
+        # goes through the one image routine
         count = [0]
-        original = automorphisms.apply_automorphism
+        original = automorphisms._cyclic_image
 
-        def counted(t, w):
+        def counted(t, letters):
             count[0] += 1
-            return original(t, w)
+            return original(t, letters)
 
-        monkeypatch.setattr(automorphisms, "apply_automorphism", counted)
-        monkeypatch.setattr(datasets, "apply_automorphism", counted)
+        monkeypatch.setattr(automorphisms, "_cyclic_image", counted)
         return count
 
     @pytest.mark.parametrize("rank", [2, 3])
@@ -339,6 +340,46 @@ class TestApplicationCounts:
             longer = datasets._substitute_longer(w, rng)
             assert len(longer) > len(w)
             assert calls[0] - before == 1
+
+
+class TestCanonicalizeOnce:
+    """minimize and random_primitive step on cyclic cores in whatever rotation
+    they land in and canonicalize once; a reference that canonicalizes after
+    every application must give the same word and chain."""
+
+    @staticmethod
+    def stepwise_minimize(w):
+        chain = []
+        while len(w) > 1:
+            change, move = automorphisms._best_move(w.letters, w.rank)
+            if change >= 0:
+                break
+            chain.append(move)
+            w = apply_automorphism(move, w)
+        return w, chain
+
+    @staticmethod
+    def stepwise_primitive(rank, num_autos, rng):
+        w = CyclicWord((int(rng.integers(0, 2 * rank)),), rank)
+        for _ in range(num_autos):
+            w = apply_automorphism(random_automorphism(rank, rng), w)
+        return w
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_minimize_matches_stepwise(self, rank):
+        steps = 0
+        for w in mixed_words(rank, 60, seed=10 + rank):
+            m, chain = minimize(w)
+            assert (m, chain) == self.stepwise_minimize(w)
+            steps += len(chain)
+        assert steps > 0
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_random_primitive_matches_stepwise(self, rank):
+        for seed in range(60):
+            autos = seed % 11
+            w = random_primitive(rank, autos, np.random.default_rng(seed))
+            assert w == self.stepwise_primitive(rank, autos, np.random.default_rng(seed))
 
 
 class TestRandomPrimitive:

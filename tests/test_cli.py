@@ -336,6 +336,14 @@ class TestWordCommands:
             main(["minimize", "--word", "ab!"])
         assert e.value.code == EXIT_DATA
 
+    @pytest.mark.parametrize("word,named", [("ab1", "'1'"), ("abc", "letter code 4")])
+    def test_minimize_bad_letter_is_one_error_line(self, capsys, word, named):
+        with pytest.raises(SystemExit) as e:
+            main(["minimize", "--word", word])
+        assert e.value.code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
     def test_predict_reducer_missing_centers(self, capsys):
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", "/nonexistent.json"]) == EXIT_DATA

@@ -1,10 +1,15 @@
+import itertools
+import re
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitmin.words import (CyclicWord, InvalidLetterError, Letter, Word,
-                           cyclic_reduce, free_reduce, least_rotation,
+                           _smallest_period, check_codes, cyclic_reduce,
+                           format_codes, free_reduce, least_rotation,
                            pair_counts, parse_codes, parse_cyclic_word,
                            parse_word, random_word, reduce_codes, window_codes)
 
@@ -100,14 +105,78 @@ class TestCyclicReduce:
             assert (c.letters, conj.letters) == reference(w)
 
 
+def naive_least_rotation(s):
+    return min(s[i:] + s[:i] for i in range(len(s))) if s else ()
+
+
+def fibonacci_word(n):
+    a, b = (0,), (0, 2)
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
 class TestCanonicalRotation:
-    def test_booth_matches_naive(self):
-        rng = np.random.default_rng(2)
-        for _ in range(300):
-            n = int(rng.integers(1, 12))
-            s = tuple(int(x) for x in rng.integers(0, 4, size=n))
-            naive = min(s[i:] + s[:i] for i in range(n))
-            assert least_rotation(s) == naive
+    def test_matches_min_of_all_rotations(self):
+        # every word over 2 letters up to length 12, over 3 up to length 8
+        for letters, max_len in ((2, 12), (3, 8)):
+            for n in range(max_len + 1):
+                for s in itertools.product(range(letters), repeat=n):
+                    assert least_rotation(s) == naive_least_rotation(s), s
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6),
+           st.integers(1, 12), st.integers(-1, 5))
+    def test_periodic_and_near_periodic(self, u, power, last):
+        # u^power, and with last >= 0 the same word with its last letter set
+        s = tuple(u) * power
+        if last >= 0:
+            s = s[:-1] + (last,)
+        assert least_rotation(s) == naive_least_rotation(s)
+
+    def test_accepts_bytes(self):
+        assert least_rotation(bytes((3, 1, 2, 1))) == (1, 2, 1, 3)
+
+    @pytest.mark.parametrize("name", ["a^(n-1)b", "(ab)^(n/2)", "(aab)^k B", "fibonacci"])
+    def test_adversarial_words_finish_fast(self, name):
+        n = 10 ** 6
+        word = {"a^(n-1)b": (0,) * (n - 1) + (2,),
+                "(ab)^(n/2)": (0, 2) * (n // 2),
+                "(aab)^k B": (0, 0, 2) * ((n - 1) // 3) + (3,),
+                "fibonacci": fibonacci_word(n)}[name]
+        t0 = time.perf_counter()
+        canon = least_rotation(word)
+        assert time.perf_counter() - t0 < 5.0
+        if name == "fibonacci":
+            rng = np.random.default_rng(0)
+            for k in rng.integers(0, n, size=50).tolist():
+                assert canon <= word[k:] + word[:k]
+        else:
+            assert canon == word
+
+    def test_smallest_period_matches_failure_function(self):
+        def kmp_period(seq):
+            n = len(seq)
+            if n == 0:
+                return 1
+            fail = [0] * n
+            k = 0
+            for i in range(1, n):
+                while k and seq[i] != seq[k]:
+                    k = fail[k - 1]
+                if seq[i] == seq[k]:
+                    k += 1
+                fail[i] = k
+            p = n - fail[-1]
+            return p if n % p == 0 else n
+
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            u = tuple(rng.integers(0, 3, size=int(rng.integers(0, 5))).tolist())
+            s = u * int(rng.integers(1, 6))
+            if s and rng.random() < 0.3:
+                s = s[:-1] + (int(rng.integers(0, 3)),)
+            assert _smallest_period(s) == kmp_period(s), s
 
     def test_rotations_share_canonical_form(self):
         w = parse_cyclic_word("aabab", 2)
@@ -150,6 +219,46 @@ class TestTextEncoding:
     def test_invalid_character(self):
         with pytest.raises(ValueError):
             parse_word("ab1", 2)
+
+    def test_all_codes_round_trip(self):
+        codes52 = tuple(range(52))
+        text = format_codes(codes52)
+        assert text == "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
+        assert parse_codes(text) == codes52
+        assert parse_codes(f"  {text}\n") == codes52
+
+    @pytest.mark.parametrize("text,bad", [("ab1", "1"), ("a b", " "), ("aéb", "é"),
+                                          ("aB\x00", "\x00")])
+    def test_parse_names_bad_character(self, text, bad):
+        with pytest.raises(ValueError, match=re.escape(f"invalid character {bad!r} ")):
+            parse_codes(text)
+
+    @pytest.mark.parametrize("codes", [(52,), (-1,), (0, -1), (300,), (2, 60, 1)])
+    def test_format_rejects_codes_outside_encoding(self, codes):
+        with pytest.raises(ValueError):
+            format_codes(codes)
+
+
+class TestLetterChecks:
+    @pytest.mark.parametrize("bad", [-1, 4, 300])
+    def test_names_first_bad_code(self, bad):
+        with pytest.raises(InvalidLetterError, match=f"letter code {bad} invalid for rank 2"):
+            check_codes((0, 3, bad, 2, -7, 5), 2)
+        with pytest.raises(InvalidLetterError, match=f"letter code {bad} "):
+            CyclicWord((0, bad), 2)
+
+    def test_returns_bytes(self):
+        assert check_codes([0, 5, 3], 3) == bytes((0, 5, 3))
+        assert check_codes(iter((1, 2)), 2) == bytes((1, 2))
+
+    @pytest.mark.parametrize("cls", [Word, CyclicWord])
+    def test_reports_first_cancelling_position(self, cls):
+        # c C at position 1 comes before a A at 3 and b B at 5
+        letters = (2, 4, 5, 0, 1, 2, 3, 4)
+        with pytest.raises(ValueError, match="not freely reduced at position 1$"):
+            cls(letters, 3)
+        with pytest.raises(ValueError, match="not freely reduced at position 0$"):
+            cls((3, 2), 2)
 
 
 class TestRandomWord:
