@@ -215,21 +215,20 @@ def _best_cut(cap: List[List[int]], a: int) -> Tuple[int, List[int]]:
     n = len(cap)
     t = a ^ 1
     res = [row[:] for row in cap]
-    ra, rt = res[a], res[t]
+    ra = res[a]
     target = sum(ra)
     # Paths a -> a^-1, a -> x -> a^-1 and a -> x -> y -> a^-1 carry most of
     # the flow on short words; augmenting paths (shortest first) finish it.
+    # The search never re-enters a nor leaves a^-1, so these pushes skip the
+    # residual updates on edges into a and out of a^-1.
     flow = ra[t]
-    rt[a] += flow
     ra[t] = 0
     for x in range(n):
         rx = res[x]
         d = min(ra[x], rx[t])
         if d:
             ra[x] -= d
-            rx[a] += d
             rx[t] -= d
-            rt[x] += d
             flow += d
     for x in range(n):
         rx = res[x]
@@ -241,11 +240,9 @@ def _best_cut(cap: List[List[int]], a: int) -> Tuple[int, List[int]]:
                 d = min(ra[x], rx[y], ry[t])
                 if d:
                     ra[x] -= d
-                    rx[a] += d
                     rx[y] -= d
                     ry[x] += d
                     ry[t] -= d
-                    rt[y] += d
                     flow += d
     while flow < target:
         parent = [-1] * n

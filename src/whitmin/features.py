@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, Word, format_codes, window_codes
+from .words import CyclicWord, Word, check_rank, format_codes, window_codes
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,6 @@ class Pattern:
     def pair(x1: int, mid: Wildcard, x2: int) -> "Pattern":
         return Pattern(((x1,), (x2,)), (EMPTY, mid, EMPTY))
 
-    @property
-    def min_span(self) -> int:
-        return sum(len(v) for v in self.fixed) + sum(g.lengths()[0] for g in self.gaps)
-
     def text(self) -> str:
         parts: List[str] = []
         for gap, seg in itertools.zip_longest(self.gaps, self.fixed):
@@ -92,67 +89,39 @@ class Pattern:
         return ".".join(parts) if len(parts) > 1 else (parts[0] if parts else "")
 
 
-def count_pattern(w: Union[Word, CyclicWord], p: Pattern, mode: str = "cyclic") -> int:
-    """Number of occurrences of the pattern in w.
-
-    Cyclic mode scans all |w| start positions of the doubled word with total
-    span at most |w|; linear mode scans the linear representative.
-    """
-    if mode not in ("cyclic", "linear"):
-        raise ValueError(f"unknown mode {mode!r}")
-    letters = w.letters
-    n = len(letters)
-    if n == 0:
+def count_pattern(w: Union[Word, CyclicWord], p: Pattern) -> int:
+    """Number of occurrences of the pattern in the cyclic word w: one per
+    start position and wildcard length assignment of total span at most |w|."""
+    if not w.letters:
         return 0
-    doubled = letters + letters if mode == "cyclic" else letters
-    starts = n if mode == "cyclic" else n
-    fixed_len = sum(len(v) for v in p.fixed)
-
-    total = 0
-    for assignment in itertools.product(*(g.lengths() for g in p.gaps)):
-        span = fixed_len + sum(assignment)
-        if span > n or span == 0:
-            continue
-        # offsets of each fixed segment inside a match with these gap lengths
-        offsets = []
-        pos = assignment[0]
-        for k, seg in enumerate(p.fixed):
-            offsets.append(pos)
-            pos += len(seg) + assignment[k + 1]
-        for start in range(starts):
-            if mode == "linear" and start + span > n:
-                break
-            ok = True
-            for off, seg in zip(offsets, p.fixed):
-                base = start + off
-                if doubled[base:base + len(seg)] != seg:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-    return total
+    # the count is an integer below 2^53, so rounding undoes the division
+    return round(feature_vector(w, FeatureMap("", (p,), w.rank))[0] * len(w))
 
 
-# A pattern without at_most gaps matches exactly the windows of its span
-# whose letters at fixed offsets spell its fixed segments, so one base-2r code
-# per cyclic window and one bincount count it.  A pattern whose k fixed
-# letters have more than this many codes (2r)^k is left to count_pattern.
+# Each gap-length assignment of nonzero span fixes a pattern's k letters at
+# fixed offsets of one cyclic window: an instance.  Instances sharing their
+# offsets are counted together, by one bincount of base-2r window codes when
+# the (2r)^k code table has at most this many entries, else by one Counter of
+# the windows' k letters as bytes.
 _MAX_WINDOW_CODES = 1 << 16
 
 
-def _window(p: Pattern, m: int) -> Optional[Tuple[Tuple[int, ...], int, int]]:
-    """(offsets, code, span) of the one window p matches, or None when p has
-    an at_most gap or its code does not fit the counting table (a letter
-    outside the m-letter alphabet included)."""
-    letters = [c for seg in p.fixed for c in seg]
-    if (any(g.kind == "at_most" for g in p.gaps) or m ** len(letters) > _MAX_WINDOW_CODES
-            or not all(0 <= c < m for c in letters)):
-        return None
-    offsets, pos = [], p.gaps[0].lengths()[0]
-    for seg, gap in zip(p.fixed, p.gaps[1:]):
-        offsets.extend(range(pos, pos + len(seg)))
-        pos += len(seg) + gap.lengths()[0]
-    return tuple(offsets), functools.reduce(lambda code, c: code * m + c, letters, 0), pos
+def _instances(p: Pattern, m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+    """(offsets, letters, span) of each window p matches, one per gap-length
+    assignment of nonzero span; none when a letter lies outside the m-letter
+    alphabet."""
+    letters = tuple(c for seg in p.fixed for c in seg)
+    if not all(0 <= c < m for c in letters):
+        return []
+    instances = []
+    for lengths in itertools.product(*(g.lengths() for g in p.gaps)):
+        offsets, pos = [], lengths[0]
+        for seg, gap in zip(p.fixed, lengths[1:]):
+            offsets.extend(range(pos, pos + len(seg)))
+            pos += len(seg) + gap
+        if pos:
+            instances.append((tuple(offsets), letters, pos))
+    return instances
 
 
 @dataclass(frozen=True)
@@ -171,19 +140,35 @@ class FeatureMap:
         return [p.text() for p in self.patterns]
 
     @functools.cached_property
-    def _plan(self) -> Tuple[list, List[int]]:
-        """Built on first use: one (offsets, columns, codes, spans) group per
-        offset tuple, and the columns count_pattern counts."""
+    def _plan(self) -> Tuple[list, np.ndarray, np.ndarray, int]:
+        """Built on first use: one (offsets, keys) group per offset tuple, the
+        keys its instances' codes (an array) or letters (bytes); each
+        instance's column and span, in group order; and the longest span."""
+        m = 2 * self.rank
         groups: Dict[Tuple[int, ...], list] = {}
-        generic: List[int] = []
         for i, p in enumerate(self.patterns):
-            window = _window(p, 2 * self.rank)
-            if window is None:
-                generic.append(i)
+            for offsets, letters, span in _instances(p, m):
+                groups.setdefault(offsets, []).append((i, letters, span))
+        plan = []
+        for offsets, instances in groups.items():
+            if m ** len(offsets) <= _MAX_WINDOW_CODES:
+                keys = np.array([functools.reduce(lambda code, c: code * m + c, inst[1], 0)
+                                 for inst in instances], dtype=np.int64)
             else:
-                groups.setdefault(window[0], []).append((i, *window[1:]))
-        return ([(offs, *map(np.array, zip(*cols))) for offs, cols in groups.items()],
-                generic)
+                keys = [bytes(inst[1]) for inst in instances]
+            plan.append((offsets, keys))
+        flat = [inst for instances in groups.values() for inst in instances]
+        spans = [inst[2] for inst in flat]
+        return (plan, np.array([inst[0] for inst in flat], dtype=np.intp),
+                np.array(spans, dtype=np.int64), max(spans, default=0))
+
+
+def _window_letters(arr: np.ndarray, offsets: Sequence[int]) -> Counter:
+    """How often each bytes string of letters at the given offsets appears
+    over the cyclic windows of the word arr."""
+    n = len(arr)
+    windows = arr.astype(np.uint8)[(np.arange(n)[:, None] + offsets) % n]
+    return Counter(windows.view(f"V{len(offsets)}").ravel().tolist())
 
 
 def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
@@ -191,16 +176,23 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     n = len(w)
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")
-    groups, generic = fmap._plan
+    plan, columns, spans, longest = fmap._plan
     arr = np.asarray(w.letters, dtype=np.int64)
-    counts = np.zeros(fmap.dim, dtype=np.int64)
-    for offsets, columns, codes, spans in groups:
-        hist = np.bincount(window_codes(arr, offsets, fmap.rank),
-                           minlength=(2 * fmap.rank) ** len(offsets))
-        counts[columns] = np.where(spans <= n, hist[codes], 0)
-    for i in generic:
-        counts[i] = count_pattern(w, fmap.patterns[i])
-    return counts / n
+    hits = [np.zeros(0)]  # so that a map with no instances concatenates
+    for offsets, keys in plan:
+        if isinstance(keys, np.ndarray):
+            hist = np.bincount(window_codes(arr, offsets, fmap.rank),
+                               minlength=(2 * fmap.rank) ** len(offsets))
+            hits.append(hist[keys])
+        else:
+            hist = _window_letters(arr, offsets)
+            hits.append([hist.get(key, 0) for key in keys])
+    found = np.concatenate(hits)
+    if n < longest:
+        found = np.where(spans <= n, found, 0)
+    # the float64 counts are exact integers, so each quotient is that of
+    # an integer count
+    return np.bincount(columns, weights=found, minlength=fmap.dim) / n
 
 
 def feature_matrix(words: Sequence[CyclicWord], fmap: FeatureMap) -> np.ndarray:
@@ -269,12 +261,24 @@ def builtin_map(name: str, rank: int) -> FeatureMap:
     return FeatureMap(name, pats, rank)
 
 
+# The largest pattern pool built: building one takes about 1 kB per pattern,
+# so 2^18 patterns take about 0.3 GB.
+_MAX_POOL = 1 << 18
+
+
 def pattern_pool(rank: int, min_mid: int, max_mid: int) -> List[Pattern]:
     """All x1 v x2 patterns with a fixed middle of length min_mid..max_mid
     whose composite word is freely reduced, ordered by length then
-    lexicographically."""
+    lexicographically.  Raises ValueError for more than 2^18 patterns."""
     if not 1 <= min_mid <= max_mid:
         raise ValueError("need 1 <= min_mid <= max_mid")
+    check_rank(rank)
+    m, size = 2 * rank, 0
+    for mid in range(min_mid, max_mid + 1):
+        # 2r(2r - 1)^(mid + 1) patterns; (2r - 1)^19 alone exceeds the bound
+        size += m * (m - 1) ** min(mid + 1, 19)
+        if size > _MAX_POOL:
+            raise ValueError(f"the pool has more than {_MAX_POOL} patterns")
     pool = []
     for mid in range(min_mid, max_mid + 1):
         for codes in _reduced_words_of_length(rank, mid + 2):
@@ -314,12 +318,9 @@ class WhiteheadGraph:
 def whitehead_graph(w: CyclicWord, max_label_len: int) -> WhiteheadGraph:
     if len(w) < 2:
         raise ValueError("need |w| >= 2")
-    n = len(w)
-    doubled = w.letters + w.letters
+    arr = np.asarray(w.letters)
     graph = WhiteheadGraph(w.rank)
-    for span in range(2, min(max_label_len + 2, n) + 1):
-        for start in range(n):
-            sub = doubled[start:start + span]
-            key = (sub[0], sub[1:-1], sub[-1])
-            graph.edges[key] = graph.edges.get(key, 0) + 1
+    for span in range(2, min(max_label_len + 2, len(w)) + 1):
+        for sub, count in _window_letters(arr, tuple(range(span))).items():
+            graph.edges[(sub[0], tuple(sub[1:-1]), sub[-1])] = count
     return graph

@@ -270,6 +270,9 @@ def pipeline_from_json(text: str) -> Pipeline:
     if cfg.method != doc["method"]:
         raise ModelFormatError(f"config method {cfg.method!r} does not match "
                                f"the {doc['method']!r} model")
+    if cfg.feature_map != doc.get("feature_map", cfg.feature_map):
+        raise ModelFormatError(f"config feature map {cfg.feature_map!r} does not "
+                               f"match the model's {doc['feature_map']!r}")
     _check_model(model, fmap.dim)
     return Pipeline(fmap, model, cfg)
 

@@ -265,6 +265,29 @@ class TestMinimality:
         if changes.min() < 0:
             assert minimize(w)[1][0] == autos[int(np.argmin(changes))]
 
+    def test_best_cut_matches_exhaustive_cut(self):
+        """(cut - deg(a), least source side) against every vertex set A with
+        a in A and a^-1 outside, on random symmetric capacity matrices."""
+        rng = np.random.default_rng(13)
+        subsets = {n: (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+                   for n in (4, 6, 8)}
+        for _ in range(3000):
+            n = int(rng.choice((4, 6, 8)))
+            cap = np.triu(rng.integers(0, 4, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+            cap += cap.T
+            S = subsets[n]
+            cuts = ((S @ cap) * (1 - S)).sum(axis=1)
+            for a in range(n):
+                allowed = (S[:, a] == 1) & (S[:, a ^ 1] == 0)
+                best = cuts[allowed].min()
+                change = int(best - cap[a].sum())
+                # the least minimum source side is the minimizer with fewest vertices
+                minimizers = S[allowed & (cuts == best)]
+                side = np.flatnonzero(minimizers[minimizers.sum(axis=1).argmin()])
+                expected = (change, side.tolist() if change else [])
+                got = automorphisms._best_cut(cap.tolist(), a)
+                assert (got[0], sorted(got[1])) == expected, (cap.tolist(), a)
+
     def test_rank_12_smoke(self):
         rng = np.random.default_rng(12)
         base = random_word(150, 12, cyclic=True, rng=rng)

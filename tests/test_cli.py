@@ -199,6 +199,7 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize("flags", [["--features", "f9"],
                                        ["--features", "pool:2-1"],
+                                       ["--features", "pool:1-12"],
                                        ["--bins", "1"]])
     def test_bad_train_flags_are_usage_errors(self, capsys, flags):
         """Checked before the (here nonexistent) training file is read."""
@@ -225,6 +226,7 @@ BAD_MODELS = {
     "bad-orientation": ("model", ["orientation"], 0),
     "bad-config": ("model", ["config"], [1, 2]),
     "config-method": ("model", ["config", "method"], "tree"),
+    "feature-map": ("model", ["feature_map"], "f2"),
     "mu-length": ("distance", ["mu1"], [0.0] * 59),
     "inv-cov-shape": ("distance", ["inv_cov2"], [[1.0, 0.0], [0.0, 1.0]]),
     "tree-feature": ("tree", ["tree", "feature"], 60),
@@ -271,6 +273,12 @@ class TestSelectFeatures:
                      "--max-features", "3"]) == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert 1 <= len(out.splitlines()) <= 3
+
+    def test_oversized_pool_is_usage_error(self, capsys):
+        """Refused before the pool is built or a file is read."""
+        assert main(["select-features", "--pool", "1-12", "--train", "unused.tsv",
+                     "--val", "unused.tsv"]) == EXIT_USAGE
+        assert _one_error_line(capsys)
 
     def test_one_class_training_set_is_data_error(self, workdir, tmp_path, capsys):
         only_min = tmp_path / "onlymin.tsv"

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -87,19 +88,6 @@ class TestCountPattern:
             for rot in w.rotations():
                 assert count_pattern(CyclicWord(rot, 2), p) == base
 
-    def test_linear_vs_cyclic_bounds(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            w = random_word(int(rng.integers(3, 15)), 2, cyclic=True, rng=rng)
-            for p in (Pattern.from_word(parse_codes("ab")),
-                      Pattern.pair(2, Wildcard("exact", 1), 0),
-                      Pattern.pair(0, Wildcard("exact", 3), 2)):
-                lin = count_pattern(w.to_word(), p, mode="linear")
-                cyc = count_pattern(w, p, mode="cyclic")
-                span = sum(len(v) for v in p.fixed) + \
-                    sum(g.lengths()[-1] for g in p.gaps)
-                assert lin <= cyc <= lin + (span - 1)
-
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(3)
         pats = [
@@ -157,18 +145,57 @@ class TestFeatureVector:
             words.append(CyclicWord(LONG_WORD, rank))
         for w in words:
             fast = feature_vector(w, fmap)
-            slow = np.array([count_pattern(w, p) for p in fmap.patterns]) / len(w)
+            slow = np.array([naive_cyclic_count(w, p) for p in fmap.patterns]) / len(w)
             assert fast.tobytes() == slow.tobytes(), (str(w), name)
+
+    @pytest.mark.parametrize("rank", [2, 3, 5])
+    def test_every_pattern_kind_matches_oracle(self, rank):
+        """Random patterns of every gap kind, with letters that may fall
+        outside the alphabet, counted together in one map."""
+        rng = np.random.default_rng(rank)
+        m = 2 * rank
+
+        def gap():
+            kind = str(rng.choice(["exact", "at_most", "empty"]))
+            return Wildcard(kind, int(rng.integers(0, 4)) if kind != "empty" else 0)
+
+        source = random_word(30, rank, cyclic=True, rng=rng)
+        pats = list(HAND_BUILT) + [Pattern.from_word(source.letters[3:15])]
+        while len(pats) < 40:
+            segs = tuple(tuple(int(c) for c in rng.integers(0, m + 1, rng.integers(0, 4)))
+                         for _ in range(rng.integers(0, 4)))
+            gaps = tuple(gap() for _ in range(len(segs) + 1))
+            if sum(map(len, segs)) + sum(g.lengths()[-1] for g in gaps):
+                pats.append(Pattern(segs, gaps))
+        fmap = FeatureMap("random", tuple(pats), rank)
+        words = [random_word(n, rank, cyclic=True, rng=rng) for n in range(1, 16)]
+        for w in words + [source, random_word(60, rank, cyclic=True, rng=rng)]:
+            exact = [naive_cyclic_count(w, p) for p in pats]
+            slow = np.array(exact) / len(w)
+            assert feature_vector(w, fmap).tobytes() == slow.tobytes(), str(w)
+            assert [count_pattern(w, p) for p in pats] == exact
+
+    def test_large_pool_counted_in_bounded_time(self):
+        fmap = resolve_map("pool:7-7", 2)
+        rng = np.random.default_rng(10)
+        words = [random_word(100, 2, cyclic=True, rng=rng) for _ in range(3)]
+        start = time.perf_counter()
+        X = feature_matrix(words, fmap)
+        assert time.perf_counter() - start < 2.0
+        found = np.flatnonzero(X.any(axis=0))
+        for j in [*rng.choice(found, 20), *rng.choice(fmap.dim, 20)]:
+            exact = np.array([naive_cyclic_count(w, fmap.patterns[j]) for w in words])
+            assert X[:, j].tobytes() == (exact / 100).tobytes()
 
     def test_patterns_classified_once(self, monkeypatch):
         calls = []
-        window = features._window
+        instances = features._instances
 
         def counting(p, m):
             calls.append(p)
-            return window(p, m)
+            return instances(p, m)
 
-        monkeypatch.setattr(features, "_window", counting)
+        monkeypatch.setattr(features, "_instances", counting)
         fmap = builtin_map("f6", 2)
         rng = np.random.default_rng(9)
         feature_matrix([random_word(30, 2, cyclic=True, rng=rng) for _ in range(5)], fmap)
@@ -225,6 +252,11 @@ class TestPatternPool:
         with pytest.raises(ValueError):
             pattern_pool(2, 0, 3)
 
+    @pytest.mark.parametrize("rank, lo, hi", [(2, 1, 12), (2, 10**9, 10**9), (26, 1, 2)])
+    def test_size_bounded_before_enumeration(self, rank, lo, hi):
+        with pytest.raises(ValueError, match="more than 262144"):
+            pattern_pool(rank, lo, hi)
+
 
 class TestWhiteheadGraph:
     def test_adjacent_pairs(self):
@@ -248,4 +280,7 @@ class TestWhiteheadGraph:
             g = whitehead_graph(w, max_label_len=2)
             for (x, lab, y), wt in g.edges.items():
                 p = Pattern.from_word((x,) + lab + (y,))
-                assert wt == count_pattern(w, p)
+                assert wt == naive_cyclic_count(w, p) == count_pattern(w, p)
+            for k in range(min(3, len(w) - 1)):
+                # every cyclic window of each label length is an edge
+                assert sum(wt for (x, lab, y), wt in g.edges.items() if len(lab) == k) == len(w)
