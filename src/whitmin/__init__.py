@@ -4,15 +4,15 @@ Core layers:
   words / automorphisms  free-group words, Whitehead moves, minimization
   features               subword-counting feature maps (f0..f6, fstar, pools)
   numerics               eigensolver, least squares, hard-margin SVM as NNLS
-  classifiers            flats, distance, linear, quantizers, trees, K-means
+  classifiers            Mahalanobis distance, linear, quantizers, trees, K-means
   datasets / pipeline    labeled word sets, training/evaluation harness
   clustering             4-means length-reduction heuristic
 """
 
 from .automorphisms import (NIELSEN_MOVES, AutomorphismChain, NielsenMove,
                             TypeI, TypeII, WhiteheadAutomorphism,
-                            apply_automorphism, apply_to_word, is_minimal,
-                            minimize, random_automorphism, random_primitive,
+                            apply_automorphism, is_minimal, minimize,
+                            random_automorphism, random_primitive,
                             reducing_moves)
 from .datasets import (DatasetSpec, LabeledWordSet, WordRecord,
                        generate_dataset, load_tsv, save_tsv)
@@ -26,7 +26,7 @@ from .pipeline import (EvaluationReport, Pipeline, PipelineConfig,
                        train_pipeline)
 from .clustering import (ClusterReport, EmptyPureSet, clustering_experiment,
                          estimate_initial_centers, predict_reducer)
-from .words import (CyclicWord, Letter, Word, cyclic_reduce, free_reduce,
-                    parse_cyclic_word, parse_word, random_word)
+from .words import (CyclicWord, Word, cyclic_reduce, parse_cyclic_word,
+                    parse_word, random_word)
 
 __version__ = "0.1.0"

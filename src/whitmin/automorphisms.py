@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import (CyclicWord, Word, check_rank, pair_counts, reduce_codes,
+from .words import (CyclicWord, check_rank, pair_counts, reduce_codes,
                     split_conjugate)
 
 
@@ -84,16 +84,6 @@ def _image_table(t: WhiteheadAutomorphism) -> List[Tuple[int, ...]]:
     return [t.letter_image(c) for c in range(2 * t.rank)]
 
 
-def apply_to_word(t: WhiteheadAutomorphism, w: Word) -> Word:
-    if t.rank != w.rank:
-        raise ValueError(f"rank mismatch: automorphism {t.rank}, word {w.rank}")
-    table = _image_table(t)
-    out: list = []
-    for c in w.letters:
-        out.extend(table[c])
-    return Word(reduce_codes(out), w.rank)
-
-
 def _cyclic_image(t: WhiteheadAutomorphism, letters: Tuple[int, ...]) -> Tuple[int, ...]:
     """Apply letter images, freely reduce and cyclically reduce: the core of
     t(w) in whatever rotation it lands in.  Every rotation of w gives the
@@ -142,26 +132,12 @@ _NIELSEN_AUTOS: Dict[NielsenMove, TypeII] = {
     NielsenMove.B_AINV_B: TypeII(2, 0, frozenset({0, 3})),   # b -> a^-1 b
 }
 
-# a->ab is undone by a->ab^-1, etc.; each inverse is again a (A, a) move
-# with the inverse multiplier.
-_NIELSEN_INVERSE_AUTOS: Dict[NielsenMove, TypeII] = {
-    NielsenMove.A_AB: TypeII(2, 3, frozenset({0, 3})),       # a -> ab^-1
-    NielsenMove.A_BINV_A: TypeII(2, 3, frozenset({1, 3})),   # a -> ba
-    NielsenMove.B_BA: TypeII(2, 1, frozenset({1, 2})),       # b -> ba^-1
-    NielsenMove.B_AINV_B: TypeII(2, 1, frozenset({1, 3})),   # b -> ab
-}
-
 NIELSEN_MOVES: Tuple[NielsenMove, ...] = (
     NielsenMove.A_AB,
     NielsenMove.A_BINV_A,
     NielsenMove.B_BA,
     NielsenMove.B_AINV_B,
 )
-
-
-def nielsen_inverse_automorphism(move: NielsenMove) -> TypeII:
-    """The type-II automorphism undoing the given Nielsen move."""
-    return _NIELSEN_INVERSE_AUTOS[move]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from .base import LabeledSet, choose_threshold, threshold_labels
-from .flats import DistanceModel, FlatModel, classify_by_flats, fit_distance, fit_flat
+from .flats import DistanceModel, fit_distance
 from .kmeans import KMeansModel, kmeans
 from .linear import LinearModel, fit_linear, scatter_matrices
 from .quantize import Quantizer, build_quantizer, quantizer_error
@@ -8,7 +8,7 @@ from .tree import TreeLeaf, TreeModel, TreeNode, TreeParams, fit_tree, node_stat
 
 __all__ = [
     "LabeledSet", "choose_threshold", "threshold_labels",
-    "DistanceModel", "FlatModel", "classify_by_flats", "fit_distance", "fit_flat",
+    "DistanceModel", "fit_distance",
     "KMeansModel", "kmeans",
     "LinearModel", "fit_linear", "scatter_matrices",
     "Quantizer", "build_quantizer", "quantizer_error",

@@ -4,9 +4,13 @@ reseeding."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
+
+
+# Most assignment-and-update rounds kmeans runs before it stops.
+MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -14,7 +18,6 @@ class KMeansModel:
     centers: np.ndarray
     iterations: int
     objective: float            # sum of squared distances at convergence
-    objective_unsquared: float  # sum of plain distances (reported, not asserted)
     assignments: np.ndarray
 
 
@@ -26,32 +29,24 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def kmeans(
     points: np.ndarray,
     k: int,
-    init_centers: Optional[np.ndarray] = None,
-    max_iter: int = 300,
-    rng: Optional[np.random.Generator] = None,
+    init_centers: np.ndarray,
     track_objective: bool = False,
 ) -> KMeansModel:
     """Alternate nearest-center assignment and mean updates until the
-    assignment is stable or max_iter is hit.  Empty clusters are reseeded to
+    assignment is stable or MAX_ITER is hit.  Empty clusters are reseeded to
     the point farthest from its current center.  The squared-distance
     objective never increases between iterations."""
     X = np.asarray(points, dtype=np.float64)
-    n = X.shape[0]
-    if k < 1 or k > n:
+    if k < 1 or k > X.shape[0]:
         raise ValueError("need 1 <= k <= number of points")
-    if init_centers is not None:
-        centers = np.asarray(init_centers, dtype=np.float64).copy()
-        if centers.shape != (k, X.shape[1]):
-            raise ValueError("init_centers must be k x d")
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        centers = X[rng.choice(n, size=k, replace=False)].copy()
+    centers = np.asarray(init_centers, dtype=np.float64).copy()
+    if centers.shape != (k, X.shape[1]):
+        raise ValueError("init_centers must be k x d")
 
     assign = _assign(X, centers)
     history: List[float] = []
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         for c in range(k):
             members = X[assign == c]
             if len(members):
@@ -70,10 +65,8 @@ def kmeans(
             break
         assign = new_assign
 
-    diff = X - centers[assign]
-    obj2 = float((diff ** 2).sum())
-    obj1 = float(np.linalg.norm(diff, axis=1).sum())
-    model = KMeansModel(centers, it, obj2, obj1, assign)
+    obj2 = float(((X - centers[assign]) ** 2).sum())
+    model = KMeansModel(centers, it, obj2, assign)
     if track_objective:
         object.__setattr__(model, "objective_history", history)
     return model

@@ -11,8 +11,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from .flats import DistanceModel, FlatModel
-from .kmeans import KMeansModel
+from .flats import DistanceModel
 from .linear import LinearModel
 from .quantize import Quantizer
 from .tree import TreeLeaf, TreeModel, TreeNode, TreeParams
@@ -76,21 +75,15 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
     elif isinstance(model, DistanceModel):
         doc.update(
             method="distance",
-            variant=model.variant,
+            variant="mahalanobis",
             mu1=_arr(model.mu1), mu2=_arr(model.mu2),
             theta=float(model.theta),
             orientation=int(model.orientation),
             ridge_repaired=model.ridge_repaired,
             training_error=float(model.training_error),
+            inv_cov1=_arr(model.inv_cov1),
+            inv_cov2=_arr(model.inv_cov2),
         )
-        if model.variant == "flat":
-            doc["flat1"] = {"mu": _arr(model.flat1.mu), "T": _arr(model.flat1.T),
-                            "tol": model.flat1.tol}
-            doc["flat2"] = {"mu": _arr(model.flat2.mu), "T": _arr(model.flat2.T),
-                            "tol": model.flat2.tol}
-        else:
-            doc["inv_cov1"] = _arr(model.inv_cov1)
-            doc["inv_cov2"] = _arr(model.inv_cov2)
     elif isinstance(model, TreeModel):
         doc.update(
             method="tree",
@@ -104,14 +97,6 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
                 "eps_type1": model.params.eps_type1,
                 "eps_type2": model.params.eps_type2,
             },
-        )
-    elif isinstance(model, KMeansModel):
-        doc.update(
-            method="kmeans",
-            centers=_arr(model.centers),
-            iterations=int(model.iterations),
-            objective=float(model.objective),
-            objective_unsquared=float(model.objective_unsquared),
         )
     else:
         raise ModelFormatError(f"cannot serialize {type(model).__name__}")
@@ -146,33 +131,22 @@ def _model_from_dict(doc: Dict[str, Any]):
                            float(doc["theta"]), int(doc["orientation"]), method, q,
                            float(doc.get("training_error", 0.0)))
     if method == "distance":
-        kwargs = dict(
-            variant=doc["variant"],
-            mu1=np.array(doc["mu1"], dtype=np.float64),
-            mu2=np.array(doc["mu2"], dtype=np.float64),
-            theta=float(doc["theta"]), orientation=int(doc["orientation"]),
-            ridge_repaired=bool(doc.get("ridge_repaired", False)),
-            training_error=float(doc.get("training_error", 0.0)),
-        )
-        if doc["variant"] == "flat":
-            for k in ("flat1", "flat2"):
-                kwargs[k] = FlatModel(np.array(doc[k]["mu"], dtype=np.float64),
-                                      np.array(doc[k]["T"], dtype=np.float64),
-                                      doc[k]["tol"])
-        else:
-            kwargs["inv_cov1"] = np.array(doc["inv_cov1"], dtype=np.float64)
-            kwargs["inv_cov2"] = np.array(doc["inv_cov2"], dtype=np.float64)
-        return DistanceModel(**kwargs)
+        if doc["variant"] != "mahalanobis":
+            raise ModelFormatError(f"unknown distance variant {doc['variant']!r}")
+        return DistanceModel(
+            np.array(doc["mu1"], dtype=np.float64),
+            np.array(doc["mu2"], dtype=np.float64),
+            np.array(doc["inv_cov1"], dtype=np.float64),
+            np.array(doc["inv_cov2"], dtype=np.float64),
+            float(doc["theta"]), int(doc["orientation"]),
+            bool(doc.get("ridge_repaired", False)),
+            float(doc.get("training_error", 0.0)))
     if method == "tree":
         p = doc["params"]
         params = TreeParams(p["max_depth"], p["min_node"], p["chi2_cutoff"],
                             p["criterion"], p["eps_type1"], p["eps_type2"])
         return TreeModel(_tree_node_from_dict(doc["tree"]), int(doc["num_classes"]),
                          params)
-    if method == "kmeans":
-        return KMeansModel(np.array(doc["centers"]), int(doc["iterations"]),
-                           float(doc["objective"]), float(doc["objective_unsquared"]),
-                           np.array([], dtype=np.int64))
     raise ModelFormatError(f"unknown method {method!r}")
 
 

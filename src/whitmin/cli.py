@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-features", type=int, default=None)
 
     c = sub.add_parser("cluster", help="4-means length-reduction experiment")
-    c.add_argument("--k", type=int, default=4)
     c.add_argument("--features", default="f2")
     c.add_argument("--init", default="estimated", choices=["random", "estimated"])
     c.add_argument("--seed", type=int, default=0)
@@ -194,8 +193,6 @@ def _cmd_cluster(args) -> int:
     from .clustering import (EmptyPureSet, centers_to_json, clustering_experiment,
                              report_centers_by_move)
     from .features import resolve_map
-    if args.k != 4:
-        return _fail("only --k 4 is supported (one cluster per Nielsen move)", EXIT_USAGE)
     try:
         fmap = resolve_map(args.features, 2)
     except ValueError as e:

@@ -165,9 +165,13 @@ def centers_to_json(centers: Dict[NielsenMove, np.ndarray], fmap_name: str) -> s
 
 def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
     """Centers and feature-map name from a centers file.  Raises ValueError
-    or KeyError for an unknown schema, a missing or unknown move, or a center
-    whose length is not the rank-2 feature map's dimension."""
-    doc = json.loads(text)
+    or KeyError for JSON nested too deeply to parse, an unknown schema, a
+    missing or unknown move, or a center whose length is not the rank-2
+    feature map's dimension."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as e:
+        raise ValueError("centers file is nested too deeply") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("centers"), dict):
         raise ValueError("a centers file is a JSON object with a centers object")
     if doc.get("schema_version") != 1:

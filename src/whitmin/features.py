@@ -136,9 +136,6 @@ class FeatureMap:
     def dim(self) -> int:
         return len(self.patterns)
 
-    def column_names(self) -> List[str]:
-        return [p.text() for p in self.patterns]
-
     @functools.cached_property
     def _plan(self) -> Tuple[list, np.ndarray, np.ndarray, int]:
         """Built on first use: one (offsets, keys) group per offset tuple, the
@@ -306,10 +303,6 @@ class WhiteheadGraph:
 
     rank: int
     edges: Dict[Tuple[int, Tuple[int, ...], int], int] = field(default_factory=dict)
-
-    @property
-    def vertices(self) -> List[int]:
-        return list(range(2 * self.rank))
 
     def weight(self, x: int, label: Tuple[int, ...], y: int) -> int:
         return self.edges.get((x, tuple(label), y), 0)

@@ -81,7 +81,7 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
                                 cfg.quantizer_kind)
             model = model.with_quantizer(q)
     elif cfg.method == "distance":
-        model = fit_distance(data, "mahalanobis")
+        model = fit_distance(data)
     else:
         model = fit_tree(data, TreeParams())
     return Pipeline(fmap, model, cfg)
@@ -295,10 +295,6 @@ def _check_model(model, dim: int) -> None:
             fits = model.weights.shape == (dim,)
             if model.quantizer is not None:
                 labels.update(model.quantizer.interval_labels)
-        elif model.variant == "flat":
-            fits = (model.mu1.shape == model.mu2.shape == (dim,) and all(
-                f.mu.shape == (dim,) and f.T.ndim == 2 and f.T.shape[0] == dim
-                for f in (model.flat1, model.flat2)))
         else:
             fits = (model.mu1.shape == model.mu2.shape == (dim,)
                     and model.inv_cov1.shape == model.inv_cov2.shape == (dim, dim))

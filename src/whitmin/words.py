@@ -8,7 +8,7 @@ Letters are stored as small integer codes: generator g with sign +1 has code
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -22,28 +22,6 @@ MAX_RANK = 26
 
 class InvalidLetterError(ValueError):
     """A letter code is out of range for the ambient rank."""
-
-
-@dataclass(frozen=True)
-class Letter:
-    """A signed generator; convenience wrapper around the integer code."""
-
-    generator: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidLetterError(f"sign must be +1 or -1, got {self.sign}")
-        if self.generator < 0:
-            raise InvalidLetterError(f"negative generator index {self.generator}")
-
-    @property
-    def code(self) -> int:
-        return 2 * self.generator + (0 if self.sign > 0 else 1)
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        return Letter(code >> 1, 1 if code % 2 == 0 else -1)
 
 
 # codes 0..2r-1 are _CODES[:2r]; _PAIRS[c] is the cancelling pair c c^-1
@@ -110,9 +88,6 @@ class Word:
     def __str__(self) -> str:
         return format_codes(self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(tuple(c ^ 1 for c in reversed(self.letters)), self.rank)
-
 
 @dataclass(frozen=True)
 class CyclicWord:
@@ -140,14 +115,6 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return format_codes(self.letters)
-
-    def to_word(self) -> Word:
-        return Word(self.letters, self.rank)
-
-    def rotations(self) -> Iterable[Tuple[int, ...]]:
-        ls = self.letters
-        for i in range(max(1, len(ls))):
-            yield ls[i:] + ls[:i]
 
 
 def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
@@ -216,12 +183,6 @@ def _smallest_period(seq: Sequence[int]) -> int:
         return 1
     b = bytes(seq)
     return (b + b).find(b, 1)
-
-
-def free_reduce(raw: Sequence[int], rank: int) -> Word:
-    """Freely reduce a raw letter-code sequence into a Word."""
-    check_codes(raw, rank)
-    return Word(reduce_codes(raw), rank)
 
 
 def split_conjugate(codes: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -200,7 +200,8 @@ def test_c6_numerics_property_suite(capsys):
 
     for trial in range(1000):
         X = rng.normal(size=(int(rng.integers(10, 40)), int(rng.integers(1, 4))))
-        model = kmeans(X, int(rng.integers(2, 5)), rng=rng, track_objective=True)
+        k = int(rng.integers(2, 5))
+        model = kmeans(X, k, X[rng.choice(len(X), k, replace=False)], track_objective=True)
         h = model.objective_history
         if any(h[i + 1] > h[i] + 1e-9 for i in range(len(h) - 1)):
             failures.append(("kmeans-monotone", trial))

@@ -5,13 +5,11 @@ import pytest
 from scipy import stats
 from scipy.special import chdtri
 
-from whitmin.classifiers import (DistanceModel, KMeansModel, LabeledSet,
-                                 LinearModel, Quantizer, TreeParams,
+from whitmin.classifiers import (LabeledSet, Quantizer, TreeParams,
                                  build_quantizer, choose_threshold,
-                                 classify_by_flats, fit_distance, fit_flat,
-                                 fit_linear, fit_tree, kmeans, node_stats,
-                                 quantizer_error, scatter_matrices,
-                                 threshold_labels)
+                                 fit_distance, fit_linear, fit_tree, kmeans,
+                                 node_stats, quantizer_error,
+                                 scatter_matrices, threshold_labels)
 from whitmin.classifiers.base import sorted_class_counts
 from whitmin.classifiers.quantize import _majority_labels
 from whitmin.classifiers.serialize import (ModelFormatError, dumps, loads,
@@ -134,45 +132,11 @@ class TestSortedClassCounts:
                                     for c in (1, 2, 3)]
 
 
-class TestFlats:
-    def test_plane_recovered(self):
-        rng = np.random.default_rng(1)
-        # points on the z = 2 plane
-        pts = np.column_stack([rng.normal(size=40), rng.normal(size=40),
-                               np.full(40, 2.0)])
-        flat = fit_flat(pts)
-        assert flat.T.shape[1] == 1
-        assert flat.residual(np.array([5.0, -3.0, 2.0])) < 1e-9
-        assert flat.residual(np.array([0.0, 0.0, 3.0])) > 0.5
-
-    def test_classify_outcomes(self):
-        rng = np.random.default_rng(2)
-        f1 = fit_flat(np.column_stack([rng.normal(size=30), np.zeros(30)]))
-        f2 = fit_flat(np.column_stack([np.zeros(30), rng.normal(size=30)]))
-        assert classify_by_flats(np.array([3.0, 0.0]), f1, f2) == "class1"
-        assert classify_by_flats(np.array([0.0, 3.0]), f1, f2) == "class2"
-        assert classify_by_flats(np.array([0.0, 0.0]), f1, f2) == "both"
-        assert classify_by_flats(np.array([1.0, 1.0]), f1, f2) == "neither"
-
-
 class TestDistance:
     def test_mahalanobis_separates_blobs(self):
         rng = np.random.default_rng(3)
         data = two_blob_set(rng, sep=6.0)
-        model = fit_distance(data, variant="mahalanobis")
-        preds = model.predict(data.features)
-        assert (preds == data.labels).mean() > 0.97
-
-    def test_flat_variant_separates_planar_classes(self):
-        rng = np.random.default_rng(3)
-        # class 1 hugs the z = 0 plane, class 2 the x = 0 plane
-        n = 80
-        X1 = np.column_stack([rng.normal(size=n) + 1.0, rng.normal(size=n),
-                              rng.normal(scale=0.01, size=n)])
-        X2 = np.column_stack([rng.normal(scale=0.01, size=n),
-                              rng.normal(size=n), rng.normal(size=n) + 1.0])
-        data = LabeledSet(np.vstack([X1, X2]), np.array([1] * n + [2] * n), 2)
-        model = fit_distance(data, variant="flat", flat_tol=1e-2)
+        model = fit_distance(data)
         preds = model.predict(data.features)
         assert (preds == data.labels).mean() > 0.97
 
@@ -182,18 +146,17 @@ class TestDistance:
         X1 = rng.normal(scale=4.0, size=(400, 1))
         X2 = rng.normal(scale=0.25, size=(400, 1)) + 4.0
         data = LabeledSet(np.vstack([X1, X2]), np.array([1] * 400 + [2] * 400), 2)
-        model = fit_distance(data, variant="mahalanobis")
+        model = fit_distance(data)
         assert model.predict(np.array([[2.0]])).tolist() == [1]
 
     def test_round_trip(self):
         rng = np.random.default_rng(5)
         data = two_blob_set(rng)
-        for variant in ("flat", "mahalanobis"):
-            model = fit_distance(data, variant=variant)
-            clone = loads(dumps(model))
-            X = data.features[:10]
-            assert np.array_equal(clone.predict(X), model.predict(X))
-            assert np.array_equal(clone.scores(X), model.scores(X))
+        model = fit_distance(data)
+        clone = loads(dumps(model))
+        X = data.features[:10]
+        assert np.array_equal(clone.predict(X), model.predict(X))
+        assert np.array_equal(clone.scores(X), model.scores(X))
 
     def test_scores_match_row_formula(self):
         # scores(X) must be bit-equal to the one-row formulas: a matrix form
@@ -201,14 +164,10 @@ class TestDistance:
         rng = np.random.default_rng(25)
         data = two_blob_set(rng, d=5)
         X = data.features
-        m = fit_distance(data, variant="mahalanobis")
+        m = fit_distance(data)
         rows = [float((x - m.mu1) @ m.inv_cov1 @ (x - m.mu1)
                       - (x - m.mu2) @ m.inv_cov2 @ (x - m.mu2)) for x in X]
         assert m.scores(X).tolist() == rows
-        f = fit_distance(data, variant="flat", flat_tol=0.5)
-        rows = [float(np.linalg.norm(f.flat1.T.T @ (x - f.flat1.mu))
-                      - np.linalg.norm(f.flat2.T.T @ (x - f.flat2.mu))) for x in X]
-        assert f.scores(X).tolist() == rows
 
 
 class TestLinear:
@@ -590,7 +549,7 @@ class TestKMeans:
         rng = np.random.default_rng(19)
         centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         X = np.vstack([rng.normal(size=(50, 2)) + c for c in centers])
-        model = kmeans(X, 3, rng=np.random.default_rng(0))
+        model = kmeans(X, 3, X[np.random.default_rng(0).choice(len(X), 3, replace=False)])
         got = model.centers[np.lexsort(model.centers.T)]
         want = centers[np.lexsort(centers.T)]
         assert np.abs(got - want).max() < 1.0
@@ -599,7 +558,8 @@ class TestKMeans:
         rng = np.random.default_rng(20)
         for _ in range(10):
             X = rng.normal(size=(80, 3))
-            model = kmeans(X, 4, rng=rng, track_objective=True)
+            init = X[rng.choice(len(X), 4, replace=False)]
+            model = kmeans(X, 4, init, track_objective=True)
             h = model.objective_history
             assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
 
@@ -620,15 +580,7 @@ class TestKMeans:
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 1)), 4)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(22)
-        X = rng.normal(size=(30, 2))
-        model = kmeans(X, 3, rng=rng)
-        clone = loads(dumps(model))
-        assert np.array_equal(clone.centers, model.centers)
-        assert clone.objective == model.objective
+            kmeans(np.zeros((3, 1)), 4, np.zeros((4, 1)))
 
 
 class TestSerialization:

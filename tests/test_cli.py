@@ -229,6 +229,9 @@ BAD_MODELS = {
     "feature-map": ("model", ["feature_map"], "f2"),
     "mu-length": ("distance", ["mu1"], [0.0] * 59),
     "inv-cov-shape": ("distance", ["inv_cov2"], [[1.0, 0.0], [0.0, 1.0]]),
+    "distance-variant": ("distance", ["variant"], "foo"),
+    "flat-variant": ("distance", ["variant"], "flat"),
+    "kmeans-method": ("model", ["method"], "kmeans"),
     "tree-feature": ("tree", ["tree", "feature"], 60),
     "tree-missing-child": ("tree", ["tree", "left"], _DELETE),
 }
@@ -310,7 +313,9 @@ class TestCluster:
         assert out.startswith("cluster,size,move,")
 
     def test_k_must_be_4(self, workdir, capsys):
-        assert main(["cluster", "--data", workdir["train"], "--k", "3"]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as e:
+            main(["cluster", "--data", workdir["train"], "--k", "3"])
+        assert e.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("features", ["f9", "pool:x"])
     def test_unknown_feature_map_is_usage_error(self, workdir, capsys, features):
@@ -366,6 +371,13 @@ class TestWordCommands:
                      "--centers", str(path)]) == EXIT_MODEL
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_predict_reducer_deeply_nested_centers(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["predict-reducer", "--word", "abab",
+                     "--centers", str(path)]) == EXIT_MODEL
+        assert _one_error_line(capsys)
 
     def test_predict_reducer_end_to_end(self, cluster_data, tmp_path, capsys):
         centers = str(tmp_path / "centers.json")
