@@ -4,7 +4,7 @@ from .kmeans import KMeansModel, kmeans
 from .linear import LinearModel, fit_linear, scatter_matrices
 from .quantize import Quantizer, build_quantizer, quantizer_error
 from .serialize import ModelFormatError, model_from_dict, model_to_dict
-from .tree import TreeLeaf, TreeModel, TreeNode, TreeParams, fit_tree, node_stats
+from .tree import TreeLeaf, TreeModel, TreeNode, fit_tree, node_stats
 
 __all__ = [
     "LabeledSet", "choose_threshold", "threshold_labels",
@@ -13,5 +13,5 @@ __all__ = [
     "LinearModel", "fit_linear", "scatter_matrices",
     "Quantizer", "build_quantizer", "quantizer_error",
     "ModelFormatError", "model_from_dict", "model_to_dict",
-    "TreeLeaf", "TreeModel", "TreeNode", "TreeParams", "fit_tree", "node_stats",
+    "TreeLeaf", "TreeModel", "TreeNode", "fit_tree", "node_stats",
 ]

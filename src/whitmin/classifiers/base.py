@@ -11,11 +11,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix with class labels in 1..num_classes."""
+    """Feature matrix with class labels 1 (minimal) and 2 (nonminimal)."""
 
     features: np.ndarray
     labels: np.ndarray
-    num_classes: int
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
@@ -26,23 +25,23 @@ class LabeledSet:
             raise ValueError("features must be a nonempty N x d matrix")
         if y.shape != (X.shape[0],):
             raise ValueError("labels must be one per row")
-        if y.min() < 1 or y.max() > self.num_classes:
+        if y.min() < 1 or y.max() > 2:
             raise ValueError("labels out of range")
 
     def class_rows(self, c: int) -> np.ndarray:
         return self.features[self.labels == c]
 
 
-def sorted_class_counts(values: np.ndarray, labels: np.ndarray, num_classes: int
+def sorted_class_counts(values: np.ndarray, labels: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stably sorted values and labels, and the (N+1) x M cumulative counts:
-    row k counts classes 1..M among the first k sorted values, so the counts
-    at or below theta are row searchsorted(values, theta, "right")."""
+    """Stably sorted values and labels, and the (N+1) x 2 cumulative counts:
+    row k counts classes 1 and 2 among the first k sorted values, so the
+    counts at or below theta are row searchsorted(values, theta, "right")."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     y = labels[order]
-    counts = np.zeros((len(v) + 1, num_classes), dtype=np.int64)
-    np.cumsum(y[:, None] == np.arange(1, num_classes + 1), axis=0, out=counts[1:])
+    counts = np.zeros((len(v) + 1, 2), dtype=np.int64)
+    np.cumsum(y[:, None] == np.arange(1, 3), axis=0, out=counts[1:])
     return v, y, counts
 
 
@@ -59,7 +58,7 @@ def choose_threshold(scores: np.ndarray, labels: np.ndarray) -> Tuple[float, int
     n = scores.shape[0]
     if n == 0 or not ((labels == 1).any() and (labels == 2).any()):
         raise ValueError("need at least one score per class")
-    s, y, counts = sorted_class_counts(scores, labels, 2)
+    s, y, counts = sorted_class_counts(scores, labels)
     change = y[:-1] != y[1:]
     cands = np.unique(np.append((s[:-1][change] + s[1:][change]) / 2.0, s[-1]))
 

@@ -52,8 +52,6 @@ class DistanceModel:
 
 
 def fit_distance(data: LabeledSet) -> DistanceModel:
-    if data.num_classes != 2:
-        raise ValueError("distance classifier is two-class")
     X1 = data.class_rows(1)
     X2 = data.class_rows(2)
     if len(X1) == 0 or len(X2) == 0:

@@ -77,8 +77,6 @@ def fit_linear(data: LabeledSet, method: str = "regression") -> LinearModel:
     fisher:     v = Sw^-1 (mu1 - mu2), unit multiplicative constant
     svm:        v minimizes v'v subject to y_k v'z_k >= 1 (labels +1 / -1)
     """
-    if data.num_classes != 2:
-        raise ValueError("linear classifiers are two-class")
     if not ((data.labels == 1).any() and (data.labels == 2).any()):
         raise ValueError("both classes must be nonempty")
     X = data.features

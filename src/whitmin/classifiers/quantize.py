@@ -75,8 +75,8 @@ def build_quantizer(
     equal_interval:    M equal-width bins over [min, max]
     equal_probability: M bins with per-bin counts differing by at most one
     min_error:         dynamic-programming boundary placement minimizing the
-                       majority-vote training error (O(n^2 M) in the number of
-                       distinct scores, one numpy row per bin count and end)
+                       majority-vote training error (O(M n) in the number n of
+                       distinct scores, two running minima per bin count)
     """
     if num_intervals < 2:
         raise ValueError("need at least 2 intervals")
@@ -86,7 +86,7 @@ def build_quantizer(
     labels = np.asarray(labels, dtype=np.int64)
     if scores.shape[0] == 0:
         raise ValueError("no scores")
-    s, _, counts = sorted_class_counts(scores, labels, 2)
+    s, _, counts = sorted_class_counts(scores, labels)
     lo, hi = float(s[0]), float(s[-1])
     if hi <= lo:
         n1, n2 = counts[-1]
@@ -108,27 +108,43 @@ def build_quantizer(
     return Quantizer(kind, tuple(bounds), tuple(_majority_labels(s, counts, bounds)))
 
 
+def _running_min(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Running minimum of a, and the first position that attains each one."""
+    run = np.minimum.accumulate(a)
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = a[1:] < run[:-1]
+    return run, np.maximum.accumulate(np.where(new, np.arange(len(a)), 0))
+
+
 def _min_error_boundaries(s: np.ndarray, counts: np.ndarray, m: int) -> List[float]:
     """DP over distinct sorted scores; candidate cuts are midpoints between
-    consecutive distinct values."""
+    consecutive distinct values.  O(m n) in the n distinct values."""
     vals = np.unique(s)
     n = len(vals)
     # p1[j], p2[j]: class counts over the first j distinct values
     p1, p2 = counts[np.concatenate([[0], np.searchsorted(s, vals, side="right")])].T
 
     m = min(m, n)
-    # prev[j]: least error covering values 0..j-1 with k - 1 bins; a bin over
-    # values i..j-1 errs on its minority count
+    # prev[j]: least error covering values 0..j-1 with k - 1 bins
     prev = np.minimum(p1, p2)
     choice: List[np.ndarray] = []
     for k in range(2, m + 1):
+        # With k bins the least error over values 0..j-1 (j = k..n, entry
+        # j - k) is the least over cuts i = k-1..j-1 of prev[i] +
+        # min(p1[j] - p1[i], p2[j] - p2[i]), a bin erring on its minority
+        # count.  That is the smaller of p1[j] + min(prev[i] - p1[i]) and
+        # p2[j] + min(prev[i] - p2[i]): two running minima over i.  The cut
+        # kept is the leftmost argmin: the smaller first position of the
+        # running minima that attain the row's value.
+        t1, f1 = _running_min(prev[k - 1:n] - p1[k - 1:n])
+        t2, f2 = _running_min(prev[k - 1:n] - p2[k - 1:n])
+        t1 += p1[k:]
+        t2 += p2[k:]
+        row = np.minimum(t1, t2)
         cur = np.zeros(n + 1, dtype=np.int64)
         ch = np.zeros(n + 1, dtype=np.int64)
-        for j in range(k, n + 1):
-            c = prev[k - 1:j] + np.minimum(p1[j] - p1[k - 1:j], p2[j] - p2[k - 1:j])
-            i = int(np.argmin(c))  # the first minimum, the leftmost cut
-            cur[j] = c[i]
-            ch[j] = k - 1 + i
+        cur[k:] = row
+        ch[k:] = k - 1 + np.minimum(np.where(t1 == row, f1, n), np.where(t2 == row, f2, n))
         choice.append(ch)
         prev = cur
 

@@ -14,9 +14,14 @@ import numpy as np
 from .flats import DistanceModel
 from .linear import LinearModel
 from .quantize import Quantizer
-from .tree import TreeLeaf, TreeModel, TreeNode, TreeParams
+from .tree import TreeLeaf, TreeModel, TreeNode
 
 SCHEMA_VERSION = 1
+
+# Written into every tree document so that files keep the layout of the
+# format's first version, when trees were configurable; loading ignores it.
+_TREE_PARAMS = {"max_depth": None, "min_node": 10, "chi2_cutoff": None,
+                "criterion": "purity", "eps_type1": None, "eps_type2": None}
 
 
 class ModelFormatError(ValueError):
@@ -87,16 +92,9 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
     elif isinstance(model, TreeModel):
         doc.update(
             method="tree",
-            num_classes=model.num_classes,
+            num_classes=2,
             tree=_tree_node_to_dict(model.root),
-            params={
-                "max_depth": model.params.max_depth,
-                "min_node": model.params.min_node,
-                "chi2_cutoff": model.params.chi2_cutoff,
-                "criterion": model.params.criterion,
-                "eps_type1": model.params.eps_type1,
-                "eps_type2": model.params.eps_type2,
-            },
+            params=dict(_TREE_PARAMS),
         )
     else:
         raise ModelFormatError(f"cannot serialize {type(model).__name__}")
@@ -142,11 +140,7 @@ def _model_from_dict(doc: Dict[str, Any]):
             bool(doc.get("ridge_repaired", False)),
             float(doc.get("training_error", 0.0)))
     if method == "tree":
-        p = doc["params"]
-        params = TreeParams(p["max_depth"], p["min_node"], p["chi2_cutoff"],
-                            p["criterion"], p["eps_type1"], p["eps_type2"])
-        return TreeModel(_tree_node_from_dict(doc["tree"]), int(doc["num_classes"]),
-                         params)
+        return TreeModel(_tree_node_from_dict(doc["tree"]))
     raise ModelFormatError(f"unknown method {method!r}")
 
 

@@ -121,7 +121,7 @@ def _cmd_train(args) -> int:
     try:
         cfg = PipelineConfig(feature_map=args.features, method=args.model,
                              quantizer_kind=kinds[args.quantizer],
-                             quantizer_bins=args.bins, rank=args.rank)
+                             quantizer_bins=args.bins)
     except ValueError as e:
         return _fail(e, EXIT_USAGE)
     train = _load_dataset(args.train_file, args.rank)
@@ -148,15 +148,16 @@ def _load_pipeline(path: str):
 
 
 def _cmd_evaluate(args) -> int:
-    from .pipeline import evaluate
+    from .pipeline import MAX_BINS, evaluate
     pipeline = _load_pipeline(args.model)
-    test = _load_dataset(args.test, pipeline.config.rank)
+    test = _load_dataset(args.test, pipeline.fmap.rank)
     try:
         strata = tuple(int(x) for x in args.strata.split(","))
     except ValueError:
         return _fail(f"bad strata {args.strata!r}", EXIT_USAGE)
-    if args.hist_bins < 2:
-        return _fail(f"--hist-bins must be >= 2, got {args.hist_bins}", EXIT_USAGE)
+    if not 2 <= args.hist_bins <= MAX_BINS:
+        return _fail(f"--hist-bins must be 2 to {MAX_BINS}, got {args.hist_bins}",
+                     EXIT_USAGE)
     try:
         report = evaluate(pipeline, test, bins=args.hist_bins, strata=strata)
     except ValueError as e:
@@ -180,7 +181,7 @@ def _cmd_select_features(args) -> int:
     train = _load_dataset(args.train_file, args.rank)
     val = _load_dataset(args.val_file, args.rank)
     try:
-        chosen = greedy_feature_selection(pool, train, val, rank=args.rank,
+        chosen = greedy_feature_selection(pool, train, val,
                                           max_features=args.max_features)
     except ValueError as e:
         return _fail(e, EXIT_DATA)

@@ -113,7 +113,7 @@ def clustering_experiment(
         idx = rng.choice(len(rest), size=4, replace=False)
         init_centers = X[idx]
 
-    model = kmeans(X, 4, init_centers=init_centers)
+    model = kmeans(X, init_centers)
 
     ground: List[List[NielsenMove]] = [reducing_moves(w) for w in rest]
     rates: List[Dict[NielsenMove, float]] = []

@@ -170,6 +170,9 @@ def _window_letters(arr: np.ndarray, offsets: Sequence[int]) -> Counter:
 
 def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     """Per-pattern cyclic counts divided by |w|."""
+    if w.rank != fmap.rank:
+        raise ValueError(f"a rank-{w.rank} word does not fit the rank-{fmap.rank} "
+                         f"feature map {fmap.name!r}")
     n = len(w)
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")

@@ -5,12 +5,12 @@ feature selection."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classifiers import (LabeledSet, LinearModel, TreeLeaf, TreeModel, TreeParams,
+from .classifiers import (LabeledSet, LinearModel, TreeLeaf, TreeModel,
                           build_quantizer, choose_threshold, fit_distance,
                           fit_linear, fit_tree, threshold_labels)
 from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
@@ -21,6 +21,15 @@ from .words import CyclicWord
 
 DEFAULT_STRATA = (0, 4, 100)
 DEFAULT_QUANTIZER_BINS = 100
+# Most quantizer or histogram bins: each bin costs tens of bytes, and more
+# bins than scores separate nothing.
+MAX_BINS = 100_000
+# Greedy selection stops when the best candidate raises validation accuracy
+# by less than this.
+MIN_IMPROVEMENT = 0.001
+# Most feature-matrix cells greedy selection counts, |pool| x (|train| + |val|),
+# 8 bytes each: pool:1-5 (4,356 patterns) on 10,000 + 10,000 words fits.
+MAX_SELECTION_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -29,18 +38,14 @@ class PipelineConfig:
     method: str = "regression"          # regression|fisher|svm|tree|distance
     quantizer_kind: Optional[str] = "equal_interval"
     quantizer_bins: int = DEFAULT_QUANTIZER_BINS
-    threshold_override: Optional[float] = None
-    rank: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("regression", "fisher", "svm", "tree", "distance"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "tree" and self.threshold_override is not None:
-            raise ValueError("a tree has no score to apply threshold_override to")
         if (self.method in ("regression", "fisher", "svm") and self.quantizer_kind
-                and self.quantizer_bins < 2):
-            raise ValueError(f"a quantizer needs at least 2 bins, got {self.quantizer_bins}")
+                and not 2 <= self.quantizer_bins <= MAX_BINS):
+            raise ValueError(f"a quantizer needs 2 to {MAX_BINS} bins, "
+                             f"got {self.quantizer_bins}")
 
 
 @dataclass
@@ -55,13 +60,7 @@ class Pipeline:
         return self.model.scores(feature_matrix(words, self.fmap))
 
     def predict_words(self, words: Sequence[CyclicWord]) -> np.ndarray:
-        return self._predict_rows(feature_matrix(words, self.fmap))
-
-    def _predict_rows(self, X: np.ndarray) -> np.ndarray:
-        theta = self.config.threshold_override
-        if theta is None:
-            return self.model.predict(X)
-        return threshold_labels(self.model.scores(X), theta, self.model.orientation)
+        return self.model.predict(feature_matrix(words, self.fmap))
 
 
 def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
@@ -69,10 +68,10 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
     build the quantizer on the training scores."""
     if len(train) == 0:
         raise ValueError("empty training set")
-    fmap = resolve_map(cfg.feature_map, cfg.rank)
+    fmap = resolve_map(cfg.feature_map, train.rank)
     X = feature_matrix(train.words(), fmap)
     y = train.labels()
-    data = LabeledSet(X, y, 2)
+    data = LabeledSet(X, y)
 
     if cfg.method in ("regression", "fisher", "svm"):
         model = fit_linear(data, cfg.method)
@@ -83,7 +82,7 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
     elif cfg.method == "distance":
         model = fit_distance(data)
     else:
-        model = fit_tree(data, TreeParams())
+        model = fit_tree(data)
     return Pipeline(fmap, model, cfg)
 
 
@@ -131,8 +130,8 @@ def score_histogram(pipeline: Pipeline, data: LabeledWordSet, bins: int) -> Scor
 
 
 def _histogram(s: np.ndarray, y: np.ndarray, bins: int) -> ScoreHistogram:
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValueError(f"need 2 to {MAX_BINS} bins, got {bins}")
     lo, hi = float(s.min()), float(s.max())
     if hi <= lo:
         hi = lo + 1.0
@@ -152,7 +151,7 @@ def evaluate(
     if not len(test):
         raise ValueError("empty test set")
     X = feature_matrix(test.words(), pipeline.fmap)
-    preds = pipeline._predict_rows(X)
+    preds = pipeline.model.predict(X)
     y = test.labels()
     lengths = test.lengths()
     report_strata: Dict[int, Tuple[int, Optional[float]]] = {}
@@ -178,16 +177,16 @@ def greedy_feature_selection(
     pool: Sequence[Pattern],
     train: LabeledWordSet,
     validation: LabeledWordSet,
-    rank: int = 2,
-    min_improvement: float = 0.001,
     max_features: Optional[int] = None,
 ) -> List[int]:
-    """Forward selection of pool patterns for the regression classifier.
+    """Forward selection of pool patterns (at the training set's rank) for the
+    regression classifier.
 
     Starts empty and repeatedly adds the pattern maximizing validation
     accuracy of the retrained pipeline; stops when the best improvement drops
-    below ``min_improvement`` or the pool is exhausted.  Returns the selected
-    pool indices in acceptance order.
+    below MIN_IMPROVEMENT or the pool is exhausted.  Returns the selected
+    pool indices in acceptance order.  Raises ValueError before counting
+    anything when the feature matrices would exceed MAX_SELECTION_CELLS.
     """
     if not pool:
         raise ValueError("empty pattern pool")
@@ -195,7 +194,11 @@ def greedy_feature_selection(
         raise ValueError("empty training set")
     if not len(validation):
         raise ValueError("empty validation set")
-    full = FeatureMap("pool", tuple(pool), rank)
+    cells = len(pool) * (len(train) + len(validation))
+    if cells > MAX_SELECTION_CELLS:
+        raise ValueError(f"{len(pool)} patterns x {len(train) + len(validation)} words "
+                         f"= {cells} feature cells, over the {MAX_SELECTION_CELLS} budget")
+    full = FeatureMap("pool", tuple(pool), train.rank)
     Xtr = feature_matrix(train.words(), full)
     Xva = feature_matrix(validation.words(), full)
     ytr = train.labels()
@@ -220,7 +223,7 @@ def greedy_feature_selection(
             acc = val_accuracy(selected + [j])
             if best is None or acc > best[0]:
                 best = (acc, j)
-        if best is None or best[0] < best_acc + min_improvement:
+        if best is None or best[0] < best_acc + MIN_IMPROVEMENT:
             break
         best_acc = best[0]
         selected.append(best[1])
@@ -238,9 +241,11 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
         "method": pipeline.config.method,
         "quantizer_kind": pipeline.config.quantizer_kind,
         "quantizer_bins": pipeline.config.quantizer_bins,
-        "threshold_override": pipeline.config.threshold_override,
-        "rank": pipeline.config.rank,
-        "seed": pipeline.config.seed,
+        # kept in the layout of the format's first version: nothing sets a
+        # threshold_override or a seed any more, and a loader rejects the former
+        "threshold_override": None,
+        "rank": pipeline.fmap.rank,
+        "seed": 0,
     }
     return json.dumps(doc, indent=2)
 
@@ -260,11 +265,10 @@ def pipeline_from_json(text: str) -> Pipeline:
             method=c.get("method", doc.get("method", "regression")),
             quantizer_kind=c.get("quantizer_kind"),
             quantizer_bins=c.get("quantizer_bins", DEFAULT_QUANTIZER_BINS),
-            threshold_override=c.get("threshold_override"),
-            rank=c.get("rank", 2),
-            seed=c.get("seed", 0),
         )
-        fmap = resolve_map(cfg.feature_map, cfg.rank)
+        if c.get("threshold_override") is not None:
+            raise ValueError("a threshold_override is not supported")
+        fmap = resolve_map(cfg.feature_map, c.get("rank", 2))
     except (AttributeError, TypeError, ValueError) as e:
         raise ModelFormatError(f"bad pipeline config: {e}") from e
     if cfg.method != doc["method"]:

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 
 from whitmin.automorphisms import TypeII, apply_automorphism
 from whitmin.words import MIN_RANK, CyclicWord
+
+# the classifiers package exports the function kmeans under its module's name
+kmeans_module = importlib.import_module("whitmin.classifiers.kmeans")
 
 
 def enumerate_type2(rank):
@@ -81,3 +85,19 @@ def bfs_orbit_min(w: CyclicWord) -> int:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def kmeans_objectives(monkeypatch, X, init):
+    """The squared-distance objective after each assignment-and-update round
+    of kmeans(X, init).  Each one-round call (MAX_ITER = 1) repeats one round
+    of the full run from the centers the last call returned, for as many
+    rounds as the full run takes."""
+    rounds = kmeans_module.kmeans(X, init).iterations
+    history, centers = [], init
+    with monkeypatch.context() as mp:
+        mp.setattr(kmeans_module, "MAX_ITER", 1)
+        for _ in range(rounds):
+            model = kmeans_module.kmeans(X, centers)
+            history.append(float(((X - model.centers[model.assignments]) ** 2).sum()))
+            centers = model.centers
+    return history

@@ -15,11 +15,11 @@ from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
 from whitmin.features import builtin_map
 from whitmin.numerics import (NonSeparable, least_squares, mean_and_covariance,
                               qp_hard_margin, sym_eigen)
-from whitmin.classifiers import kmeans, LabeledSet
+from whitmin.classifiers import LabeledSet
 from whitmin.pipeline import (PipelineConfig, evaluate, pipeline_to_json,
                               score_histogram, train_pipeline)
 
-from conftest import all_cyclic_words, bfs_orbit_min
+from conftest import all_cyclic_words, bfs_orbit_min, kmeans_objectives
 
 
 def _report(capsys, label, ok, detail=""):
@@ -132,7 +132,7 @@ def test_c5_f6_score_histogram_overlap(capsys, dataset_cache):
     _report(capsys, "C5 f6 histogram overlap", ok, f"overlap {overlap:.4f}")
 
 
-def test_c6_numerics_property_suite(capsys):
+def test_c6_numerics_property_suite(capsys, monkeypatch):
     """1000 randomized instances per numerical property."""
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -171,7 +171,7 @@ def test_c6_numerics_property_suite(capsys):
         n2 = int(rng.integers(2, 15))
         feats = np.vstack([rng.normal(size=(n1, d)), rng.normal(size=(n2, d)) + 1.0])
         labels = np.array([1] * n1 + [2] * n2)
-        S, Sw, Sb = scatter_matrices(LabeledSet(feats, labels, 2))
+        S, Sw, Sb = scatter_matrices(LabeledSet(feats, labels))
         if np.abs(S - (Sw + Sb)).max() >= 1e-10 * max(1.0, np.abs(S).max()):
             failures.append(("scatter-identity", trial))
 
@@ -201,8 +201,7 @@ def test_c6_numerics_property_suite(capsys):
     for trial in range(1000):
         X = rng.normal(size=(int(rng.integers(10, 40)), int(rng.integers(1, 4))))
         k = int(rng.integers(2, 5))
-        model = kmeans(X, k, X[rng.choice(len(X), k, replace=False)], track_objective=True)
-        h = model.objective_history
+        h = kmeans_objectives(monkeypatch, X, X[rng.choice(len(X), k, replace=False)])
         if any(h[i + 1] > h[i] + 1e-9 for i in range(len(h) - 1)):
             failures.append(("kmeans-monotone", trial))
 

@@ -1,20 +1,24 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import chdtri
 
-from whitmin.classifiers import (LabeledSet, Quantizer, TreeParams,
-                                 build_quantizer, choose_threshold,
+from whitmin.classifiers import (LabeledSet, Quantizer, build_quantizer, choose_threshold,
                                  fit_distance, fit_linear, fit_tree, kmeans,
                                  node_stats, quantizer_error,
                                  scatter_matrices, threshold_labels)
 from whitmin.classifiers.base import sorted_class_counts
-from whitmin.classifiers.quantize import _majority_labels
+from whitmin.classifiers import tree as tree_module
+from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
+                                          _min_error_boundaries)
 from whitmin.classifiers.serialize import (ModelFormatError, dumps, loads,
                                            model_from_dict, model_to_dict)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
+
+from conftest import kmeans_objectives
 
 
 def random_scores(rng, n):
@@ -35,18 +39,20 @@ def two_blob_set(rng, n=60, d=3, sep=4.0):
     X2 = rng.normal(size=(n, d)) + sep / 2.0
     X = np.vstack([X1, X2])
     y = np.array([1] * n + [2] * n)
-    return LabeledSet(X, y, 2)
+    return LabeledSet(X, y)
 
 
 class TestLabeledSet:
     def test_validation(self):
         with pytest.raises(ValueError):
-            LabeledSet(np.ones((2, 2)), np.array([1, 3]), 2)
+            LabeledSet(np.ones((2, 2)), np.array([1, 3]))
         with pytest.raises(ValueError):
-            LabeledSet(np.ones((2, 2)), np.array([1]), 2)
+            LabeledSet(np.ones((2, 2)), np.array([0, 1]))
+        with pytest.raises(ValueError):
+            LabeledSet(np.ones((2, 2)), np.array([1]))
 
     def test_class_rows(self):
-        s = LabeledSet(np.arange(6).reshape(3, 2), np.array([1, 2, 1]), 2)
+        s = LabeledSet(np.arange(6).reshape(3, 2), np.array([1, 2, 1]))
         assert s.class_rows(1).shape == (2, 2)
 
 
@@ -121,15 +127,15 @@ class TestSortedClassCounts:
     def test_rows_count_each_prefix(self):
         rng = np.random.default_rng(28)
         values = rng.integers(0, 6, size=50).astype(float)
-        labels = rng.integers(1, 4, size=50)
-        v, y, counts = sorted_class_counts(values, labels, 3)
+        labels = rng.integers(1, 3, size=50)
+        v, y, counts = sorted_class_counts(values, labels)
         order = np.argsort(values, kind="stable")
         assert np.array_equal(v, values[order]) and np.array_equal(y, labels[order])
-        assert counts.shape == (51, 3) and counts.dtype == np.int64
+        assert counts.shape == (51, 2) and counts.dtype == np.int64
         for theta in np.arange(-1.0, 7.0, 0.5):
             row = counts[np.searchsorted(v, theta, side="right")]
             assert row.tolist() == [int(((values <= theta) & (labels == c)).sum())
-                                    for c in (1, 2, 3)]
+                                    for c in (1, 2)]
 
 
 class TestDistance:
@@ -145,7 +151,7 @@ class TestDistance:
         # class 1 wide, class 2 narrow; the point sits 2 units from both means
         X1 = rng.normal(scale=4.0, size=(400, 1))
         X2 = rng.normal(scale=0.25, size=(400, 1)) + 4.0
-        data = LabeledSet(np.vstack([X1, X2]), np.array([1] * 400 + [2] * 400), 2)
+        data = LabeledSet(np.vstack([X1, X2]), np.array([1] * 400 + [2] * 400))
         model = fit_distance(data)
         assert model.predict(np.array([[2.0]])).tolist() == [1]
 
@@ -256,6 +262,31 @@ class TestQuantizers:
             errors = round(quantizer_error(q, scores, labels) * n)
             assert errors == _least_binned_error(scores, labels, m)
 
+    def test_min_error_matches_quadratic_dp(self):
+        rng = np.random.default_rng(33)
+        for _ in range(2000):
+            n = int(rng.integers(1, 90))
+            scores = random_scores(rng, n) if rng.random() < 0.5 else \
+                rng.integers(0, int(rng.integers(1, 60)), size=n).astype(float)
+            labels = rng.integers(1, 3, size=n)
+            m = int(rng.integers(2, 12))
+            s, counts = _sorted_counts(scores, labels)
+            assert _min_error_boundaries(s, counts, m) == \
+                _quadratic_min_error_boundaries(s, counts, m)
+
+    def test_min_error_on_10000_scores_in_100_bins(self):
+        rng = np.random.default_rng(34)
+        scores = rng.normal(size=10000)
+        labels = np.where(scores + rng.normal(scale=0.7, size=10000) > 0, 2, 1)
+        assert len(np.unique(scores)) == 10000
+        t = time.perf_counter()
+        qm = build_quantizer(scores, labels, 100, kind="min_error")
+        assert time.perf_counter() - t < 2.0
+        assert qm.num_intervals <= 100
+        for kind in ("equal_interval", "equal_probability"):
+            q = build_quantizer(scores, labels, 100, kind=kind)
+            assert quantizer_error(qm, scores, labels) <= quantizer_error(q, scores, labels)
+
     def test_intervals_partition_the_line(self):
         q = Quantizer("equal_interval", (0.0, 1.0), (1, 2, 1))
         assert q.classify(-5.0) == 1
@@ -301,8 +332,36 @@ class TestQuantizers:
 
 
 def _sorted_counts(scores, labels):
-    s, _, counts = sorted_class_counts(scores, labels, 2)
+    s, _, counts = sorted_class_counts(scores, labels)
     return s, counts
+
+
+def _quadratic_min_error_boundaries(s, counts, m):
+    """The min-error DP with one numpy row per bin count and end j, each
+    taking the first argmin over every cut i < j: O(m n^2)."""
+    vals = np.unique(s)
+    n = len(vals)
+    p1, p2 = counts[np.concatenate([[0], np.searchsorted(s, vals, side="right")])].T
+    m = min(m, n)
+    prev = np.minimum(p1, p2)
+    choice = []
+    for k in range(2, m + 1):
+        cur = np.zeros(n + 1, dtype=np.int64)
+        ch = np.zeros(n + 1, dtype=np.int64)
+        for j in range(k, n + 1):
+            c = prev[k - 1:j] + np.minimum(p1[j] - p1[k - 1:j], p2[j] - p2[k - 1:j])
+            i = int(np.argmin(c))
+            cur[j] = c[i]
+            ch[j] = k - 1 + i
+        choice.append(ch)
+        prev = cur
+    cuts = []
+    j = n
+    for k in range(m, 1, -1):
+        j = int(choice[k - 2][j])
+        cuts.append(j)
+    cuts.reverse()
+    return _dedupe([float((vals[i - 1] + vals[i]) / 2.0) for i in cuts if 0 < i < n])
 
 
 def _loop_majority_labels(scores, labels, boundaries):
@@ -402,44 +461,36 @@ class TestTree:
         rng = np.random.default_rng(14)
         X = rng.uniform(-2, 2, size=(400, 2))
         y = np.where(np.abs(X[:, 0]) < 1.0, 1, 2)  # needs two splits on x0
-        data = LabeledSet(X, y, 2)
+        data = LabeledSet(X, y)
         model = fit_tree(data)
         preds = model.predict(X)
         assert (preds == y).mean() > 0.95
         assert model.depth() >= 2
 
-    def test_depth_cap(self):
+    def test_depth_cap(self, monkeypatch):
+        # log2(N) - 1, at least 1, once nothing else stops the growth
+        monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 0.0)
+        monkeypatch.setattr(tree_module, "MIN_NODE", 2)
         rng = np.random.default_rng(15)
-        X = rng.uniform(size=(200, 3))
-        y = rng.integers(1, 3, size=200)
-        model = fit_tree(LabeledSet(X, y, 2), TreeParams(max_depth=2, chi2_cutoff=0.0))
-        assert model.depth() <= 2
+        for n, cap in [(200, 6), (12, 2), (3, 1)]:
+            X = rng.uniform(size=(n, 3))
+            y = np.resize([1, 2], n)
+            assert fit_tree(LabeledSet(X, y)).depth() == cap
 
-    def test_chi2_cutoff_stops_noise_splits(self):
+    def test_chi2_cutoff_stops_noise_splits(self, monkeypatch):
         rng = np.random.default_rng(16)
         X = rng.uniform(size=(60, 1))
         y = rng.integers(1, 3, size=60)
-        strict = fit_tree(LabeledSet(X, y, 2), TreeParams(chi2_cutoff=1e9))
-        assert strict.depth() == 0
+        monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 0.0)
+        assert fit_tree(LabeledSet(X, y)).depth() > 0
+        monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 1e9)
+        assert fit_tree(LabeledSet(X, y)).depth() == 0
 
     def test_default_chi2_cutoff_is_the_95th_percentile(self):
-        # scipy.stats is the reference; the package uses scipy.special alone
-        rng = np.random.default_rng(18)
-        for M in range(2, 7):
-            cutoff = float(stats.chi2.ppf(0.95, M - 1))
-            assert float(chdtri(M - 1, 1.0 - 0.95)) == cutoff
-            data = LabeledSet(rng.uniform(size=(80, 2)),
-                              rng.integers(1, M + 1, size=80), M)
-            explicit = fit_tree(data, TreeParams(chi2_cutoff=cutoff))
-            assert fit_tree(data).root == explicit.root
-
-    def test_misclassification_criterion_with_caps(self):
-        rng = np.random.default_rng(17)
-        data = two_blob_set(rng, sep=6.0)
-        model = fit_tree(data, TreeParams(criterion="misclassification",
-                                          eps_type1=0.2, eps_type2=0.2))
-        preds = model.predict(data.features)
-        assert (preds == data.labels).mean() > 0.95
+        # scipy.stats and scipy.special are the references; the package
+        # imports neither
+        assert tree_module.CHI2_CUTOFF == float(stats.chi2.ppf(0.95, 1))
+        assert tree_module.CHI2_CUTOFF == float(chdtri(1, 1.0 - 0.95))
 
     def test_round_trip(self):
         rng = np.random.default_rng(18)
@@ -448,10 +499,12 @@ class TestTree:
         clone = loads(dumps(model))
         assert np.array_equal(clone.predict(data.features), model.predict(data.features))
 
-    def test_predict_matches_single_row_walk(self):
+    def test_predict_matches_single_row_walk(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 0.0)
+        monkeypatch.setattr(tree_module, "MIN_NODE", 2)
         rng = np.random.default_rng(26)
         data = two_blob_set(rng, d=4, sep=1.0)
-        model = fit_tree(data, TreeParams(chi2_cutoff=0.0, min_node=2))
+        model = fit_tree(data)
         assert model.depth() >= 3
 
         def walk(x):
@@ -463,24 +516,19 @@ class TestTree:
         assert model.predict(data.features).tolist() == [walk(x) for x in data.features]
 
 
-    @pytest.mark.parametrize("criterion", ["purity", "misclassification"])
-    def test_matches_per_threshold_scan(self, criterion):
-        rng = np.random.default_rng(31 if criterion == "purity" else 32)
+    def test_matches_per_threshold_scan(self, monkeypatch):
+        rng = np.random.default_rng(31)
         for it in range(120):
-            M, n, d = int(rng.integers(2, 5)), int(rng.integers(2, 100)), int(rng.integers(1, 4))
+            n, d = int(rng.integers(2, 100)), int(rng.integers(1, 4))
             X = np.column_stack([random_scores(rng, n) for _ in range(d)])
-            y = rng.integers(1, M + 1, size=n)
-            caps = {}
-            if criterion == "misclassification" and it % 3:
-                # simple fractions, so some splits sit exactly on a cap
-                fracs = (0.1, 0.2, 0.25, 1 / 3, 0.4, 0.5)
-                caps = dict(eps_type1=float(rng.choice(fracs)),
-                            eps_type2=float(rng.choice(fracs)) if it % 2 else None)
-            params = TreeParams(criterion=criterion, min_node=int(rng.integers(2, 12)),
-                                chi2_cutoff=None if it % 4 else 0.0, **caps)
-            data = LabeledSet(X, y, M)
-            got = fit_tree(data, params).root
-            want = _scan_tree(data, params)
+            y = rng.integers(1, 3, size=n)
+            min_node = int(rng.integers(2, 12))
+            cutoff = float(chdtri(1, 0.05)) if it % 4 else 0.0
+            monkeypatch.setattr(tree_module, "MIN_NODE", min_node)
+            monkeypatch.setattr(tree_module, "CHI2_CUTOFF", cutoff)
+            data = LabeledSet(X, y)
+            got = fit_tree(data).root
+            want = _scan_tree(data, min_node, cutoff)
             assert _tree_text(got) == _tree_text(want)
 
 
@@ -491,20 +539,16 @@ def _tree_text(node):
             f"{_tree_text(node.left)} {_tree_text(node.right)})")
 
 
-def _scan_tree(data, params):
+def _scan_tree(data, min_node, cutoff):
     """Top-down growth scoring every (feature, theta) with its own masks and
-    bincounts, the least (key, feature, theta) winning."""
-    M = data.num_classes
-    max_depth = params.max_depth or max(1, int(np.log2(len(data.labels))) - 1)
-    cutoff = params.chi2_cutoff
-    if cutoff is None:
-        cutoff = float(chdtri(max(M - 1, 1), 0.05))
+    bincounts, the least (-purity, feature, theta) winning."""
+    max_depth = max(1, int(np.log2(len(data.labels))) - 1)
 
     def majority(y):
-        return TreeLeaf(int(np.argmax(np.bincount(y, minlength=M + 1)[1:]) + 1))
+        return TreeLeaf(int(np.argmax(np.bincount(y, minlength=3)[1:]) + 1))
 
     def grow(X, y, depth):
-        if depth >= max_depth or len(y) < params.min_node or len(np.unique(y)) == 1:
+        if depth >= max_depth or len(y) < min_node or len(np.unique(y)) == 1:
             return majority(y)
         best = None
         for j in range(X.shape[1]):
@@ -514,24 +558,12 @@ def _scan_tree(data, params):
                              if ys[i] != ys[i + 1] and v[i] < v[i + 1]})
             for theta in thetas:
                 left = X[:, j] <= theta
-                nl = np.bincount(y[left], minlength=M + 1)[1:]
-                nr = np.bincount(y[~left], minlength=M + 1)[1:]
+                nl = np.bincount(y[left], minlength=3)[1:]
+                nr = np.bincount(y[~left], minlength=3)[1:]
                 if nl.sum() == 0 or nr.sum() == 0:
                     continue
                 pr, chi2 = _masked_node_stats(nl, nr)
-                if params.criterion == "purity":
-                    key = (-pr, j, theta)
-                else:
-                    own = nl >= nr
-                    lo, lx = nl[own].sum(), nr[own].sum()
-                    ro, rx = nr[~own].sum(), nl[~own].sum()
-                    t1 = lx / (lo + lx) if lo + lx else 0.0
-                    t2 = rx / (ro + rx) if ro + rx else 0.0
-                    if params.eps_type1 is not None and t1 >= params.eps_type1:
-                        continue
-                    if params.eps_type2 is not None and t2 >= params.eps_type2:
-                        continue
-                    key = ((nl.sum() - nl.max()) + (nr.sum() - nr.max()), j, theta)
+                key = (-pr, j, theta)
                 if best is None or key < best[0]:
                     best = (key, chi2)
         if best is None or best[1] < cutoff:
@@ -549,38 +581,50 @@ class TestKMeans:
         rng = np.random.default_rng(19)
         centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         X = np.vstack([rng.normal(size=(50, 2)) + c for c in centers])
-        model = kmeans(X, 3, X[np.random.default_rng(0).choice(len(X), 3, replace=False)])
+        model = kmeans(X, X[np.random.default_rng(0).choice(len(X), 3, replace=False)])
         got = model.centers[np.lexsort(model.centers.T)]
         want = centers[np.lexsort(centers.T)]
         assert np.abs(got - want).max() < 1.0
 
-    def test_objective_nonincreasing(self):
+    def test_objective_nonincreasing(self, monkeypatch):
         rng = np.random.default_rng(20)
         for _ in range(10):
             X = rng.normal(size=(80, 3))
             init = X[rng.choice(len(X), 4, replace=False)]
-            model = kmeans(X, 4, init, track_objective=True)
-            h = model.objective_history
+            h = kmeans_objectives(monkeypatch, X, init)
             assert all(h[i + 1] <= h[i] + 1e-9 for i in range(len(h) - 1))
+
+    def test_one_iteration_chain_matches_full_run(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            X = rng.normal(size=(60, 2))
+            init = X[rng.choice(len(X), 3, replace=False)]
+            full = kmeans(X, init)
+            steps = kmeans_objectives(monkeypatch, X, init)
+            assert steps[-1] == float(((X - full.centers[full.assignments]) ** 2).sum())
 
     def test_explicit_init_deterministic(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(50, 2))
         init = X[:4].copy()
-        a = kmeans(X, 4, init_centers=init)
-        b = kmeans(X, 4, init_centers=init)
+        a = kmeans(X, init)
+        b = kmeans(X, init)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_empty_cluster_reseeded(self):
         X = np.array([[0.0], [0.1], [10.0]])
         init = np.array([[0.05], [100.0]])  # second center captures nothing
-        model = kmeans(X, 2, init_centers=init)
+        model = kmeans(X, init)
         assert len(np.unique(model.assignments)) == 2
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 1)), 4, np.zeros((4, 1)))
+            kmeans(np.zeros((3, 1)), np.zeros((4, 1)))
+        with pytest.raises(ValueError):
+            kmeans(np.zeros((3, 1)), np.zeros((0, 1)))
+        with pytest.raises(ValueError):
+            kmeans(np.zeros((3, 2)), np.zeros((2, 1)))
 
 
 class TestSerialization:

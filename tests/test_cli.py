@@ -4,6 +4,7 @@ import pytest
 
 from whitmin.automorphisms import NIELSEN_MOVES
 from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from whitmin.pipeline import MAX_BINS
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +143,11 @@ class TestTrainEvaluate:
                      workdir["test"], "--hist-bins", "1"]) == EXIT_USAGE
         assert _one_error_line(capsys)
 
+    def test_hist_bins_above_max_is_usage_error(self, workdir, capsys):
+        assert main(["evaluate", "--model", workdir["model"], "--test",
+                     workdir["test"], "--hist-bins", str(MAX_BINS + 1)]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+
     def test_empty_test_set_is_data_error(self, workdir, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("# word\tlabel\tlength\n")
@@ -200,7 +206,8 @@ class TestTrainEvaluate:
     @pytest.mark.parametrize("flags", [["--features", "f9"],
                                        ["--features", "pool:2-1"],
                                        ["--features", "pool:1-12"],
-                                       ["--bins", "1"]])
+                                       ["--bins", "1"],
+                                       ["--bins", str(MAX_BINS + 1)]])
     def test_bad_train_flags_are_usage_errors(self, capsys, flags):
         """Checked before the (here nonexistent) training file is read."""
         assert main(["train", *flags, "--train", "unused.tsv",
@@ -234,6 +241,7 @@ BAD_MODELS = {
     "kmeans-method": ("model", ["method"], "kmeans"),
     "tree-feature": ("tree", ["tree", "feature"], 60),
     "tree-missing-child": ("tree", ["tree", "left"], _DELETE),
+    "threshold-override": ("model", ["config", "threshold_override"], 0.5),
 }
 
 
@@ -281,6 +289,13 @@ class TestSelectFeatures:
         """Refused before the pool is built or a file is read."""
         assert main(["select-features", "--pool", "1-12", "--train", "unused.tsv",
                      "--val", "unused.tsv"]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+
+    def test_over_cell_budget_is_data_error(self, workdir, capsys, monkeypatch):
+        import whitmin.pipeline as pl
+        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", 1000)
+        assert main(["select-features", "--pool", "1-1", "--train", workdir["train"],
+                     "--val", workdir["test"]]) == EXIT_DATA
         assert _one_error_line(capsys)
 
     def test_one_class_training_set_is_data_error(self, workdir, tmp_path, capsys):

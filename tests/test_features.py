@@ -124,6 +124,13 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             feature_vector(CyclicWord((), 2), builtin_map("f0", 2))
 
+    def test_rank_mismatch_rejected(self):
+        # a rank-3 word on a rank-2 map would count its c-letters nowhere
+        with pytest.raises(ValueError, match="rank-3 word"):
+            feature_vector(CyclicWord((0, 4, 2), 3), builtin_map("f1", 2))
+        with pytest.raises(ValueError, match="rank-2 word"):
+            feature_matrix([cw("ab"), cw("aab")], builtin_map("f1", 3))
+
     def test_dimension_always_matches(self):
         rng = np.random.default_rng(5)
         for name in ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "fstar"]:

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,18 @@ from whitmin.features import builtin_map, feature_matrix
 from whitmin.numerics import (MARGIN_TOL, EigenResult, NonSeparable,
                               least_squares, mean_and_covariance,
                               qp_hard_margin, ridge_if_singular, sym_eigen)
+
+
+def test_package_import_loads_no_scipy():
+    # scipy.optimize takes most of an import's time and memory; only the SVM
+    # solve imports it, on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, whitmin; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestMeanCovariance:
@@ -105,7 +121,7 @@ class TestRidge:
         assert repaired
         ridge = 1e-8 * np.trace(G) / 60 + np.finfo(float).tiny
         assert np.array_equal(R, G + ridge * np.eye(60))
-        assert fit_distance(LabeledSet(X, ds.labels(), 2)).ridge_repaired
+        assert fit_distance(LabeledSet(X, ds.labels())).ridge_repaired
 
         W = np.random.default_rng(5).normal(size=(100, 6))
         G = W.T @ W

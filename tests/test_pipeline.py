@@ -3,7 +3,7 @@ import pytest
 
 from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import feature_matrix, pattern_pool
-from whitmin.pipeline import (EvaluationReport, Pipeline, PipelineConfig,
+from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
                               evaluate, greedy_feature_selection,
                               pipeline_from_json, pipeline_to_json,
                               score_histogram, train_pipeline)
@@ -47,26 +47,25 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_pipeline(train_set, PipelineConfig(method="forest"))
 
-    def test_tree_rejects_threshold_override(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(method="tree", threshold_override=0.5)
-
     def test_quantizer_needs_two_bins(self):
         with pytest.raises(ValueError):
             PipelineConfig(method="fisher", quantizer_bins=1)
+        with pytest.raises(ValueError):
+            PipelineConfig(quantizer_bins=MAX_BINS + 1)
+        PipelineConfig(quantizer_bins=MAX_BINS)
         # no quantizer, or a method without a score: the bin count is unused
         PipelineConfig(quantizer_kind=None, quantizer_bins=1)
         PipelineConfig(method="tree", quantizer_bins=1)
 
-    def test_threshold_override(self, train_set):
-        cfg = PipelineConfig(feature_map="f6", quantizer_kind=None,
-                             threshold_override=0.5)
-        p = train_pipeline(train_set, cfg)
-        s = p.scores(train_set.words())
-        preds = p.predict_words(train_set.words())
-        left = p.model.orientation
-        expect = np.where(s <= 0.5, left, 2 if left == 1 else 1)
-        assert np.array_equal(preds, expect)
+    def test_map_resolved_at_training_rank(self):
+        train = generate_dataset(DatasetSpec("D", rank=3, max_length=12, per_length=4,
+                                             seed=103))
+        p = train_pipeline(train, PipelineConfig(feature_map="f1", quantizer_kind=None))
+        assert p.fmap.rank == 3 and p.fmap.dim == 30
+        clone = pipeline_from_json(pipeline_to_json(p))
+        assert clone.fmap.rank == 3
+        assert np.array_equal(clone.predict_words(train.words()),
+                              p.predict_words(train.words()))
 
 
 class TestEvaluation:
@@ -111,6 +110,12 @@ class TestEvaluation:
         assert csv.startswith("stratum,n,accuracy")
         assert "|w|>0," in csv
 
+    def test_histogram_bins_bounded(self, trained, test_set):
+        score_histogram(trained, test_set, bins=MAX_BINS)
+        for bins in (1, MAX_BINS + 1):
+            with pytest.raises(ValueError):
+                score_histogram(trained, test_set, bins=bins)
+
     def test_histogram_properties(self, trained, test_set):
         hist = score_histogram(trained, test_set, bins=40)
         y = test_set.labels()
@@ -138,6 +143,18 @@ class TestSelection:
     def test_empty_pool(self, train_set, test_set):
         with pytest.raises(ValueError):
             greedy_feature_selection([], train_set, test_set)
+
+    def test_cell_budget_checked_before_counting(self, train_set, test_set, monkeypatch):
+        import whitmin.pipeline as pl
+        pool = pattern_pool(2, 1, 1)
+        cells = len(pool) * (len(train_set) + len(test_set))
+        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", cells - 1)
+        monkeypatch.setattr(pl, "feature_matrix", None)  # never reached
+        with pytest.raises(ValueError, match="budget"):
+            greedy_feature_selection(pool, train_set, test_set)
+        monkeypatch.undo()
+        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", cells)
+        assert greedy_feature_selection(pool, train_set, test_set, max_features=1)
 
 
 class TestSerialization:
