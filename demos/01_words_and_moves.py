@@ -6,15 +6,15 @@ automorphisms, and greedy minimization.
 """
 
 from whitmin import (NIELSEN_MOVES, apply_automorphism, cyclic_reduce,
-                     is_minimal, minimize, parse_cyclic_word, parse_word,
-                     reducing_moves)
+                     is_minimal, minimize, parse_cyclic_word, reducing_moves)
+from whitmin.words import parse_codes
 
 
 def main():
-    # cyclic reduction splits w = g c g^-1
-    w = parse_word("Baab", 2)
-    core, conj = cyclic_reduce(w)
-    print(f"{w} cyclically reduces to {core} conjugated by {conj or '(empty)'}")
+    # every word is cyclic: BaAaab freely reduces to Baab = B (aa) b, whose
+    # cyclic word is aa
+    text = "BaAaab"
+    print(f"{text} cyclically reduces to {cyclic_reduce(parse_codes(text), 2)}")
 
     # the four Nielsen moves of rank 2 and their action on ab
     v = parse_cyclic_word("ab", 2)

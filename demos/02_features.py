@@ -7,7 +7,7 @@ pattern counting, and the weighted labelled digraph of a word.
 
 import numpy as np
 
-from whitmin.features import (Pattern, Wildcard, builtin_map, count_pattern,
+from whitmin.features import (Pattern, builtin_map, count_pattern,
                               feature_vector, pattern_pool, whitehead_graph)
 from whitmin.words import parse_codes, parse_cyclic_word
 
@@ -17,8 +17,8 @@ def main():
 
     # counting is cyclic: ab occurs twice in abab
     print(f"C({w}, ab) =", count_pattern(w, Pattern.from_word(parse_codes("ab"))))
-    # a . U1 . a matches at two start positions (the wildcard eats the b)
-    p = Pattern.pair(0, Wildcard("exact", 1), 0)
+    # a . U1 . a (a at offsets 0 and 2) matches at two start positions
+    p = Pattern.pair(0, 1, 0)
     print(f"C({w}, {p.text()}) =", count_pattern(w, p))
 
     for name in ["f0", "f1", "f5", "f6", "fstar"]:

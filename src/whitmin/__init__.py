@@ -16,17 +16,15 @@ from .automorphisms import (NIELSEN_MOVES, AutomorphismChain, NielsenMove,
                             reducing_moves)
 from .datasets import (DatasetSpec, LabeledWordSet, WordRecord,
                        generate_dataset, load_tsv, save_tsv)
-from .features import (FeatureMap, Pattern, Wildcard, WhiteheadGraph,
-                       builtin_map, count_pattern, feature_matrix,
-                       feature_vector, pattern_pool, resolve_map,
-                       whitehead_graph)
+from .features import (FeatureMap, Pattern, WhiteheadGraph, builtin_map,
+                       count_pattern, feature_matrix, feature_vector,
+                       pattern_pool, resolve_map, whitehead_graph)
 from .pipeline import (EvaluationReport, Pipeline, PipelineConfig,
                        ScoreHistogram, evaluate, greedy_feature_selection,
                        pipeline_from_json, pipeline_to_json, score_histogram,
                        train_pipeline)
 from .clustering import (ClusterReport, EmptyPureSet, clustering_experiment,
                          estimate_initial_centers, predict_reducer)
-from .words import (CyclicWord, Word, cyclic_reduce, parse_cyclic_word,
-                    parse_word, random_word)
+from .words import CyclicWord, cyclic_reduce, parse_cyclic_word, random_word
 
 __version__ = "0.1.0"

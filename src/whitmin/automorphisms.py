@@ -9,8 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import (CyclicWord, check_rank, pair_counts, reduce_codes,
-                    split_conjugate)
+from .words import CyclicWord, check_rank, cyclic_core, pair_counts, reduce_codes
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def _cyclic_image(t: WhiteheadAutomorphism, letters: Tuple[int, ...]) -> Tuple[i
     out: list = []
     for c in letters:
         out.extend(table[c])
-    return split_conjugate(reduce_codes(out))[1]
+    return cyclic_core(reduce_codes(out))
 
 
 def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:

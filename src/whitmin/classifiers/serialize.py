@@ -115,7 +115,7 @@ def model_from_dict(doc: Dict[str, Any]):
         raise
     except KeyError as e:
         raise ModelFormatError(f"{doc.get('method')} model lacks key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"bad {doc.get('method')} model: {e}") from e
     except RecursionError as e:
         raise ModelFormatError(f"{doc.get('method')} model is nested too deeply") from e

@@ -218,11 +218,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _parse_cli_word(text: str, rank: int):
-    from .words import CyclicWord, Word, cyclic_reduce, parse_codes, reduce_codes
+    from .words import cyclic_reduce, parse_codes
     try:
-        codes = parse_codes(text)
-        core, _ = cyclic_reduce(Word(reduce_codes(codes), rank))
-        return core
+        return cyclic_reduce(parse_codes(text), rank)
     except ValueError as e:
         raise SystemExit(_fail(e, EXIT_DATA))
 

@@ -177,8 +177,11 @@ def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
     if doc.get("schema_version") != 1:
         raise ValueError("unsupported centers schema_version "
                          f"{doc.get('schema_version')!r}")
-    centers = {NielsenMove[name]: np.array(vals, dtype=np.float64)
-               for name, vals in doc["centers"].items()}
+    try:
+        centers = {NielsenMove[name]: np.array(vals, dtype=np.float64)
+                   for name, vals in doc["centers"].items()}
+    except (TypeError, OverflowError) as e:
+        raise ValueError(f"a center is not a list of numbers: {e}") from e
     for m in NIELSEN_MOVES:
         if m not in centers:
             raise ValueError(f"centers file missing move {m.name}")

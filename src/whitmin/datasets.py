@@ -115,7 +115,7 @@ def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
         for _ in range(spec.per_length):
             rng = _record_rng(spec, idx)
             idx += 1
-            w = random_word(l, spec.rank, cyclic=True, rng=rng)
+            w = random_word(l, spec.rank, rng=rng)
             v, _ = minimize(w)
             if rng.random() < 0.5:
                 steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
@@ -143,7 +143,7 @@ def _generate_tested(spec: DatasetSpec) -> LabeledWordSet:
         rng = _record_rng(spec, idx)
         l = int(rng.integers(1, spec.max_length + 1))
         if spec.kind == "SR":
-            w = random_word(l, spec.rank, cyclic=True, rng=rng)
+            w = random_word(l, spec.rank, rng=rng)
         else:
             w = random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
         label = LABEL_MIN if is_minimal(w) else LABEL_NONMIN

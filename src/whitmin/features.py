@@ -8,120 +8,77 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import CyclicWord, Word, check_rank, format_codes, window_codes
+from .words import CyclicWord, check_rank, format_codes, window_codes
 
-
-@dataclass(frozen=True)
-class Wildcard:
-    """A wildcard slot in a pattern: matches any subword of an allowed length.
-
-    kind 'exact'   -> exactly ``size`` letters
-    kind 'at_most' -> 0..size letters (includes the empty word)
-    kind 'empty'   -> the empty word only
-    """
-
-    kind: str
-    size: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "at_most", "empty"):
-            raise ValueError(f"unknown wildcard kind {self.kind!r}")
-        if self.size < 0:
-            raise ValueError("wildcard size must be >= 0")
-
-    def lengths(self) -> range:
-        if self.kind == "exact":
-            return range(self.size, self.size + 1)
-        if self.kind == "at_most":
-            return range(0, self.size + 1)
-        return range(0, 1)
-
-    def text(self) -> str:
-        if self.kind == "exact":
-            return f"U{self.size}"
-        if self.kind == "at_most":
-            return f"W{self.size}"
-        return ""
-
-
-EMPTY = Wildcard("empty")
+# Most cells a feature matrix has, len(words) x dim, 8 bytes each: pool:1-5
+# (4,356 patterns) on 10,000 + 10,000 words fits.
+MAX_SELECTION_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
 class Pattern:
-    """Alternating pattern U_1 v_1 U_2 ... v_K U_{K+1}.
+    """Letters at fixed offsets of one cyclic window.
 
-    ``fixed`` holds the letter-code tuples v_1..v_K and ``gaps`` the K+1
-    wildcard slots around them.  Matches are counted per (start position,
-    wildcard length assignment); any subword of a reduced word is reduced,
-    so matched instantiations are automatically freely reduced.
+    A subword v has v's letters at offsets 0..|v|-1; x1 . U_g . x2 (any g
+    letters between x1 and x2) has x1 at 0 and x2 at g + 1.  Offsets start
+    at 0 and strictly increase, one per letter.  Any subword of a reduced
+    word is reduced, so matched instantiations are automatically freely
+    reduced.
     """
 
-    fixed: Tuple[Tuple[int, ...], ...]
-    gaps: Tuple[Wildcard, ...]
+    letters: Tuple[int, ...]
+    offsets: Tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.gaps) != len(self.fixed) + 1:
-            raise ValueError("need exactly K+1 wildcards for K fixed segments")
-        if sum(map(len, self.fixed)) + sum(g.lengths()[-1] for g in self.gaps) == 0:
+        if not self.letters:
             raise ValueError("pattern matches only the empty word")
+        if len(self.offsets) != len(self.letters):
+            raise ValueError("need exactly one offset per letter")
+        if self.offsets[0] != 0 or any(
+                a >= b for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ValueError("offsets must start at 0 and strictly increase")
 
     @staticmethod
     def from_word(codes: Sequence[int]) -> "Pattern":
-        return Pattern((tuple(codes),), (EMPTY, EMPTY))
+        return Pattern(tuple(codes), tuple(range(len(codes))))
 
     @staticmethod
-    def pair(x1: int, mid: Wildcard, x2: int) -> "Pattern":
-        return Pattern(((x1,), (x2,)), (EMPTY, mid, EMPTY))
+    def pair(x1: int, gap: int, x2: int) -> "Pattern":
+        return Pattern((x1, x2), (0, gap + 1))
+
+    @property
+    def span(self) -> int:
+        """Letters from the first offset to the last."""
+        return self.offsets[-1] + 1
 
     def text(self) -> str:
-        parts: List[str] = []
-        for gap, seg in itertools.zip_longest(self.gaps, self.fixed):
-            t = gap.text()
-            if t:
-                parts.append(t)
-            if seg is not None:
-                parts.append(format_codes(seg))
-        return ".".join(parts) if len(parts) > 1 else (parts[0] if parts else "")
+        """The letters, with U<g> for each run of g skipped offsets: abB, a.U1.B."""
+        parts = [format_codes(self.letters[:1])]
+        for prev, o, c in zip(self.offsets, self.offsets[1:], self.letters[1:]):
+            if o > prev + 1:
+                parts += [f"U{o - prev - 1}", format_codes((c,))]
+            else:
+                parts[-1] += format_codes((c,))
+        return ".".join(parts)
 
 
-def count_pattern(w: Union[Word, CyclicWord], p: Pattern) -> int:
-    """Number of occurrences of the pattern in the cyclic word w: one per
-    start position and wildcard length assignment of total span at most |w|."""
+def count_pattern(w: CyclicWord, p: Pattern) -> int:
+    """Number of start positions at which the pattern matches the cyclic word
+    w; 0 when its span exceeds |w|."""
     if not w.letters:
         return 0
     # the count is an integer below 2^53, so rounding undoes the division
     return round(feature_vector(w, FeatureMap("", (p,), w.rank))[0] * len(w))
 
 
-# Each gap-length assignment of nonzero span fixes a pattern's k letters at
-# fixed offsets of one cyclic window: an instance.  Instances sharing their
-# offsets are counted together, by one bincount of base-2r window codes when
-# the (2r)^k code table has at most this many entries, else by one Counter of
-# the windows' k letters as bytes.
+# Patterns sharing their offsets are counted together, by one bincount of
+# base-2r window codes when the (2r)^k code table has at most this many
+# entries, else by one Counter of the windows' k letters as bytes.
 _MAX_WINDOW_CODES = 1 << 16
-
-
-def _instances(p: Pattern, m: int) -> List[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
-    """(offsets, letters, span) of each window p matches, one per gap-length
-    assignment of nonzero span; none when a letter lies outside the m-letter
-    alphabet."""
-    letters = tuple(c for seg in p.fixed for c in seg)
-    if not all(0 <= c < m for c in letters):
-        return []
-    instances = []
-    for lengths in itertools.product(*(g.lengths() for g in p.gaps)):
-        offsets, pos = [], lengths[0]
-        for seg, gap in zip(p.fixed, lengths[1:]):
-            offsets.extend(range(pos, pos + len(seg)))
-            pos += len(seg) + gap
-        if pos:
-            instances.append((tuple(offsets), letters, pos))
-    return instances
 
 
 @dataclass(frozen=True)
@@ -137,27 +94,27 @@ class FeatureMap:
         return len(self.patterns)
 
     @functools.cached_property
-    def _plan(self) -> Tuple[list, np.ndarray, np.ndarray, int]:
-        """Built on first use: one (offsets, keys) group per offset tuple, the
-        keys its instances' codes (an array) or letters (bytes); each
-        instance's column and span, in group order; and the longest span."""
+    def _plan(self) -> Tuple[list, np.ndarray, int]:
+        """Built on first use: one (offsets, columns, keys) group per offset
+        tuple, over the patterns whose letters all lie in the 2r-letter
+        alphabet (any other pattern counts 0), keys their codes (an array) or
+        letters (bytes); every pattern's span; and the longest span."""
         m = 2 * self.rank
-        groups: Dict[Tuple[int, ...], list] = {}
+        groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, p in enumerate(self.patterns):
-            for offsets, letters, span in _instances(p, m):
-                groups.setdefault(offsets, []).append((i, letters, span))
+            if all(0 <= c < m for c in p.letters):
+                groups.setdefault(p.offsets, []).append(i)
         plan = []
-        for offsets, instances in groups.items():
+        for offsets, columns in groups.items():
+            letters = [self.patterns[i].letters for i in columns]
             if m ** len(offsets) <= _MAX_WINDOW_CODES:
-                keys = np.array([functools.reduce(lambda code, c: code * m + c, inst[1], 0)
-                                 for inst in instances], dtype=np.int64)
+                keys = np.array([functools.reduce(lambda code, c: code * m + c, ls, 0)
+                                 for ls in letters], dtype=np.int64)
             else:
-                keys = [bytes(inst[1]) for inst in instances]
-            plan.append((offsets, keys))
-        flat = [inst for instances in groups.values() for inst in instances]
-        spans = [inst[2] for inst in flat]
-        return (plan, np.array([inst[0] for inst in flat], dtype=np.intp),
-                np.array(spans, dtype=np.int64), max(spans, default=0))
+                keys = [bytes(ls) for ls in letters]
+            plan.append((offsets, np.array(columns, dtype=np.intp), keys))
+        spans = np.array([p.span for p in self.patterns], dtype=np.int64)
+        return plan, spans, int(spans.max(initial=0))
 
 
 def _window_letters(arr: np.ndarray, offsets: Sequence[int]) -> Counter:
@@ -176,26 +133,29 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     n = len(w)
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")
-    plan, columns, spans, longest = fmap._plan
+    plan, spans, longest = fmap._plan
     arr = np.asarray(w.letters, dtype=np.int64)
-    hits = [np.zeros(0)]  # so that a map with no instances concatenates
-    for offsets, keys in plan:
+    counts = np.zeros(fmap.dim)
+    for offsets, columns, keys in plan:
         if isinstance(keys, np.ndarray):
             hist = np.bincount(window_codes(arr, offsets, fmap.rank),
                                minlength=(2 * fmap.rank) ** len(offsets))
-            hits.append(hist[keys])
+            counts[columns] = hist[keys]
         else:
             hist = _window_letters(arr, offsets)
-            hits.append([hist.get(key, 0) for key in keys])
-    found = np.concatenate(hits)
+            counts[columns] = [hist.get(key, 0) for key in keys]
     if n < longest:
-        found = np.where(spans <= n, found, 0)
-    # the float64 counts are exact integers, so each quotient is that of
-    # an integer count
-    return np.bincount(columns, weights=found, minlength=fmap.dim) / n
+        counts[spans > n] = 0
+    return counts / n
 
 
 def feature_matrix(words: Sequence[CyclicWord], fmap: FeatureMap) -> np.ndarray:
+    """One feature_vector row per word.  Raises ValueError before counting
+    anything when the matrix would have more than MAX_SELECTION_CELLS cells."""
+    cells = len(words) * fmap.dim
+    if cells > MAX_SELECTION_CELLS:
+        raise ValueError(f"{len(words)} words x {fmap.dim} patterns = {cells} feature "
+                         f"cells, over the {MAX_SELECTION_CELLS} budget")
     if not len(words):
         return np.zeros((0, fmap.dim))
     return np.vstack([feature_vector(w, fmap) for w in words])
@@ -218,16 +178,8 @@ def _pair_patterns(rank: int, gap: int) -> List[Pattern]:
     """x1 . U_gap . x2 over all ordered letter pairs; gap 0 keeps only the
     freely reduced two-letter composites (x2 != x1^-1)."""
     m = 2 * rank
-    pats = []
-    for x1 in range(m):
-        for x2 in range(m):
-            if gap == 0:
-                if x2 == x1 ^ 1:
-                    continue
-                pats.append(Pattern.from_word((x1, x2)))
-            else:
-                pats.append(Pattern.pair(x1, Wildcard("exact", gap), x2))
-    return pats
+    return [Pattern.pair(x1, gap, x2) for x1 in range(m) for x2 in range(m)
+            if gap or x2 != x1 ^ 1]
 
 
 def builtin_map(name: str, rank: int) -> FeatureMap:
@@ -238,13 +190,12 @@ def builtin_map(name: str, rank: int) -> FeatureMap:
     + f4 (60 components at rank 2); fstar: the two counts (a^-1 b, b^-1 a),
     rank 2 only.
     """
+    check_rank(rank)
     if name == "fstar":
         if rank != 2:
             raise ValueError("fstar is defined for rank 2 only")
         pats = (Pattern.from_word((1, 2)), Pattern.from_word((3, 0)))
         return FeatureMap("fstar", pats, rank)
-    if rank < 2:
-        raise ValueError("rank must be >= 2")
     if name == "f0":
         pats = tuple(Pattern.from_word((c,)) for c in range(2 * rank))
     elif name == "f1":

@@ -27,9 +27,6 @@ MAX_BINS = 100_000
 # Greedy selection stops when the best candidate raises validation accuracy
 # by less than this.
 MIN_IMPROVEMENT = 0.001
-# Most feature-matrix cells greedy selection counts, |pool| x (|train| + |val|),
-# 8 bytes each: pool:1-5 (4,356 patterns) on 10,000 + 10,000 words fits.
-MAX_SELECTION_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,8 @@ def greedy_feature_selection(
     accuracy of the retrained pipeline; stops when the best improvement drops
     below MIN_IMPROVEMENT or the pool is exhausted.  Returns the selected
     pool indices in acceptance order.  Raises ValueError before counting
-    anything when the feature matrices would exceed MAX_SELECTION_CELLS.
+    anything when the |pool| x (|train| + |validation|) feature matrix would
+    exceed features.MAX_SELECTION_CELLS.
     """
     if not pool:
         raise ValueError("empty pattern pool")
@@ -194,13 +192,9 @@ def greedy_feature_selection(
         raise ValueError("empty training set")
     if not len(validation):
         raise ValueError("empty validation set")
-    cells = len(pool) * (len(train) + len(validation))
-    if cells > MAX_SELECTION_CELLS:
-        raise ValueError(f"{len(pool)} patterns x {len(train) + len(validation)} words "
-                         f"= {cells} feature cells, over the {MAX_SELECTION_CELLS} budget")
-    full = FeatureMap("pool", tuple(pool), train.rank)
-    Xtr = feature_matrix(train.words(), full)
-    Xva = feature_matrix(validation.words(), full)
+    X = feature_matrix(train.words() + validation.words(),
+                       FeatureMap("pool", tuple(pool), train.rank))
+    Xtr, Xva = X[:len(train)], X[len(train):]
     ytr = train.labels()
     yva = validation.labels()
     btr = (ytr == 2).astype(np.float64)

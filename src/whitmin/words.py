@@ -1,4 +1,6 @@
-"""Free-group words: letters, free/cyclic reduction, text encoding, random generation.
+"""Cyclic free-group words: letters, free/cyclic reduction, text encoding,
+random generation.  Minimality and the features are properties of the
+cyclic word, so every word is a CyclicWord.
 
 Letters are stored as small integer codes: generator g with sign +1 has code
 2*g, its inverse has code 2*g + 1.  The natural integer order of the codes
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,13 +47,6 @@ def check_codes(codes: Iterable[int], rank: int) -> bytes:
     return b
 
 
-def _check_reduced(b: bytes, rank: int) -> None:
-    """Raise ValueError at the first position i with b[i + 1] = b[i]^-1."""
-    hits = [i for i in map(b.find, _PAIRS[:2 * rank]) if i >= 0]
-    if hits:
-        raise ValueError(f"word not freely reduced at position {min(hits)}")
-
-
 def check_rank(rank: int) -> None:
     """Raise ValueError unless rank is in MIN_RANK..MAX_RANK."""
     if not MIN_RANK <= rank <= MAX_RANK:
@@ -72,24 +67,6 @@ def reduce_codes(codes: Sequence[int]) -> Tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Word:
-    """A freely reduced word; ``letters`` holds integer letter codes."""
-
-    letters: Tuple[int, ...]
-    rank: int
-
-    def __post_init__(self):
-        check_rank(self.rank)
-        _check_reduced(check_codes(self.letters, self.rank), self.rank)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return format_codes(self.letters)
-
-
-@dataclass(frozen=True)
 class CyclicWord:
     """A cyclically reduced word, stored as its least rotation.
 
@@ -103,7 +80,9 @@ class CyclicWord:
     def __post_init__(self):
         check_rank(self.rank)
         b = check_codes(self.letters, self.rank)
-        _check_reduced(b, self.rank)
+        hits = [i for i in map(b.find, _PAIRS[:2 * self.rank]) if i >= 0]
+        if hits:
+            raise ValueError(f"word not freely reduced at position {min(hits)}")
         if len(b) >= 2 and b[0] == b[-1] ^ 1:
             raise ValueError("word not cyclically reduced")
         canon = least_rotation(b)
@@ -177,37 +156,22 @@ def _least_rotation_offset(b: bytes) -> int:
     return cands[0]
 
 
-def _smallest_period(seq: Sequence[int]) -> int:
-    """Least p > 0 with seq equal to its rotation by p."""
-    if not seq:
-        return 1
-    b = bytes(seq)
-    return (b + b).find(b, 1)
-
-
-def split_conjugate(codes: Sequence[int]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Split a freely reduced sequence as g c g^-1 with c cyclically reduced;
-    returns (g, c) as code tuples, c in the rotation it had inside codes."""
+def cyclic_core(codes: Sequence[int]) -> Tuple[int, ...]:
+    """The cyclically reduced c of a freely reduced sequence g c g^-1, in the
+    rotation it had inside codes."""
     i, j = 0, len(codes)
     while j - i >= 2 and codes[i] == codes[j - 1] ^ 1:
         i += 1
         j -= 1
-    return tuple(codes[:i]), tuple(codes[i:j])
+    return tuple(codes[i:j])
 
 
-def cyclic_reduce(w: Word) -> Tuple[CyclicWord, Word]:
-    """Split w = g c g^-1 with c cyclically reduced and in canonical rotation;
-    returns (c, g).  The conjugator absorbs the rotation to canonical form, so
-    the identity w = g c g^-1 holds exactly in the free group."""
-    prefix, stripped = split_conjugate(w.letters)
-    core = CyclicWord(stripped, w.rank)
-    canon = core.letters
-    # stripped is canon rotated by the least k >= 0 with k = -offset (mod the
-    # period): stripped = c1^-1 canon c1 with c1 = canon[:k], hence
-    # w = (g c1^-1) canon (g c1^-1)^-1
-    k = -_least_rotation_offset(bytes(stripped)) % _smallest_period(canon)
-    c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
-    return core, Word(reduce_codes(prefix + c1_inv), w.rank)
+def cyclic_reduce(codes: Sequence[int], rank: int) -> CyclicWord:
+    """The cyclic word of any letter-code sequence: its letters checked
+    against the rank, then freely reduced, stripped of the conjugating ends
+    g ... g^-1 and canonicalized.  Raises InvalidLetterError for a letter
+    outside the alphabet, even one that would cancel."""
+    return CyclicWord(cyclic_core(reduce_codes(check_codes(codes, rank))), rank)
 
 
 def window_codes(letters: Sequence[int], offsets: Sequence[int], rank: int) -> np.ndarray:
@@ -261,10 +225,6 @@ def parse_codes(text: str) -> Tuple[int, ...]:
     return tuple(b)
 
 
-def parse_word(text: str, rank: int) -> Word:
-    return Word(parse_codes(text), rank)
-
-
 def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
     return CyclicWord(parse_codes(text), rank)
 
@@ -276,21 +236,18 @@ def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
 def random_word(
     length: int,
     rank: int,
-    cyclic: bool = False,
     rng: Optional[np.random.Generator] = None,
-) -> Union[Word, CyclicWord]:
+) -> CyclicWord:
     """Uniform Markov word: first letter uniform on the alphabet, each next
-    letter uniform on the alphabet minus the inverse of its predecessor.
-
-    With ``cyclic=True`` the last letter is additionally resampled until it
-    differs from the inverse of the first, and a CyclicWord is returned.
+    letter uniform on the alphabet minus the inverse of its predecessor, and
+    the last letter resampled until it differs from the inverse of the first.
     """
     check_rank(rank)
     if rng is None:
         rng = np.random.default_rng()
     if length == 0:
         log.warning("random_word called with length 0; returning identity")
-        return CyclicWord((), rank) if cyclic else Word((), rank)
+        return CyclicWord((), rank)
 
     m = 2 * rank
     draws = rng.integers(0, m - 1, size=length).tolist()
@@ -302,14 +259,11 @@ def random_word(
             c += 1
         letters.append(c)
 
-    if cyclic and length >= 2:
+    if length >= 2:
         banned_prev = letters[-2] ^ 1
         while letters[-1] == letters[0] ^ 1:
             c = int(rng.integers(0, m - 1))
             if c >= banned_prev:
                 c += 1
             letters[-1] = c
-        return CyclicWord(tuple(letters), rank)
-    if cyclic:
-        return CyclicWord(tuple(letters), rank)
-    return Word(tuple(letters), rank)
+    return CyclicWord(tuple(letters), rank)

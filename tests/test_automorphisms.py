@@ -12,7 +12,7 @@ from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
                                    length_change, minimize,
                                    random_automorphism, random_primitive,
                                    random_type2, reducing_moves, type2_count)
-from whitmin.words import (CyclicWord, Word, cyclic_reduce, parse_cyclic_word,
+from whitmin.words import (CyclicWord, cyclic_reduce, parse_cyclic_word,
                            random_word, reduce_codes)
 
 from conftest import all_cyclic_words, bfs_orbit_min, enumerate_type2
@@ -22,9 +22,10 @@ def cw(text):
     return parse_cyclic_word(text, 2)
 
 
-def apply_to_word(t, w):
-    """t(w) for a plain word: each letter's image, then free reduction."""
-    return Word(reduce_codes([d for c in w.letters for d in t.letter_image(c)]), w.rank)
+def apply_to_word(t, letters):
+    """t(w) for a plain (not cyclic) word: each letter's image, then free
+    reduction."""
+    return reduce_codes([d for c in letters for d in t.letter_image(c)])
 
 
 def mixed_words(rank, count, seed):
@@ -33,7 +34,7 @@ def mixed_words(rank, count, seed):
     rng = np.random.default_rng(seed)
     words = []
     for i in range(count):
-        w = random_word(int(rng.integers(1, 25)), rank, cyclic=True, rng=rng)
+        w = random_word(int(rng.integers(1, 25)), rank, rng=rng)
         if i % 2:
             w = apply_automorphism(random_type2(rank, rng), w)
         words.append(w)
@@ -66,7 +67,7 @@ def trial_descent(w):
 def cyclic_words(draw, min_rank=2, max_rank=4):
     rank = draw(st.integers(min_rank, max_rank))
     raw = draw(st.lists(st.integers(0, 2 * rank - 1), min_size=1, max_size=40))
-    core, _ = cyclic_reduce(Word(reduce_codes(raw), rank))
+    core = cyclic_reduce(raw, rank)
     assume(len(core) >= 1)
     return core
 
@@ -122,12 +123,11 @@ class TestTypeII:
         rng = np.random.default_rng(0)
         for _ in range(100):
             t = random_type2(2, rng)
-            u = random_word(int(rng.integers(1, 15)), 2, rng=rng)
-            v = random_word(int(rng.integers(1, 15)), 2, rng=rng)
-            prod = Word(reduce_codes(u.letters + v.letters), 2)
-            img_prod = apply_to_word(t, prod)
-            prod_img = reduce_codes(apply_to_word(t, u).letters + apply_to_word(t, v).letters)
-            assert img_prod.letters == prod_img
+            u = random_word(int(rng.integers(1, 15)), 2, rng=rng).letters
+            v = random_word(int(rng.integers(1, 15)), 2, rng=rng).letters
+            img_prod = apply_to_word(t, reduce_codes(u + v))
+            prod_img = reduce_codes(apply_to_word(t, u) + apply_to_word(t, v))
+            assert img_prod == prod_img
 
 
 class TestTypeI:
@@ -144,7 +144,7 @@ class TestTypeI:
         rng = np.random.default_rng(2)
         for _ in range(50):
             t = random_automorphism(2, rng)
-            w = random_word(int(rng.integers(1, 20)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(1, 20)), 2, rng=rng)
             if isinstance(t, TypeI):
                 assert len(apply_automorphism(t, w)) == len(w)
 
@@ -178,7 +178,7 @@ class TestReducingMoves:
     def test_matches_direct_scan(self):
         rng = np.random.default_rng(3)
         for _ in range(60):
-            w = random_word(int(rng.integers(2, 15)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(2, 15)), 2, rng=rng)
             expected = [m for m in NIELSEN_MOVES
                         if len(apply_automorphism(m.automorphism, w)) < len(w)]
             assert reducing_moves(w) == expected
@@ -231,7 +231,7 @@ class TestMinimality:
     def test_chain_replays_and_strictly_decreases(self):
         rng = np.random.default_rng(4)
         for _ in range(60):
-            w = random_word(int(rng.integers(1, 25)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(1, 25)), 2, rng=rng)
             m, chain = minimize(w)
             assert is_minimal(m)
             current = w
@@ -284,7 +284,7 @@ class TestMinimality:
 
     def test_rank_12_smoke(self):
         rng = np.random.default_rng(12)
-        base = random_word(150, 12, cyclic=True, rng=rng)
+        base = random_word(150, 12, rng=rng)
         w = base
         while len(w) < 200:
             w = apply_automorphism(random_type2(12, rng), w)

@@ -214,6 +214,19 @@ class TestTrainEvaluate:
                      "-o", "unused.json"]) == EXIT_USAGE
         assert _one_error_line(capsys)
 
+    def test_over_cell_budget(self, workdir, tmp_path, capsys, monkeypatch):
+        """train exits 3 and evaluate exits 2, before counting a feature."""
+        import whitmin.features as features
+        monkeypatch.setattr(features, "MAX_SELECTION_CELLS", 60 * 10)
+        monkeypatch.setattr(features, "feature_vector", None)   # never reached
+        capsys.readouterr()
+        assert main(["train", "--train", workdir["train"],
+                     "-o", str(tmp_path / "m.json")]) == EXIT_MODEL
+        assert _one_error_line(capsys)
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", workdir["test"]]) == EXIT_DATA
+        assert _one_error_line(capsys)
+
     def test_malformed_tsv_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abab\tnonsense\t4\n")
@@ -242,6 +255,8 @@ BAD_MODELS = {
     "tree-feature": ("tree", ["tree", "feature"], 60),
     "tree-missing-child": ("tree", ["tree", "left"], _DELETE),
     "threshold-override": ("model", ["config", "threshold_override"], 0.5),
+    "rank-27": ("model", ["config", "rank"], 27),
+    "rank-huge": ("model", ["config", "rank"], 10**9),
 }
 
 
@@ -292,8 +307,8 @@ class TestSelectFeatures:
         assert _one_error_line(capsys)
 
     def test_over_cell_budget_is_data_error(self, workdir, capsys, monkeypatch):
-        import whitmin.pipeline as pl
-        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", 1000)
+        import whitmin.features as features
+        monkeypatch.setattr(features, "MAX_SELECTION_CELLS", 1000)
         assert main(["select-features", "--pool", "1-1", "--train", workdir["train"],
                      "--val", workdir["test"]]) == EXIT_DATA
         assert _one_error_line(capsys)
@@ -364,7 +379,9 @@ class TestWordCommands:
             main(["minimize", "--word", "ab!"])
         assert e.value.code == EXIT_DATA
 
-    @pytest.mark.parametrize("word,named", [("ab1", "'1'"), ("abc", "letter code 4")])
+    # cbC reduces to b, but c is no rank-2 letter
+    @pytest.mark.parametrize("word,named", [("ab1", "'1'"), ("abc", "letter code 4"),
+                                            ("cbC", "letter code 4")])
     def test_minimize_bad_letter_is_one_error_line(self, capsys, word, named):
         with pytest.raises(SystemExit) as e:
             main(["minimize", "--word", word])
@@ -403,3 +420,8 @@ class TestWordCommands:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "predicted move:" in out or "already minimal" in out
+        # cbC reduces to b, but c is no rank-2 letter
+        with pytest.raises(SystemExit) as e:
+            main(["predict-reducer", "--word", "cbC", "--centers", centers])
+        assert e.value.code == EXIT_DATA
+        assert _one_error_line(capsys)

@@ -4,11 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from whitmin import features
-from whitmin.features import (EMPTY, FeatureMap, Pattern, Wildcard,
-                              builtin_map, count_pattern, feature_matrix,
-                              feature_vector, pattern_pool, resolve_map,
-                              whitehead_graph)
+from whitmin.features import (FeatureMap, Pattern, builtin_map, count_pattern,
+                              feature_matrix, feature_vector, pattern_pool,
+                              resolve_map, whitehead_graph)
 from whitmin.words import CyclicWord, parse_codes, parse_cyclic_word, random_word
 
 
@@ -17,39 +15,23 @@ def cw(text):
 
 
 def naive_cyclic_count(w, p):
-    """Independent oracle: literal scan of the doubled word over all wildcard
-    length assignments."""
+    """Independent oracle: literal scan of every start position of the
+    cyclic word, none when the pattern's span exceeds |w|."""
     n = len(w)
-    doubled = w.letters + w.letters
-    total = 0
-    for lens in itertools.product(*(g.lengths() for g in p.gaps)):
-        span = sum(lens) + sum(len(v) for v in p.fixed)
-        if span == 0 or span > n:
-            continue
-        for start in range(n):
-            pos = start + lens[0]
-            ok = True
-            for k, seg in enumerate(p.fixed):
-                if doubled[pos:pos + len(seg)] != seg:
-                    ok = False
-                    break
-                pos += len(seg) + lens[k + 1]
-            if ok:
-                total += 1
-    return total
+    if p.offsets[-1] >= n:
+        return 0
+    return sum(all(w.letters[(i + o) % n] == c for c, o in zip(p.letters, p.offsets))
+               for i in range(n))
 
 
 # a cyclically reduced 40-letter word: its window code would need a 4^40 table
 LONG_WORD = parse_codes("abABaabbAABBabaBAbabaaBBabABabbaBABaabab")
 
 HAND_BUILT = (
-    Pattern((parse_codes("ab"),), (Wildcard("exact", 2), EMPTY)),       # leading gap
-    Pattern((parse_codes("a"),), (EMPTY, Wildcard("exact", 3))),        # trailing gap
-    Pattern((parse_codes("ab"), parse_codes("B"), parse_codes("aa")),
-            (Wildcard("exact", 1), Wildcard("exact", 1), Wildcard("exact", 2),
-             EMPTY)),                                                   # three segments
-    Pattern.pair(0, Wildcard("at_most", 2), 2),                         # at_most gap
+    Pattern(parse_codes("abBaa"), (0, 1, 3, 5, 6)),                     # three segments
+    Pattern.pair(0, 5, 2),                                              # wide gap
     Pattern.from_word(LONG_WORD),                                       # table too large
+    Pattern(parse_codes("abaBAbaBabA"), tuple(range(0, 22, 2))),        # table too large
     Pattern.from_word((0, 5)),                                          # letter c^-1
 )
 
@@ -57,33 +39,33 @@ HAND_BUILT = (
 class TestCountPattern:
     def test_fixed_word_examples(self):
         assert count_pattern(cw("abab"), Pattern.from_word(parse_codes("ab"))) == 2
-        p_mid = Pattern.pair(0, Wildcard("exact", 1), 0)  # a . U1 . a
+        p_mid = Pattern.pair(0, 1, 0)  # a . U1 . a
         assert count_pattern(cw("abab"), p_mid) == 2
 
     def test_single_letters_sum_to_length(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            w = random_word(int(rng.integers(1, 20)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(1, 20)), 2, rng=rng)
             total = sum(count_pattern(w, Pattern.from_word((c,))) for c in range(4))
             assert total == len(w)
 
-    @pytest.mark.parametrize("fixed, gaps", [
-        ((), (EMPTY,)),
-        ((), (Wildcard("exact", 0),)),
-        (((),), (EMPTY, Wildcard("at_most", 0))),
-    ])
-    def test_pattern_matching_only_the_empty_word_rejected(self, fixed, gaps):
+    def test_pattern_matching_only_the_empty_word_rejected(self):
+        with pytest.raises(ValueError, match="only the empty word"):
+            Pattern((), ())
+
+    @pytest.mark.parametrize("offsets", [(0,), (0, 1, 2), (1, 2), (0, 0), (0, 3, 2)])
+    def test_offsets_checked(self, offsets):
         with pytest.raises(ValueError):
-            Pattern(fixed, gaps)
+            Pattern((0, 2), offsets)
 
     def test_span_exceeding_length_is_zero(self):
         assert count_pattern(cw("ab"), Pattern.from_word(parse_codes("ababab"))) == 0
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(1)
-        p = Pattern.pair(0, Wildcard("exact", 2), 3)
+        p = Pattern.pair(0, 2, 3)
         for _ in range(30):
-            w = random_word(int(rng.integers(4, 15)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(4, 15)), 2, rng=rng)
             base = count_pattern(w, p)
             for i in range(len(w)):
                 rot = w.letters[i:] + w.letters[:i]
@@ -93,13 +75,12 @@ class TestCountPattern:
         rng = np.random.default_rng(3)
         pats = [
             Pattern.from_word(parse_codes("ab")),
-            Pattern.pair(1, Wildcard("exact", 2), 2),
-            Pattern.pair(0, Wildcard("at_most", 3), 0),
-            Pattern((parse_codes("a"), parse_codes("b"), parse_codes("a")),
-                    (EMPTY, Wildcard("exact", 1), Wildcard("at_most", 1), EMPTY)),
+            Pattern.pair(1, 2, 2),
+            Pattern.pair(0, 3, 0),
+            Pattern(parse_codes("aba"), (0, 2, 4)),
         ]
         for _ in range(40):
-            w = random_word(int(rng.integers(2, 14)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(2, 14)), 2, rng=rng)
             for p in pats:
                 assert count_pattern(w, p) == naive_cyclic_count(w, p)
 
@@ -117,7 +98,7 @@ class TestFeatureVector:
         rng = np.random.default_rng(4)
         f0 = builtin_map("f0", 2)
         for _ in range(30):
-            w = random_word(int(rng.integers(1, 30)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(1, 30)), 2, rng=rng)
             assert abs(feature_vector(w, f0).sum() - 1.0) < 1e-12
 
     def test_empty_word_rejected(self):
@@ -135,7 +116,7 @@ class TestFeatureVector:
         rng = np.random.default_rng(5)
         for name in ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "fstar"]:
             fmap = builtin_map(name, 2)
-            w = random_word(int(rng.integers(1, 20)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(1, 20)), 2, rng=rng)
             assert feature_vector(w, fmap).shape == (fmap.dim,)
 
     @pytest.mark.parametrize("name, rank", [
@@ -144,7 +125,7 @@ class TestFeatureVector:
         ("f6", 3)])
     def test_fast_paths_match_generic_counts(self, name, rank):
         rng = np.random.default_rng(6)
-        words = [random_word(n, rank, cyclic=True, rng=rng) for n in range(1, 26)]
+        words = [random_word(n, rank, rng=rng) for n in range(1, 26)]
         fmap = (FeatureMap(name, HAND_BUILT, rank) if name == "hand-built"
                 else resolve_map(name, rank))
         if name == "hand-built":
@@ -158,35 +139,35 @@ class TestFeatureVector:
 
     @pytest.mark.parametrize("rank", [2, 3, 5])
     def test_every_pattern_kind_matches_oracle(self, rank):
-        """Random patterns of every gap kind, with letters that may fall
-        outside the alphabet, counted together in one map."""
+        """Random (letters, offsets) patterns, with letters that may fall
+        outside the alphabet, groups whose (2r)^k code table exceeds 2^16 and
+        spans longer than the word, counted together in one map."""
         rng = np.random.default_rng(rank)
         m = 2 * rank
-
-        def gap():
-            kind = str(rng.choice(["exact", "at_most", "empty"]))
-            return Wildcard(kind, int(rng.integers(0, 4)) if kind != "empty" else 0)
-
-        source = random_word(30, rank, cyclic=True, rng=rng)
+        source = random_word(30, rank, rng=rng)
         pats = list(HAND_BUILT) + [Pattern.from_word(source.letters[3:15])]
-        while len(pats) < 40:
-            segs = tuple(tuple(int(c) for c in rng.integers(0, m + 1, rng.integers(0, 4)))
-                         for _ in range(rng.integers(0, 4)))
-            gaps = tuple(gap() for _ in range(len(segs) + 1))
-            if sum(map(len, segs)) + sum(g.lengths()[-1] for g in gaps):
-                pats.append(Pattern(segs, gaps))
+        while len(pats) < 60:
+            k = int(rng.integers(1, 10))
+            gaps = rng.integers(1, 4, size=k - 1) * (rng.random(k - 1) < 0.4)
+            offsets = tuple(int(o) for o in np.concatenate(([0], np.cumsum(gaps + 1))))
+            letters = tuple(int(c) for c in rng.integers(0, m + 1, size=k))
+            pats.append(Pattern(letters, offsets))
+        assert any(m ** len(p.offsets) > 1 << 16 for p in pats[len(HAND_BUILT):])
         fmap = FeatureMap("random", tuple(pats), rank)
-        words = [random_word(n, rank, cyclic=True, rng=rng) for n in range(1, 16)]
-        for w in words + [source, random_word(60, rank, cyclic=True, rng=rng)]:
+        words = [random_word(n, rank, rng=rng) for n in range(1, 16)]
+        nonzero = 0
+        for w in words + [source, random_word(60, rank, rng=rng)]:
             exact = [naive_cyclic_count(w, p) for p in pats]
+            nonzero += sum(map(bool, exact))
             slow = np.array(exact) / len(w)
             assert feature_vector(w, fmap).tobytes() == slow.tobytes(), str(w)
             assert [count_pattern(w, p) for p in pats] == exact
+        assert nonzero > 20
 
     def test_large_pool_counted_in_bounded_time(self):
         fmap = resolve_map("pool:7-7", 2)
         rng = np.random.default_rng(10)
-        words = [random_word(100, 2, cyclic=True, rng=rng) for _ in range(3)]
+        words = [random_word(100, 2, rng=rng) for _ in range(3)]
         start = time.perf_counter()
         X = feature_matrix(words, fmap)
         assert time.perf_counter() - start < 2.0
@@ -197,17 +178,17 @@ class TestFeatureVector:
 
     def test_patterns_classified_once(self, monkeypatch):
         calls = []
-        instances = features._instances
+        span = Pattern.span
 
-        def counting(p, m):
+        def counting(p):
             calls.append(p)
-            return instances(p, m)
+            return span.fget(p)
 
-        monkeypatch.setattr(features, "_instances", counting)
+        monkeypatch.setattr(Pattern, "span", property(counting))
         fmap = builtin_map("f6", 2)
         rng = np.random.default_rng(9)
-        feature_matrix([random_word(30, 2, cyclic=True, rng=rng) for _ in range(5)], fmap)
-        feature_vector(random_word(7, 2, cyclic=True, rng=rng), fmap)
+        feature_matrix([random_word(30, 2, rng=rng) for _ in range(5)], fmap)
+        feature_vector(random_word(7, 2, rng=rng), fmap)
         assert calls == list(fmap.patterns)
 
     def test_empty_word_list(self):
@@ -220,7 +201,7 @@ class TestFeatureVector:
         for k in (1, 2, 3):
             fmap = builtin_map(f"f{k + 1}", 2)
             for _ in range(10):
-                w = random_word(int(rng.integers(k + 2, 25)), 2, cyclic=True, rng=rng)
+                w = random_word(int(rng.integers(k + 2, 25)), 2, rng=rng)
                 counts = feature_vector(w, fmap) * len(w)
                 assert abs(counts.sum() - len(w)) < 1e-9
 
@@ -245,6 +226,23 @@ class TestBuiltinMaps:
         fmap = resolve_map("pool:1-2", 2)
         assert fmap.dim == 36 + 108
 
+    def test_pattern_texts(self):
+        """The strings select-features prints: x.U<g>.y, and composite words."""
+        letters = "aAbB"
+        for gap in (1, 2, 3):
+            expect = [f"{x}.U{gap}.{y}" for x in letters for y in letters]
+            assert [p.text() for p in builtin_map(f"f{gap + 1}", 2).patterns] == expect
+        reduced = [w for n in (3, 4) for w in map("".join, itertools.product(letters, repeat=n))
+                   if all(y != x.swapcase() for x, y in zip(w, w[1:]))]
+        assert [p.text() for p in resolve_map("pool:1-2", 2).patterns] == reduced
+        assert HAND_BUILT[0].text() == "ab.U1.B.U1.aa"
+
+    @pytest.mark.parametrize("rank", [1, 27, 10**9])
+    @pytest.mark.parametrize("name", ["f0", "f6", "fstar", "pool:1-1"])
+    def test_rank_bounded(self, name, rank):
+        with pytest.raises(ValueError, match="rank must be in 2..26"):
+            resolve_map(name, rank)
+
 
 class TestPatternPool:
     def test_sizes(self):
@@ -252,9 +250,9 @@ class TestPatternPool:
         assert len(pattern_pool(2, 1, 1)) == 36
 
     def test_all_composites_reduced(self):
-        from whitmin.words import Word
         for p in pattern_pool(2, 1, 2):
-            Word(p.fixed[0], 2)  # raises if not freely reduced
+            assert p.offsets == tuple(range(len(p.letters)))
+            assert all(b != a ^ 1 for a, b in zip(p.letters, p.letters[1:]))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -284,7 +282,7 @@ class TestWhiteheadGraph:
     def test_weights_match_counts(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            w = random_word(int(rng.integers(3, 12)), 2, cyclic=True, rng=rng)
+            w = random_word(int(rng.integers(3, 12)), 2, rng=rng)
             g = whitehead_graph(w, max_label_len=2)
             for (x, lab, y), wt in g.edges.items():
                 p = Pattern.from_word((x,) + lab + (y,))

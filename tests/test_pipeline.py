@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from whitmin import features
 from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import feature_matrix, pattern_pool
 from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
@@ -82,6 +83,17 @@ class TestEvaluation:
         assert calls == [len(test_set)]
         assert rep.histogram is not None
 
+    def test_cell_budget_checked_before_counting(self, trained, train_set, test_set,
+                                                 monkeypatch):
+        """train_pipeline and evaluate refuse an over-budget feature matrix."""
+        cells = 60 * min(len(train_set), len(test_set))
+        monkeypatch.setattr(features, "MAX_SELECTION_CELLS", cells - 1)
+        monkeypatch.setattr(features, "feature_vector", None)  # never reached
+        with pytest.raises(ValueError, match="budget"):
+            evaluate(trained, test_set)
+        with pytest.raises(ValueError, match="budget"):
+            train_pipeline(train_set, PipelineConfig(feature_map="f6"))
+
     def test_empty_test_set_rejected(self, trained, test_set):
         with pytest.raises(ValueError):
             evaluate(trained, test_set.subset([False] * len(test_set)))
@@ -145,15 +157,14 @@ class TestSelection:
             greedy_feature_selection([], train_set, test_set)
 
     def test_cell_budget_checked_before_counting(self, train_set, test_set, monkeypatch):
-        import whitmin.pipeline as pl
         pool = pattern_pool(2, 1, 1)
         cells = len(pool) * (len(train_set) + len(test_set))
-        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", cells - 1)
-        monkeypatch.setattr(pl, "feature_matrix", None)  # never reached
+        monkeypatch.setattr(features, "MAX_SELECTION_CELLS", cells - 1)
+        monkeypatch.setattr(features, "feature_vector", None)  # never reached
         with pytest.raises(ValueError, match="budget"):
             greedy_feature_selection(pool, train_set, test_set)
         monkeypatch.undo()
-        monkeypatch.setattr(pl, "MAX_SELECTION_CELLS", cells)
+        monkeypatch.setattr(features, "MAX_SELECTION_CELLS", cells)
         assert greedy_feature_selection(pool, train_set, test_set, max_features=1)
 
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitmin.words import (CyclicWord, InvalidLetterError, Word,
-                           _smallest_period, check_codes, cyclic_reduce,
-                           format_codes, least_rotation, pair_counts,
-                           parse_codes, parse_cyclic_word, parse_word,
+from whitmin.words import (CyclicWord, InvalidLetterError, check_codes,
+                           cyclic_reduce, format_codes, least_rotation,
+                           pair_counts, parse_codes, parse_cyclic_word,
                            random_word, reduce_codes, window_codes)
 
 
@@ -27,30 +26,37 @@ class TestLetters:
         with pytest.raises(InvalidLetterError):
             check_codes([7], 2)
         with pytest.raises(InvalidLetterError):
-            Word(reduce_codes([7]), 2)
+            cyclic_reduce([7], 2)
+        # checked before reduction: c C cancels, but c is no rank-2 letter
+        with pytest.raises(InvalidLetterError, match="letter code 4 "):
+            cyclic_reduce(codes("cbC"), 2)
 
 
 class TestFreeReduce:
     def test_adjacent_cancellation(self):
-        assert Word(reduce_codes(codes("abBa")), 2).letters == codes("aa")
+        assert reduce_codes(codes("abBa")) == codes("aa")
 
     def test_identity_cases(self):
-        assert Word(reduce_codes(()), 2).letters == ()
-        assert Word(reduce_codes(codes("aA")), 2).letters == ()
+        assert reduce_codes(()) == ()
+        assert reduce_codes(codes("aA")) == ()
 
     def test_idempotent_and_nonincreasing(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             raw = rng.integers(0, 4, size=int(rng.integers(0, 30))).tolist()
-            w = Word(reduce_codes(raw), 2)
+            w = reduce_codes(raw)
             assert len(w) <= len(raw)
-            assert Word(reduce_codes(w.letters), 2).letters == w.letters
+            assert reduce_codes(w) == w
 
     @given(st.lists(st.integers(0, 5), max_size=40))
     def test_reduced_invariant(self, raw):
         out = reduce_codes(raw)
         for i in range(len(out) - 1):
             assert out[i] != out[i + 1] ^ 1
+
+
+def inverse(letters):
+    return tuple(c ^ 1 for c in reversed(letters))
 
 
 class TestCyclicReduce:
@@ -60,46 +66,21 @@ class TestCyclicReduce:
         ("Baab", "aa", "B"),
     ])
     def test_examples(self, word, core, conj):
-        c, g = cyclic_reduce(parse_word(word, 2))
-        assert c.letters == CyclicWord(codes(core), 2).letters
-        assert g.letters == codes(conj)
+        assert cyclic_reduce(codes(word), 2).letters == CyclicWord(codes(core), 2).letters
+        # word = conj core conj^-1
+        g = codes(conj)
+        assert reduce_codes(g + codes(core) + inverse(g)) == codes(word)
 
     def test_conjugation_identity(self):
-        # w = g c g^-1 after free reduction
+        # g c g^-1, any rotation of c, unreduced, has the cyclic word c
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            w = random_word(int(rng.integers(1, 25)), 2, rng=rng)
-            c, g = cyclic_reduce(w)
-            g_inv = tuple(c ^ 1 for c in reversed(g.letters))
-            recombined = Word(reduce_codes(g.letters + c.letters + g_inv), 2)
-            assert recombined.letters == w.letters
-
-    def test_matches_rotation_search(self):
-        # the conjugator is the one the O(n^2) search over rotations finds:
-        # the least rotation k, also for proper powers such as abab
-        def reference(w):
-            ls = w.letters
-            prefix = []
-            while len(ls) >= 2 and ls[0] == ls[-1] ^ 1:
-                prefix.append(ls[0])
-                ls = ls[1:-1]
-            canon = least_rotation(ls)
-            for k in range(max(1, len(canon))):
-                if canon[k:] + canon[:k] == ls:
-                    c1_inv = tuple(c ^ 1 for c in reversed(canon[:k]))
-                    return canon, reduce_codes(tuple(prefix) + c1_inv)
-
-        rng = np.random.default_rng(3)
-        for _ in range(400):
+        for _ in range(200):
             rank = int(rng.integers(2, 4))
-            base = random_word(int(rng.integers(1, 8)), rank, cyclic=True, rng=rng)
-            power = base.letters * int(rng.integers(1, 4))
-            r = int(rng.integers(0, len(power)))
-            g = random_word(int(rng.integers(0, 5)), rank, rng=rng)
-            g_inv = tuple(c ^ 1 for c in reversed(g.letters))
-            w = Word(reduce_codes(g.letters + power[r:] + power[:r] + g_inv), rank)
-            c, conj = cyclic_reduce(w)
-            assert (c.letters, conj.letters) == reference(w)
+            c = random_word(int(rng.integers(0, 12)), rank, rng=rng)
+            r = int(rng.integers(0, max(len(c), 1)))
+            g = tuple(rng.integers(0, 2 * rank, size=int(rng.integers(0, 6))).tolist())
+            raw = g + c.letters[r:] + c.letters[:r] + inverse(g)
+            assert cyclic_reduce(raw, rank) == c
 
 
 def naive_least_rotation(s):
@@ -151,30 +132,6 @@ class TestCanonicalRotation:
         else:
             assert canon == word
 
-    def test_smallest_period_matches_failure_function(self):
-        def kmp_period(seq):
-            n = len(seq)
-            if n == 0:
-                return 1
-            fail = [0] * n
-            k = 0
-            for i in range(1, n):
-                while k and seq[i] != seq[k]:
-                    k = fail[k - 1]
-                if seq[i] == seq[k]:
-                    k += 1
-                fail[i] = k
-            p = n - fail[-1]
-            return p if n % p == 0 else n
-
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            u = tuple(rng.integers(0, 3, size=int(rng.integers(0, 5))).tolist())
-            s = u * int(rng.integers(1, 6))
-            if s and rng.random() < 0.3:
-                s = s[:-1] + (int(rng.integers(0, 3)),)
-            assert _smallest_period(s) == kmp_period(s), s
-
     def test_rotations_share_canonical_form(self):
         w = parse_cyclic_word("aabab", 2)
         for i in range(len(w)):
@@ -200,7 +157,7 @@ class TestPairCounts:
     def test_window_codes_read_each_cyclic_window(self):
         rng = np.random.default_rng(5)
         for n in range(1, 15):
-            w = random_word(n, 3, cyclic=True, rng=rng).letters
+            w = random_word(n, 3, rng=rng).letters
             for offsets in ((), (0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5)):
                 expect = [sum(w[(i + o) % n] * 6 ** (len(offsets) - 1 - j)
                               for j, o in enumerate(offsets)) for i in range(n)]
@@ -211,11 +168,11 @@ class TestPairCounts:
 class TestTextEncoding:
     def test_round_trip(self):
         for text in ["", "a", "abAB", "aaBBa"]:
-            assert str(parse_word(text, 2)) == text
+            assert format_codes(parse_codes(text)) == text
 
     def test_invalid_character(self):
         with pytest.raises(ValueError):
-            parse_word("ab1", 2)
+            parse_cyclic_word("ab1", 2)
 
     def test_all_codes_round_trip(self):
         codes52 = tuple(range(52))
@@ -248,7 +205,7 @@ class TestLetterChecks:
         assert check_codes([0, 5, 3], 3) == bytes((0, 5, 3))
         assert check_codes(iter((1, 2)), 2) == bytes((1, 2))
 
-    @pytest.mark.parametrize("cls", [Word, CyclicWord])
+    @pytest.mark.parametrize("cls", [CyclicWord])
     def test_reports_first_cancelling_position(self, cls):
         # c C at position 1 comes before a A at 3 and b B at 5
         letters = (2, 4, 5, 0, 1, 2, 3, 4)
@@ -271,13 +228,13 @@ class TestRandomWord:
         rng = np.random.default_rng(4)
         for _ in range(200):
             w = random_word(int(rng.integers(1, 40)), 2, rng=rng)
-            Word(w.letters, 2)  # validates reducedness
+            CyclicWord(w.letters, 2)  # validates cyclic reducedness
 
     def test_cyclic_invariants(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             n = int(rng.integers(1, 40))
-            w = random_word(n, 2, cyclic=True, rng=rng)
+            w = random_word(n, 2, rng=rng)
             assert isinstance(w, CyclicWord)
             assert len(w) == n
 
