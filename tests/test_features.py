@@ -49,9 +49,11 @@ class TestCountPattern:
             total = sum(count_pattern(w, Pattern.from_word((c,))) for c in range(4))
             assert total == len(w)
 
-    def test_pattern_matching_only_the_empty_word_rejected(self):
+    # no fixed letters matches only the empty word, whatever offsets come with them
+    @pytest.mark.parametrize("fixed, gaps", [((), ()), ((), (0,)), ((), (0, 2))])
+    def test_pattern_matching_only_the_empty_word_rejected(self, fixed, gaps):
         with pytest.raises(ValueError, match="only the empty word"):
-            Pattern((), ())
+            Pattern(fixed, gaps)
 
     @pytest.mark.parametrize("offsets", [(0,), (0, 1, 2), (1, 2), (0, 0), (0, 3, 2)])
     def test_offsets_checked(self, offsets):
