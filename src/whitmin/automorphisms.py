@@ -131,12 +131,7 @@ _NIELSEN_AUTOS: Dict[NielsenMove, TypeII] = {
     NielsenMove.B_AINV_B: TypeII(2, 0, frozenset({0, 3})),   # b -> a^-1 b
 }
 
-NIELSEN_MOVES: Tuple[NielsenMove, ...] = (
-    NielsenMove.A_AB,
-    NielsenMove.A_BINV_A,
-    NielsenMove.B_BA,
-    NielsenMove.B_AINV_B,
-)
+NIELSEN_MOVES: Tuple[NielsenMove, ...] = tuple(NielsenMove)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,18 @@ def _inv_with_ridge(C: np.ndarray) -> Tuple[np.ndarray, bool]:
     return (inv + inv.T) / 2.0, repaired
 
 
+def _discriminant(X, mu1, mu2, inv1, inv2) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    # Row by row: a matrix form sums in another order, which moves the low
+    # bits of nearly every score and so the fitted theta.
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(X):
+        d1 = x - mu1
+        d2 = x - mu2
+        out[i] = d1 @ inv1 @ d1 - d2 @ inv2 @ d2
+    return out
+
+
 @dataclass(frozen=True)
 class DistanceModel:
     """Two-class classifier on the Mahalanobis discriminant
@@ -37,15 +49,7 @@ class DistanceModel:
     training_error: float = 0.0
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        # Row by row: a matrix form sums in another order, which moves the low
-        # bits of nearly every score and so the fitted theta.
-        out = np.empty(X.shape[0])
-        for i, x in enumerate(X):
-            d1 = x - self.mu1
-            d2 = x - self.mu2
-            out[i] = d1 @ self.inv_cov1 @ d1 - d2 @ self.inv_cov2 @ d2
-        return out
+        return _discriminant(X, self.mu1, self.mu2, self.inv_cov1, self.inv_cov2)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return threshold_labels(self.scores(X), self.theta, self.orientation)
@@ -60,11 +64,6 @@ def fit_distance(data: LabeledSet) -> DistanceModel:
     mu2, C2 = mean_and_covariance(X2)
     inv1, rep1 = _inv_with_ridge(C1)
     inv2, rep2 = _inv_with_ridge(C2)
-    model = DistanceModel(mu1, mu2, inv1, inv2, 0.0, 1, ridge_repaired=rep1 or rep2)
-
-    scores = model.scores(data.features)
+    scores = _discriminant(data.features, mu1, mu2, inv1, inv2)
     theta, orient, err = choose_threshold(scores, data.labels)
-    object.__setattr__(model, "theta", theta)
-    object.__setattr__(model, "orientation", orient)
-    object.__setattr__(model, "training_error", err)
-    return model
+    return DistanceModel(mu1, mu2, inv1, inv2, theta, orient, rep1 or rep2, err)

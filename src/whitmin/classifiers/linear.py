@@ -62,10 +62,10 @@ def scatter_matrices(data: LabeledSet) -> Tuple[np.ndarray, np.ndarray, np.ndarr
 def _fisher_weights(data: LabeledSet) -> np.ndarray:
     X1 = data.class_rows(1)
     X2 = data.class_rows(2)
-    mu1, _ = mean_and_covariance(X1)
-    mu2, _ = mean_and_covariance(X2)
-    _, Sw, _ = scatter_matrices(data)
-    Sw, _ = ridge_if_singular(Sw)
+    n1, n2 = len(X1), len(X2)
+    mu1, C1 = mean_and_covariance(X1)
+    mu2, C2 = mean_and_covariance(X2)
+    Sw, _ = ridge_if_singular(n1 / (n1 + n2) * C1 + n2 / (n1 + n2) * C2)
     return np.linalg.solve(Sw, mu1 - mu2)
 
 

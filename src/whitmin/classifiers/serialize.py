@@ -1,4 +1,5 @@
-"""Versioned JSON serialization for fitted models.
+"""Versioned JSON documents for fitted models, as dicts; the pipeline's
+``pipeline_to_json`` / ``pipeline_from_json`` write and parse the text.
 
 Floats are written with Python's shortest round-trip repr (>= 17 significant
 digits where needed), so serialize/deserialize round-trips are bit exact.
@@ -6,7 +7,6 @@ digits where needed), so serialize/deserialize round-trips are bit exact.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict
 
 import numpy as np
@@ -143,14 +143,3 @@ def _model_from_dict(doc: Dict[str, Any]):
         return TreeModel(_tree_node_from_dict(doc["tree"]))
     raise ModelFormatError(f"unknown method {method!r}")
 
-
-def dumps(model, feature_map: str = "") -> str:
-    return json.dumps(model_to_dict(model, feature_map), indent=2)
-
-
-def loads(text: str):
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ModelFormatError(str(e)) from e
-    return model_from_dict(doc)

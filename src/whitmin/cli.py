@@ -11,7 +11,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-import numpy as np
+from .automorphisms import apply_automorphism, is_minimal, minimize
+from .classifiers import ModelFormatError
+from .clustering import (EmptyPureSet, centers_from_json, centers_to_json,
+                         clustering_experiment, predict_reducer, report_centers_by_move)
+from .datasets import DataFormatError, DatasetSpec, generate_dataset, load_tsv, save_tsv
+from .features import pattern_pool, resolve_map
+from .pipeline import (MAX_BINS, PipelineConfig, evaluate, greedy_feature_selection,
+                       pipeline_from_json, pipeline_to_json, train_pipeline)
+from .words import check_rank, cyclic_reduce, parse_codes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dataset(path: str, rank: int):
-    from .datasets import DataFormatError, load_tsv
     try:
         return load_tsv(path, rank)
     except (OSError, DataFormatError) as e:
@@ -97,7 +104,6 @@ def _load_dataset(path: str, rank: int):
 
 
 def _cmd_generate(args) -> int:
-    from .datasets import DatasetSpec, generate_dataset, save_tsv
     try:
         spec = DatasetSpec(kind=args.kind, rank=args.rank, max_length=args.max_len,
                            per_length=args.per_len, seed=args.seed, size=args.size)
@@ -110,8 +116,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .features import resolve_map
-    from .pipeline import PipelineConfig, pipeline_to_json, train_pipeline
     kinds = {"equal": "equal_interval", "prob": "equal_probability",
              "minerr": "min_error", "none": None}
     try:
@@ -136,8 +140,6 @@ def _cmd_train(args) -> int:
 
 
 def _load_pipeline(path: str):
-    from .classifiers import ModelFormatError
-    from .pipeline import pipeline_from_json
     try:
         with open(path) as fh:
             return pipeline_from_json(fh.read())
@@ -148,7 +150,6 @@ def _load_pipeline(path: str):
 
 
 def _cmd_evaluate(args) -> int:
-    from .pipeline import MAX_BINS, evaluate
     pipeline = _load_pipeline(args.model)
     test = _load_dataset(args.test, pipeline.fmap.rank)
     try:
@@ -171,8 +172,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_select_features(args) -> int:
-    from .features import pattern_pool
-    from .pipeline import greedy_feature_selection
     try:
         lo, _, hi = args.pool.partition("-")
         pool = pattern_pool(args.rank, int(lo), int(hi))
@@ -191,15 +190,14 @@ def _cmd_select_features(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    from .clustering import (EmptyPureSet, centers_to_json, clustering_experiment,
-                             report_centers_by_move)
-    from .features import resolve_map
+    if args.seed < 0:
+        return _fail(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
     try:
         fmap = resolve_map(args.features, 2)
     except ValueError as e:
         return _fail(f"bad feature map {args.features!r}: {e}", EXIT_USAGE)
     data = _load_dataset(args.data, 2)
-    nonmin = data.subset([r.label == "nonmin" for r in data.records])
+    nonmin = data.subset(data.labels() == 2)
     try:
         report = clustering_experiment(nonmin, fmap, init=args.init, seed=args.seed)
     except (EmptyPureSet, ValueError) as e:
@@ -218,7 +216,6 @@ def _cmd_cluster(args) -> int:
 
 
 def _parse_cli_word(text: str, rank: int):
-    from .words import cyclic_reduce, parse_codes
     try:
         return cyclic_reduce(parse_codes(text), rank)
     except ValueError as e:
@@ -226,7 +223,6 @@ def _parse_cli_word(text: str, rank: int):
 
 
 def _cmd_minimize(args) -> int:
-    from .automorphisms import minimize
     w = _parse_cli_word(args.word, args.rank)
     m, chain = minimize(w)
     print(f"minimal: {m if len(m) else '(identity)'}")
@@ -235,9 +231,6 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_predict_reducer(args) -> int:
-    from .automorphisms import apply_automorphism, is_minimal
-    from .clustering import centers_from_json, predict_reducer
-    from .features import resolve_map
     try:
         with open(args.centers) as fh:
             centers, fmap_name = centers_from_json(fh.read())
@@ -268,7 +261,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .words import check_rank
     args = build_parser().parse_args(argv)
     if hasattr(args, "rank"):
         try:
@@ -277,8 +269,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _fail(e, EXIT_USAGE)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
     except OSError as e:
         return _fail(e, EXIT_DATA)
 

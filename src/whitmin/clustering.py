@@ -5,8 +5,8 @@ and the nearest-center reducer prediction rule."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,39 +25,47 @@ class EmptyPureSet(ValueError):
         self.move = move
 
 
+def _move_table(words: Sequence[CyclicWord]) -> np.ndarray:
+    """Words x moves: True where the Nielsen move shortens the word."""
+    return np.array([[m in moves for m in NIELSEN_MOVES]
+                     for moves in map(reducing_moves, words)],
+                    dtype=bool).reshape(-1, len(NIELSEN_MOVES))
+
+
 @dataclass
 class ClusterReport:
-    """Per-cluster reduction rates and the cluster -> move assignment."""
+    """R(t, C) as a clusters x moves matrix, with the final 4-means centers.
+    An empty cluster is a zero row: R_max 0 and move A_AB."""
 
-    rates: List[Dict[NielsenMove, float]]       # R(t, C) per cluster
-    r_max: List[float]
-    assignment: List[NielsenMove]               # argmax move per cluster
+    rates: np.ndarray            # clusters x moves, columns in NIELSEN_MOVES order
     centers: np.ndarray
-    cluster_sizes: List[int]
+    cluster_sizes: np.ndarray
     init_kind: str
+
+    @property
+    def r_max(self) -> np.ndarray:
+        return self.rates.max(axis=1)
+
+    @property
+    def assignment(self) -> List[NielsenMove]:
+        """Each cluster's best move; ties go to the earlier move."""
+        return [NIELSEN_MOVES[j] for j in self.rates.argmax(axis=1)]
 
     @property
     def avg_r_max(self) -> float:
         return float(np.mean(self.r_max))
 
-    @property
-    def max_r_max(self) -> float:
-        return float(np.max(self.r_max))
-
-    @property
-    def min_r_max(self) -> float:
-        return float(np.min(self.r_max))
-
     def summary_csv(self) -> str:
         lines = ["cluster,size,move," +
                  ",".join(f"R_{m.name}" for m in NIELSEN_MOVES) + ",R_max"]
-        for i, rates in enumerate(self.rates):
-            vals = ",".join(f"{rates[m]:.6f}" for m in NIELSEN_MOVES)
-            lines.append(f"{i},{self.cluster_sizes[i]},{self.assignment[i].name},"
-                         f"{vals},{self.r_max[i]:.6f}")
-        lines.append(f"avg_r_max,,,,,,,{self.avg_r_max:.6f}")
-        lines.append(f"max_r_max,,,,,,,{self.max_r_max:.6f}")
-        lines.append(f"min_r_max,,,,,,,{self.min_r_max:.6f}")
+        r_max = self.r_max
+        for i, (size, move, rates, r) in enumerate(zip(self.cluster_sizes, self.assignment,
+                                                      self.rates, r_max)):
+            vals = ",".join(f"{v:.6f}" for v in (*rates, r))
+            lines.append(f"{i},{size},{move.name},{vals}")
+        for name, value in (("avg", self.avg_r_max), ("max", r_max.max()),
+                            ("min", r_max.min())):
+            lines.append(f"{name}_r_max,,,,,,,{value:.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -66,16 +74,14 @@ def estimate_initial_centers(
     fmap: FeatureMap,
 ) -> Dict[NielsenMove, np.ndarray]:
     """Per-move mean feature vector over the words reduced by that move alone."""
-    pure: Dict[NielsenMove, List[CyclicWord]] = {m: [] for m in NIELSEN_MOVES}
-    for w in sample:
-        moves = reducing_moves(w)
-        if len(moves) == 1:
-            pure[moves[0]].append(w)
+    table = _move_table(sample)
+    pure = table & (table.sum(axis=1) == 1)[:, None]
     centers = {}
-    for m in NIELSEN_MOVES:
-        if not pure[m]:
+    for m, column in zip(NIELSEN_MOVES, pure.T):
+        if not column.any():
             raise EmptyPureSet(m)
-        centers[m] = feature_matrix(pure[m], fmap).mean(axis=0)
+        centers[m] = feature_matrix([sample[i] for i in np.flatnonzero(column)],
+                                    fmap).mean(axis=0)
     return centers
 
 
@@ -114,26 +120,11 @@ def clustering_experiment(
         init_centers = X[idx]
 
     model = kmeans(X, init_centers)
-
-    ground: List[List[NielsenMove]] = [reducing_moves(w) for w in rest]
-    rates: List[Dict[NielsenMove, float]] = []
-    r_max: List[float] = []
-    assignment: List[NielsenMove] = []
-    sizes: List[int] = []
-    for c in range(4):
-        members = [ground[i] for i in range(len(rest)) if model.assignments[i] == c]
-        sizes.append(len(members))
-        if not members:
-            rates.append({m: 0.0 for m in NIELSEN_MOVES})
-            r_max.append(0.0)
-            assignment.append(NIELSEN_MOVES[0])
-            continue
-        rs = {m: sum(m in g for g in members) / len(members) for m in NIELSEN_MOVES}
-        rates.append(rs)
-        best = max(NIELSEN_MOVES, key=lambda m: (rs[m], -NIELSEN_MOVES.index(m)))
-        r_max.append(max(rs.values()))
-        assignment.append(best)
-    return ClusterReport(rates, r_max, assignment, model.centers, sizes, init)
+    # integer counts: a bool @ bool product would be a logical OR
+    member = np.eye(4, dtype=np.int64)[model.assignments]       # words x clusters
+    sizes = member.sum(axis=0)
+    counts = member.T @ _move_table(rest).astype(np.int64)      # clusters x moves
+    return ClusterReport(counts / np.maximum(sizes, 1)[:, None], model.centers, sizes, init)
 
 
 def predict_reducer(
@@ -143,12 +134,7 @@ def predict_reducer(
 ) -> NielsenMove:
     """Nearest-center Nielsen move; ties resolve in move order."""
     x = feature_matrix([w], fmap)[0]
-    best = None
-    for m in NIELSEN_MOVES:
-        d = float(np.linalg.norm(x - centers[m]))
-        if best is None or d < best[0]:
-            best = (d, m)
-    return best[1]
+    return min(NIELSEN_MOVES, key=lambda m: np.linalg.norm(x - centers[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +182,10 @@ def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
 
 def report_centers_by_move(report: ClusterReport) -> Dict[NielsenMove, np.ndarray]:
     """Final cluster centers keyed by each cluster's assigned move.  If two
-    clusters claim the same move the larger cluster wins."""
+    clusters claim the same move the larger cluster wins, and of two equal
+    ones the first."""
+    assignment = report.assignment
     out: Dict[NielsenMove, np.ndarray] = {}
-    claimed: Dict[NielsenMove, int] = {}
-    for i, m in enumerate(report.assignment):
-        if m not in out or report.cluster_sizes[i] > claimed[m]:
-            out[m] = report.centers[i]
-            claimed[m] = report.cluster_sizes[i]
+    for i in np.argsort(-report.cluster_sizes, kind="stable"):
+        out.setdefault(assignment[i], report.centers[i])
     return out

@@ -12,8 +12,8 @@ Kinds:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -86,6 +86,12 @@ class DatasetSpec:
         check_rank(self.rank)
         if self.max_length < 1:
             raise ValueError("max_length must be >= 1")
+        if self.per_length < 1:
+            raise ValueError("per_length must be >= 1")
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 _KIND_INDEX = {"D": 0, "Se": 1, "SR": 2, "SP": 3, "S10": 4}

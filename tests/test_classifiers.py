@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 
 import numpy as np
@@ -14,11 +15,15 @@ from whitmin.classifiers.base import sorted_class_counts
 from whitmin.classifiers import tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
                                           _min_error_boundaries)
-from whitmin.classifiers.serialize import (ModelFormatError, dumps, loads,
-                                           model_from_dict, model_to_dict)
+from whitmin.classifiers.serialize import (ModelFormatError, model_from_dict,
+                                           model_to_dict)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
 
 from conftest import kmeans_objectives
+
+
+def json_round_trip(model):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
 
 
 def random_scores(rng, n):
@@ -159,7 +164,7 @@ class TestDistance:
         rng = np.random.default_rng(5)
         data = two_blob_set(rng)
         model = fit_distance(data)
-        clone = loads(dumps(model))
+        clone = json_round_trip(model)
         X = data.features[:10]
         assert np.array_equal(clone.predict(X), model.predict(X))
         assert np.array_equal(clone.scores(X), model.scores(X))
@@ -212,7 +217,7 @@ class TestLinear:
         model = fit_linear(data, method="regression")
         q = build_quantizer(model.scores(data.features), data.labels, 10)
         model = model.with_quantizer(q)
-        clone = loads(dumps(model))
+        clone = json_round_trip(model)
         assert np.array_equal(clone.weights, model.weights)
         assert clone.quantizer == model.quantizer
         X = data.features[:10]
@@ -496,7 +501,7 @@ class TestTree:
         rng = np.random.default_rng(18)
         data = two_blob_set(rng)
         model = fit_tree(data)
-        clone = loads(dumps(model))
+        clone = json_round_trip(model)
         assert np.array_equal(clone.predict(data.features), model.predict(data.features))
 
     def test_predict_matches_single_row_walk(self, monkeypatch):
@@ -637,8 +642,6 @@ class TestSerialization:
 
     def test_rejects_garbage(self):
         with pytest.raises(ModelFormatError):
-            loads("not json at all {")
-        with pytest.raises(ModelFormatError):
             model_from_dict({"schema_version": 1, "method": "mystery"})
 
     def test_rejects_deeply_nested_tree(self):
@@ -654,4 +657,5 @@ class TestSerialization:
     def test_json_text_stable(self):
         rng = np.random.default_rng(24)
         model = fit_linear(two_blob_set(rng))
-        assert dumps(model) == dumps(loads(dumps(model)))
+        text = json.dumps(model_to_dict(model))
+        assert json.dumps(model_to_dict(json_round_trip(model))) == text

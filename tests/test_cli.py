@@ -93,10 +93,21 @@ class TestGenerate:
     @pytest.mark.parametrize("flags", [["--kind", "SR", "--rank", "1"],
                                        ["--kind", "D", "--max-len", "0"],
                                        ["--kind", "D", "--rank", "0"],
-                                       ["--kind", "D", "--rank", "27"]])
+                                       ["--kind", "D", "--rank", "27"],
+                                       ["--kind", "D", "--per-len", "0"],
+                                       ["--kind", "D", "--per-len", "-2"],
+                                       ["--kind", "SR", "--size", "0"],
+                                       ["--kind", "SP", "--size", "-5"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
         assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        assert main(["generate", "--kind", "D", "--max-len", "4", "--seed", "-1",
+                     "-o", str(out)]) == EXIT_USAGE
         assert _one_error_line(capsys)
         assert not out.exists()
 
@@ -352,6 +363,13 @@ class TestCluster:
         assert main(["cluster", "--data", workdir["train"],
                      "--features", features]) == EXIT_USAGE
         assert _one_error_line(capsys)
+
+    def test_negative_seed_is_usage_error(self, cluster_data, tmp_path, capsys):
+        centers = tmp_path / "centers.json"
+        assert main(["cluster", "--data", cluster_data, "--seed", "-1",
+                     "--centers-out", str(centers)]) == EXIT_USAGE
+        assert _one_error_line(capsys)
+        assert not centers.exists()
 
 
 class TestWordCommands:

@@ -6,8 +6,9 @@ from whitmin.clustering import (ClusterReport, EmptyPureSet,
                                 centers_from_json, centers_to_json,
                                 clustering_experiment, estimate_initial_centers,
                                 predict_reducer, report_centers_by_move)
-from whitmin.datasets import DatasetSpec, generate_dataset
+from whitmin.datasets import DatasetSpec, LabeledWordSet, WordRecord, generate_dataset
 from whitmin.features import builtin_map
+from whitmin.words import parse_cyclic_word
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,6 @@ class TestInitialCenters:
             assert v.shape == (16,)
 
     def test_empty_pure_set_raises(self, f2map):
-        from whitmin.words import parse_cyclic_word
         # a single word cannot populate all four pure sets
         with pytest.raises(EmptyPureSet):
             estimate_initial_centers([parse_cyclic_word("abab", 2)], f2map)
@@ -49,11 +49,9 @@ class TestExperiment:
         assert rep.init_kind == "estimated"
         assert len(rep.r_max) == 4
         assert sum(rep.cluster_sizes) <= len(nonmin_set)
-        for rates in rep.rates:
-            for v in rates.values():
-                assert 0.0 <= v <= 1.0
-        assert all(r == max(rates.values())
-                   for r, rates in zip(rep.r_max, rep.rates))
+        assert rep.rates.shape == (4, len(NIELSEN_MOVES))
+        assert ((0.0 <= rep.rates) & (rep.rates <= 1.0)).all()
+        assert all(r == max(rates) for r, rates in zip(rep.r_max, rep.rates))
         # clusters should align with reducing moves far better than chance
         assert rep.avg_r_max > 0.6
 
@@ -76,6 +74,21 @@ class TestExperiment:
     def test_unknown_init(self, nonmin_set, f2map):
         with pytest.raises(ValueError):
             clustering_experiment(nonmin_set, f2map, init="plusplus")
+
+    def test_empty_clusters_are_zero_rows(self, f2map):
+        # four equal random centers: every word joins cluster 0; abab is
+        # shortened by A_BINV_A and B_AINV_B, and the tie goes to the first
+        w = parse_cyclic_word("abab", 2)
+        ds = LabeledWordSet([WordRecord(w, "nonmin")] * 20, 2)
+        rep = clustering_experiment(ds, f2map, init="random", seed=0)
+        assert rep.cluster_sizes.tolist() == [18, 0, 0, 0]
+        zero = "0.000000,0.000000,0.000000,0.000000,0.000000"
+        assert rep.summary_csv() == (
+            "cluster,size,move,R_A_AB,R_A_BINV_A,R_B_BA,R_B_AINV_B,R_max\n"
+            "0,18,A_BINV_A,0.000000,1.000000,0.000000,1.000000,1.000000\n"
+            f"1,0,A_AB,{zero}\n2,0,A_AB,{zero}\n3,0,A_AB,{zero}\n"
+            "avg_r_max,,,,,,,0.250000\nmax_r_max,,,,,,,1.000000\n"
+            "min_r_max,,,,,,,0.000000\n")
 
     def test_summary_csv(self, nonmin_set, f2map):
         rep = clustering_experiment(nonmin_set, f2map, seed=5)
