@@ -156,8 +156,3 @@ def _min_error_boundaries(s: np.ndarray, counts: np.ndarray, m: int) -> List[flo
         j = i
     cuts.reverse()
     return _dedupe([float((vals[i - 1] + vals[i]) / 2.0) for i in cuts if 0 < i < n])
-
-
-def quantizer_error(q: Quantizer, scores: np.ndarray, labels: np.ndarray) -> float:
-    preds = q.classify(np.asarray(scores, dtype=np.float64))
-    return float((preds != np.asarray(labels)).mean())

@@ -32,21 +32,6 @@ def _arr(a) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
-def quantizer_to_dict(q: Quantizer) -> Dict[str, Any]:
-    return {
-        "kind": q.kind,
-        "boundaries": [float(b) for b in q.boundaries],
-        "interval_labels": list(q.interval_labels),
-        "degenerate": q.degenerate,
-    }
-
-
-def quantizer_from_dict(d: Dict[str, Any]) -> Quantizer:
-    return Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]),
-                     tuple(int(x) for x in d["interval_labels"]),
-                     bool(d.get("degenerate", False)))
-
-
 def _tree_node_to_dict(node) -> Dict[str, Any]:
     if isinstance(node, TreeLeaf):
         return {"leaf": node.label}
@@ -58,11 +43,28 @@ def _tree_node_to_dict(node) -> Dict[str, Any]:
     }
 
 
-def _tree_node_from_dict(d: Dict[str, Any]):
+def _read_array(value, shape: tuple, name: str) -> np.ndarray:
+    a = np.array(value, dtype=np.float64)
+    if a.shape != shape:
+        raise ModelFormatError(f"{name} has shape {a.shape}, not {shape}")
+    return a
+
+
+def _read_label(value, name: str) -> int:
+    label = int(value)
+    if label not in (1, 2):
+        raise ModelFormatError(f"{name} {label} is neither 1 nor 2")
+    return label
+
+
+def _tree_node_from_dict(d: Dict[str, Any], dim: int):
     if "leaf" in d:
-        return TreeLeaf(int(d["leaf"]))
-    return TreeNode(int(d["feature"]), float(d["threshold"]),
-                    _tree_node_from_dict(d["left"]), _tree_node_from_dict(d["right"]))
+        return TreeLeaf(_read_label(d["leaf"], "leaf"))
+    feature = int(d["feature"])
+    if not 0 <= feature < dim:
+        raise ModelFormatError(f"split feature {feature} is outside 0..{dim - 1}")
+    return TreeNode(feature, float(d["threshold"]), _tree_node_from_dict(d["left"], dim),
+                    _tree_node_from_dict(d["right"], dim))
 
 
 def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
@@ -75,8 +77,12 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
             orientation=int(model.orientation),
             training_error=float(model.training_error),
         )
-        if model.quantizer is not None:
-            doc["quantizer"] = quantizer_to_dict(model.quantizer)
+        q = model.quantizer
+        if q is not None:
+            doc["quantizer"] = {"kind": q.kind,
+                                "boundaries": [float(b) for b in q.boundaries],
+                                "interval_labels": list(q.interval_labels),
+                                "degenerate": q.degenerate}
     elif isinstance(model, DistanceModel):
         doc.update(
             method="distance",
@@ -101,16 +107,18 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
     return doc
 
 
-def model_from_dict(doc: Dict[str, Any]):
-    """The model a document describes.  Raises ModelFormatError for an unknown
-    schema or method, a missing key, a value the model rejects, or a tree
-    nested deeper than the interpreter's recursion limit."""
+def model_from_dict(doc: Dict[str, Any], dim: int):
+    """The model a document describes, reading dim-component feature vectors.
+    Raises ModelFormatError for an unknown schema or method, a missing key, a
+    value the model rejects, an array not sized by dim, a tree feature outside
+    0..dim-1, a label other than 1 and 2, or a tree nested deeper than the
+    interpreter's recursion limit."""
     if not isinstance(doc, dict):
         raise ModelFormatError("a model document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ModelFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:
-        return _model_from_dict(doc)
+        return _model_from_dict(doc, dim)
     except ModelFormatError:
         raise
     except KeyError as e:
@@ -121,25 +129,28 @@ def model_from_dict(doc: Dict[str, Any]):
         raise ModelFormatError(f"{doc.get('method')} model is nested too deeply") from e
 
 
-def _model_from_dict(doc: Dict[str, Any]):
+def _model_from_dict(doc: Dict[str, Any], dim: int):
     method = doc.get("method")
     if method in ("regression", "fisher", "svm"):
-        q = quantizer_from_dict(doc["quantizer"]) if "quantizer" in doc else None
-        return LinearModel(np.array(doc["weights"], dtype=np.float64),
-                           float(doc["theta"]), int(doc["orientation"]), method, q,
-                           float(doc.get("training_error", 0.0)))
+        q = None
+        if "quantizer" in doc:
+            d = doc["quantizer"]
+            labels = tuple(_read_label(x, "interval label") for x in d["interval_labels"])
+            q = Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]), labels,
+                          bool(d.get("degenerate", False)))
+        return LinearModel(_read_array(doc["weights"], (dim,), "weights"),
+                           float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
+                           method, q, float(doc.get("training_error", 0.0)))
     if method == "distance":
         if doc["variant"] != "mahalanobis":
             raise ModelFormatError(f"unknown distance variant {doc['variant']!r}")
         return DistanceModel(
-            np.array(doc["mu1"], dtype=np.float64),
-            np.array(doc["mu2"], dtype=np.float64),
-            np.array(doc["inv_cov1"], dtype=np.float64),
-            np.array(doc["inv_cov2"], dtype=np.float64),
-            float(doc["theta"]), int(doc["orientation"]),
+            _read_array(doc["mu1"], (dim,), "mu1"), _read_array(doc["mu2"], (dim,), "mu2"),
+            _read_array(doc["inv_cov1"], (dim, dim), "inv_cov1"),
+            _read_array(doc["inv_cov2"], (dim, dim), "inv_cov2"),
+            float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
             bool(doc.get("ridge_repaired", False)),
             float(doc.get("training_error", 0.0)))
     if method == "tree":
-        return TreeModel(_tree_node_from_dict(doc["tree"]))
+        return TreeModel(_tree_node_from_dict(doc["tree"], dim))
     raise ModelFormatError(f"unknown method {method!r}")
-

@@ -81,13 +81,6 @@ class TreeModel:
         walk(self.root, np.arange(X.shape[0]))
         return out
 
-    def depth(self) -> int:
-        def rec(node) -> int:
-            if isinstance(node, TreeLeaf):
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
-        return rec(self.root)
-
 
 def _majority(labels: np.ndarray) -> int:
     """The more frequent label, 1 on a tie."""

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .automorphisms import apply_automorphism, is_minimal, minimize
-from .classifiers import ModelFormatError
-from .clustering import (EmptyPureSet, centers_from_json, centers_to_json,
+from .clustering import (centers_from_json, centers_to_json,
                          clustering_experiment, predict_reducer, report_centers_by_move)
-from .datasets import DataFormatError, DatasetSpec, generate_dataset, load_tsv, save_tsv
+from .datasets import DatasetSpec, generate_dataset, load_tsv, save_tsv
 from .features import pattern_pool, resolve_map
 from .pipeline import (MAX_BINS, PipelineConfig, evaluate, greedy_feature_selection,
                        pipeline_from_json, pipeline_to_json, train_pipeline)
@@ -27,16 +27,35 @@ EXIT_DATA = 2
 EXIT_MODEL = 3
 
 
+class _Exit(Exception):
+    """Ends a command with the exit code args[0]; any error line is printed."""
+
+
 class _Parser(argparse.ArgumentParser):
+    # argparse ends --help and usage errors here; main returns the status
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
+
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(_fail(message, EXIT_USAGE))
+        self.exit(_fail(message, EXIT_USAGE))
 
 
 def _fail(message: object, code: int) -> int:
     """Print one error line; returns the exit code."""
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _checked(code: int, fn, *args, prefix: str = "", **kwargs):
+    """fn(*args, **kwargs), one stage of a command: a ValueError it raises
+    ends the command with one error line and the stage's exit code."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise _Exit(_fail(f"{prefix}{e}", code)) from e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,19 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_dataset(path: str, rank: int):
-    try:
-        return load_tsv(path, rank)
-    except (OSError, DataFormatError) as e:
-        raise SystemExit(_fail(e, EXIT_DATA))
-
-
 def _cmd_generate(args) -> int:
-    try:
-        spec = DatasetSpec(kind=args.kind, rank=args.rank, max_length=args.max_len,
-                           per_length=args.per_len, seed=args.seed, size=args.size)
-    except ValueError as e:
-        return _fail(e, EXIT_USAGE)
+    spec = _checked(EXIT_USAGE, DatasetSpec, args.kind, args.rank, args.max_len,
+                    args.per_len, args.seed, args.size)
     ds = generate_dataset(spec)
     save_tsv(ds, args.output)
     print(f"wrote {len(ds)} records to {args.output}")
@@ -118,51 +127,29 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     kinds = {"equal": "equal_interval", "prob": "equal_probability",
              "minerr": "min_error", "none": None}
-    try:
-        resolve_map(args.features, args.rank)
-    except ValueError as e:
-        return _fail(f"bad feature map {args.features!r}: {e}", EXIT_USAGE)
-    try:
-        cfg = PipelineConfig(feature_map=args.features, method=args.model,
-                             quantizer_kind=kinds[args.quantizer],
-                             quantizer_bins=args.bins)
-    except ValueError as e:
-        return _fail(e, EXIT_USAGE)
-    train = _load_dataset(args.train_file, args.rank)
-    try:
-        pipeline = train_pipeline(train, cfg)
-    except ValueError as e:
-        return _fail(e, EXIT_MODEL)
+    _checked(EXIT_USAGE, resolve_map, args.features, args.rank,
+             prefix=f"bad feature map {args.features!r}: ")
+    cfg = _checked(EXIT_USAGE, PipelineConfig, args.features, args.model,
+                   kinds[args.quantizer], args.bins)
+    train = _checked(EXIT_DATA, load_tsv, args.train_file, args.rank)
+    pipeline = _checked(EXIT_MODEL, train_pipeline, train, cfg)
     with open(args.output, "w") as fh:
         fh.write(pipeline_to_json(pipeline))
     print(f"trained {args.model} on {len(train)} records -> {args.output}")
     return EXIT_OK
 
 
-def _load_pipeline(path: str):
-    try:
-        with open(path) as fh:
-            return pipeline_from_json(fh.read())
-    except OSError as e:
-        raise SystemExit(_fail(e, EXIT_DATA))
-    except ModelFormatError as e:
-        raise SystemExit(_fail(f"bad model file: {e}", EXIT_MODEL))
-
-
 def _cmd_evaluate(args) -> int:
-    pipeline = _load_pipeline(args.model)
-    test = _load_dataset(args.test, pipeline.fmap.rank)
-    try:
-        strata = tuple(int(x) for x in args.strata.split(","))
-    except ValueError:
-        return _fail(f"bad strata {args.strata!r}", EXIT_USAGE)
+    strata = _checked(EXIT_USAGE, lambda: tuple(int(x) for x in args.strata.split(",")),
+                      prefix=f"bad strata {args.strata!r}: ")
     if not 2 <= args.hist_bins <= MAX_BINS:
         return _fail(f"--hist-bins must be 2 to {MAX_BINS}, got {args.hist_bins}",
                      EXIT_USAGE)
-    try:
-        report = evaluate(pipeline, test, bins=args.hist_bins, strata=strata)
-    except ValueError as e:
-        return _fail(f"{args.test}: {e}", EXIT_DATA)
+    pipeline = _checked(EXIT_MODEL, pipeline_from_json, Path(args.model).read_bytes(),
+                        prefix="bad model file: ")
+    test = _checked(EXIT_DATA, load_tsv, args.test, pipeline.fmap.rank)
+    report = _checked(EXIT_DATA, evaluate, pipeline, test, bins=args.hist_bins,
+                      strata=strata, prefix=f"{args.test}: ")
     sys.stdout.write(report.strata_csv())
     if args.hist_out and report.histogram is not None:
         with open(args.hist_out, "w") as fh:
@@ -172,18 +159,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_select_features(args) -> int:
-    try:
-        lo, _, hi = args.pool.partition("-")
-        pool = pattern_pool(args.rank, int(lo), int(hi))
-    except ValueError as e:
-        return _fail(f"bad pool spec {args.pool!r}: {e}", EXIT_USAGE)
-    train = _load_dataset(args.train_file, args.rank)
-    val = _load_dataset(args.val_file, args.rank)
-    try:
-        chosen = greedy_feature_selection(pool, train, val,
-                                          max_features=args.max_features)
-    except ValueError as e:
-        return _fail(e, EXIT_DATA)
+    if args.max_features is not None and args.max_features < 1:
+        return _fail(f"--max-features must be >= 1, got {args.max_features}", EXIT_USAGE)
+    lo, _, hi = args.pool.partition("-")
+    pool = _checked(EXIT_USAGE, lambda: pattern_pool(args.rank, int(lo), int(hi)),
+                    prefix=f"bad pool spec {args.pool!r}: ")
+    train = _checked(EXIT_DATA, load_tsv, args.train_file, args.rank)
+    val = _checked(EXIT_DATA, load_tsv, args.val_file, args.rank)
+    chosen = _checked(EXIT_DATA, greedy_feature_selection, pool, train, val,
+                      max_features=args.max_features)
     for idx in chosen:
         print(f"{idx}\t{pool[idx].text()}")
     return EXIT_OK
@@ -192,16 +176,12 @@ def _cmd_select_features(args) -> int:
 def _cmd_cluster(args) -> int:
     if args.seed < 0:
         return _fail(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
-    try:
-        fmap = resolve_map(args.features, 2)
-    except ValueError as e:
-        return _fail(f"bad feature map {args.features!r}: {e}", EXIT_USAGE)
-    data = _load_dataset(args.data, 2)
+    fmap = _checked(EXIT_USAGE, resolve_map, args.features, 2,
+                    prefix=f"bad feature map {args.features!r}: ")
+    data = _checked(EXIT_DATA, load_tsv, args.data, 2)
     nonmin = data.subset(data.labels() == 2)
-    try:
-        report = clustering_experiment(nonmin, fmap, init=args.init, seed=args.seed)
-    except (EmptyPureSet, ValueError) as e:
-        return _fail(e, EXIT_DATA)
+    report = _checked(EXIT_DATA, clustering_experiment, nonmin, fmap, init=args.init,
+                      seed=args.seed)
     sys.stdout.write(report.summary_csv())
     if args.centers_out:
         centers = report_centers_by_move(report)
@@ -215,15 +195,8 @@ def _cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _parse_cli_word(text: str, rank: int):
-    try:
-        return cyclic_reduce(parse_codes(text), rank)
-    except ValueError as e:
-        raise SystemExit(_fail(e, EXIT_DATA))
-
-
 def _cmd_minimize(args) -> int:
-    w = _parse_cli_word(args.word, args.rank)
+    w = _checked(EXIT_DATA, lambda: cyclic_reduce(parse_codes(args.word), args.rank))
     m, chain = minimize(w)
     print(f"minimal: {m if len(m) else '(identity)'}")
     print(f"length: {len(w)} -> {len(m)} in {len(chain)} moves")
@@ -231,14 +204,10 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_predict_reducer(args) -> int:
-    try:
-        with open(args.centers) as fh:
-            centers, fmap_name = centers_from_json(fh.read())
-    except OSError as e:
-        return _fail(e, EXIT_DATA)
-    except (ValueError, KeyError, TypeError) as e:
-        return _fail(f"bad centers file: {e}", EXIT_MODEL)
-    w = _parse_cli_word(args.word, 2)
+    centers, fmap_name = _checked(EXIT_MODEL, centers_from_json,
+                                  Path(args.centers).read_bytes(),
+                                  prefix="bad centers file: ")
+    w = _checked(EXIT_DATA, lambda: cyclic_reduce(parse_codes(args.word), 2))
     if is_minimal(w):
         print("word is already minimal")
         return EXIT_OK
@@ -261,14 +230,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if hasattr(args, "rank"):
-        try:
-            check_rank(args.rank)
-        except ValueError as e:
-            return _fail(e, EXIT_USAGE)
+    """Run one subcommand; returns its exit code, argparse's included."""
     try:
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "rank"):
+            _checked(EXIT_USAGE, check_rank, args.rank)
         return _COMMANDS[args.command](args)
+    except _Exit as e:
+        return e.args[0]
     except OSError as e:
         return _fail(e, EXIT_DATA)
 

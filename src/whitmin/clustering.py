@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -149,11 +149,12 @@ def centers_to_json(centers: Dict[NielsenMove, np.ndarray], fmap_name: str) -> s
     }, indent=2)
 
 
-def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
-    """Centers and feature-map name from a centers file.  Raises ValueError
-    or KeyError for JSON nested too deeply to parse, an unknown schema, a
-    missing or unknown move, or a center whose length is not the rank-2
-    feature map's dimension."""
+def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
+    """Centers and feature-map name from a centers file, as text or bytes.
+    Raises ValueError for text that is not JSON (an undecodable byte
+    included) or is nested too deeply to parse, an unknown schema, a missing
+    or unknown move, or a center whose length is not the rank-2 feature map's
+    dimension."""
     try:
         doc = json.loads(text)
     except RecursionError as e:
@@ -166,6 +167,8 @@ def centers_from_json(text: str) -> Tuple[Dict[NielsenMove, np.ndarray], str]:
     try:
         centers = {NielsenMove[name]: np.array(vals, dtype=np.float64)
                    for name, vals in doc["centers"].items()}
+    except KeyError as e:
+        raise ValueError(f"unknown move {e}") from e
     except (TypeError, OverflowError) as e:
         raise ValueError(f"a center is not a list of numbers: {e}") from e
     for m in NIELSEN_MOVES:

@@ -66,10 +66,6 @@ class LabeledWordSet:
     def subset(self, mask: Iterable[bool]) -> "LabeledWordSet":
         return LabeledWordSet([r for r, m in zip(self.records, mask) if m], self.rank)
 
-    def verify_labels(self) -> bool:
-        """Re-check every label against the minimality test."""
-        return all((r.label == LABEL_MIN) == is_minimal(r.word) for r in self.records)
-
 
 @dataclass(frozen=True)
 class DatasetSpec:

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classifiers import (LabeledSet, LinearModel, TreeLeaf, TreeModel,
-                          build_quantizer, choose_threshold, fit_distance,
+from .classifiers import (LabeledSet, build_quantizer, choose_threshold, fit_distance,
                           fit_linear, fit_tree, threshold_labels)
 from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
 from .datasets import LabeledWordSet
@@ -55,9 +54,6 @@ class Pipeline:
 
     def scores(self, words: Sequence[CyclicWord]) -> np.ndarray:
         return self.model.scores(feature_matrix(words, self.fmap))
-
-    def predict_words(self, words: Sequence[CyclicWord]) -> np.ndarray:
-        return self.model.predict(feature_matrix(words, self.fmap))
 
 
 def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
@@ -182,10 +178,12 @@ def greedy_feature_selection(
     Starts empty and repeatedly adds the pattern maximizing validation
     accuracy of the retrained pipeline; stops when the best improvement drops
     below MIN_IMPROVEMENT or the pool is exhausted.  Returns the selected
-    pool indices in acceptance order.  Raises ValueError before counting
-    anything when the |pool| x (|train| + |validation|) feature matrix would
-    exceed features.MAX_SELECTION_CELLS.
+    pool indices in acceptance order.  Raises ValueError for a max_features
+    below 1, and before counting anything when the |pool| x (|train| +
+    |validation|) feature matrix would exceed features.MAX_SELECTION_CELLS.
     """
+    if max_features is not None and max_features < 1:
+        raise ValueError(f"max_features must be at least 1, got {max_features}")
     if not pool:
         raise ValueError("empty pattern pool")
     if not len(train):
@@ -244,59 +242,30 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
     return json.dumps(doc, indent=2)
 
 
-def pipeline_from_json(text: str) -> Pipeline:
+def pipeline_from_json(text: Union[str, bytes]) -> Pipeline:
     """The pipeline a JSON document describes.  Raises ModelFormatError when
-    the document is malformed or its model does not fit its feature map."""
+    the document is not JSON (an undecodable byte included), its config lacks
+    a key or is invalid, or its model does not fit its feature map."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise ModelFormatError(str(e)) from e
-    model = model_from_dict(doc)
-    c = doc.get("config", {})
     try:
-        cfg = PipelineConfig(
-            feature_map=c.get("feature_map", doc.get("feature_map", "f6")),
-            method=c.get("method", doc.get("method", "regression")),
-            quantizer_kind=c.get("quantizer_kind"),
-            quantizer_bins=c.get("quantizer_bins", DEFAULT_QUANTIZER_BINS),
-        )
-        if c.get("threshold_override") is not None:
+        c = doc["config"]
+        cfg = PipelineConfig(c["feature_map"], c["method"], c["quantizer_kind"],
+                             c["quantizer_bins"])
+        if c["threshold_override"] is not None:
             raise ValueError("a threshold_override is not supported")
-        fmap = resolve_map(cfg.feature_map, c.get("rank", 2))
+        fmap = resolve_map(cfg.feature_map, c["rank"])
+    except KeyError as e:
+        raise ModelFormatError(f"pipeline file lacks key {e}") from e
     except (AttributeError, TypeError, ValueError) as e:
         raise ModelFormatError(f"bad pipeline config: {e}") from e
+    model = model_from_dict(doc, fmap.dim)
     if cfg.method != doc["method"]:
         raise ModelFormatError(f"config method {cfg.method!r} does not match "
                                f"the {doc['method']!r} model")
-    if cfg.feature_map != doc.get("feature_map", cfg.feature_map):
+    if cfg.feature_map != doc.get("feature_map"):
         raise ModelFormatError(f"config feature map {cfg.feature_map!r} does not "
-                               f"match the model's {doc['feature_map']!r}")
-    _check_model(model, fmap.dim)
+                               f"match the model's {doc.get('feature_map')!r}")
     return Pipeline(fmap, model, cfg)
-
-
-def _check_model(model, dim: int) -> None:
-    """Raise ModelFormatError unless a loaded model reads dim-component feature
-    vectors and predicts only the labels 1 and 2."""
-    if isinstance(model, TreeModel):
-        fits, labels, stack = True, set(), [model.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeLeaf):
-                labels.add(node.label)
-            else:
-                fits = fits and 0 <= node.feature < dim
-                stack += [node.left, node.right]
-    else:
-        labels = {model.orientation}
-        if isinstance(model, LinearModel):
-            fits = model.weights.shape == (dim,)
-            if model.quantizer is not None:
-                labels.update(model.quantizer.interval_labels)
-        else:
-            fits = (model.mu1.shape == model.mu2.shape == (dim,)
-                    and model.inv_cov1.shape == model.inv_cov2.shape == (dim, dim))
-    if not fits:
-        raise ModelFormatError(f"model does not fit the {dim}-component feature map")
-    if not labels <= {1, 2}:
-        raise ModelFormatError(f"model predicts labels {sorted(labels)}, not 1 and 2")

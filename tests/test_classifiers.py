@@ -9,8 +9,7 @@ from scipy.special import chdtri
 
 from whitmin.classifiers import (LabeledSet, Quantizer, build_quantizer, choose_threshold,
                                  fit_distance, fit_linear, fit_tree, kmeans,
-                                 node_stats, quantizer_error,
-                                 scatter_matrices, threshold_labels)
+                                 node_stats, scatter_matrices, threshold_labels)
 from whitmin.classifiers.base import sorted_class_counts
 from whitmin.classifiers import tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
@@ -22,8 +21,20 @@ from whitmin.classifiers.tree import TreeLeaf, TreeNode
 from conftest import kmeans_objectives
 
 
-def json_round_trip(model):
-    return model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+def json_round_trip(model, dim=3):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model))), dim)
+
+
+def quantizer_error(q, scores, labels):
+    return float((q.classify(scores) != labels).mean())
+
+
+def tree_depth(model):
+    def rec(node):
+        if isinstance(node, TreeLeaf):
+            return 0
+        return 1 + max(rec(node.left), rec(node.right))
+    return rec(model.root)
 
 
 def random_scores(rng, n):
@@ -470,7 +481,7 @@ class TestTree:
         model = fit_tree(data)
         preds = model.predict(X)
         assert (preds == y).mean() > 0.95
-        assert model.depth() >= 2
+        assert tree_depth(model) >= 2
 
     def test_depth_cap(self, monkeypatch):
         # log2(N) - 1, at least 1, once nothing else stops the growth
@@ -480,16 +491,16 @@ class TestTree:
         for n, cap in [(200, 6), (12, 2), (3, 1)]:
             X = rng.uniform(size=(n, 3))
             y = np.resize([1, 2], n)
-            assert fit_tree(LabeledSet(X, y)).depth() == cap
+            assert tree_depth(fit_tree(LabeledSet(X, y))) == cap
 
     def test_chi2_cutoff_stops_noise_splits(self, monkeypatch):
         rng = np.random.default_rng(16)
         X = rng.uniform(size=(60, 1))
         y = rng.integers(1, 3, size=60)
         monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 0.0)
-        assert fit_tree(LabeledSet(X, y)).depth() > 0
+        assert tree_depth(fit_tree(LabeledSet(X, y))) > 0
         monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 1e9)
-        assert fit_tree(LabeledSet(X, y)).depth() == 0
+        assert tree_depth(fit_tree(LabeledSet(X, y))) == 0
 
     def test_default_chi2_cutoff_is_the_95th_percentile(self):
         # scipy.stats and scipy.special are the references; the package
@@ -510,7 +521,7 @@ class TestTree:
         rng = np.random.default_rng(26)
         data = two_blob_set(rng, d=4, sep=1.0)
         model = fit_tree(data)
-        assert model.depth() >= 3
+        assert tree_depth(model) >= 3
 
         def walk(x):
             node = model.root
@@ -638,11 +649,49 @@ class TestSerialization:
         doc = model_to_dict(fit_linear(two_blob_set(rng)))
         doc["schema_version"] = 99
         with pytest.raises(ModelFormatError):
-            model_from_dict(doc)
+            model_from_dict(doc, 3)
 
     def test_rejects_garbage(self):
         with pytest.raises(ModelFormatError):
-            model_from_dict({"schema_version": 1, "method": "mystery"})
+            model_from_dict({"schema_version": 1, "method": "mystery"}, 3)
+
+    def test_rejects_arrays_not_sized_by_dim(self):
+        rng = np.random.default_rng(27)
+        data = two_blob_set(rng)
+        for model in (fit_linear(data), fit_distance(data)):
+            doc = model_to_dict(model)
+            model_from_dict(doc, 3)
+            for dim in (2, 4):
+                with pytest.raises(ModelFormatError, match="shape"):
+                    model_from_dict(doc, dim)
+
+    def test_rejects_tree_feature_outside_dim(self):
+        leaf = {"leaf": 1}
+        doc = {"schema_version": 1, "method": "tree",
+               "tree": {"feature": 3, "threshold": 0.0, "left": leaf, "right": leaf}}
+        assert isinstance(model_from_dict(doc, 4).root, TreeNode)
+        for dim in (0, 3):
+            with pytest.raises(ModelFormatError, match="feature 3"):
+                model_from_dict(doc, dim)
+
+    @pytest.mark.parametrize("field", ["orientation", "interval_labels", "leaf"])
+    @pytest.mark.parametrize("label", [0, 3, -1])
+    def test_rejects_labels_other_than_1_and_2(self, field, label):
+        rng = np.random.default_rng(28)
+        data = two_blob_set(rng)
+        if field == "leaf":
+            doc = {"schema_version": 1, "method": "tree", "tree": {"leaf": label}}
+        else:
+            model = fit_linear(data)
+            model = model.with_quantizer(
+                build_quantizer(model.scores(data.features), data.labels, 4))
+            doc = model_to_dict(model)
+            if field == "orientation":
+                doc["orientation"] = label
+            else:
+                doc["quantizer"]["interval_labels"][0] = label
+        with pytest.raises(ModelFormatError, match="neither 1 nor 2"):
+            model_from_dict(doc, 3)
 
     def test_rejects_deeply_nested_tree(self):
         rng = np.random.default_rng(25)
@@ -652,7 +701,7 @@ class TestSerialization:
             node = {"feature": 0, "threshold": 0.0, "left": node, "right": {"leaf": 2}}
         doc["tree"] = node
         with pytest.raises(ModelFormatError):
-            model_from_dict(doc)
+            model_from_dict(doc, 3)
 
     def test_json_text_stable(self):
         rng = np.random.default_rng(24)

@@ -58,24 +58,51 @@ def _one_error_line(capsys):
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main([])
-        assert e.value.code == EXIT_USAGE
+        assert main([]) == EXIT_USAGE
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit) as e:
-            main(["frobnicate"])
-        assert e.value.code == EXIT_USAGE
+        assert main(["frobnicate"]) == EXIT_USAGE
 
     def test_missing_required_flag(self):
-        with pytest.raises(SystemExit) as e:
-            main(["generate", "--kind", "D", "-o", "x.tsv"])  # no --seed
-        assert e.value.code == EXIT_USAGE
+        assert main(["generate", "--kind", "D", "-o", "x.tsv"]) == EXIT_USAGE  # no --seed
 
     def test_bad_choice(self):
-        with pytest.raises(SystemExit) as e:
-            main(["generate", "--kind", "Q", "--seed", "1", "-o", "x.tsv"])
-        assert e.value.code == EXIT_USAGE
+        assert main(["generate", "--kind", "Q", "--seed", "1", "-o", "x.tsv"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_returns_ok(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage:")
+
+
+# a file no loader can read: an undecodable byte, a UTF-16 mark and a NUL
+BINARY = b"\xff\xfe{}\x00\x81\n"
+
+# (command, its other flags with workdir keys standing for their files, the
+# file flag given the binary file, exit code)
+BINARY_INPUTS = {
+    "train-train": ("train", ["-o", "out.json"], "--train", EXIT_DATA),
+    "select-features-train": ("select-features", ["--pool", "1-1", "--val", "test"],
+                              "--train", EXIT_DATA),
+    "select-features-val": ("select-features", ["--pool", "1-1", "--train", "train"],
+                            "--val", EXIT_DATA),
+    "evaluate-model": ("evaluate", ["--test", "test"], "--model", EXIT_MODEL),
+    "evaluate-test": ("evaluate", ["--model", "model"], "--test", EXIT_DATA),
+    "cluster-data": ("cluster", [], "--data", EXIT_DATA),
+    "predict-reducer-centers": ("predict-reducer", ["--word", "abab"], "--centers",
+                                EXIT_MODEL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINARY_INPUTS))
+def test_binary_file_is_one_error_line(workdir, tmp_path, capsys, case):
+    command, flags, file_flag, code = BINARY_INPUTS[case]
+    bad = tmp_path / "binary"
+    bad.write_bytes(BINARY)
+    flags = [workdir.get(f, f) for f in flags]
+    capsys.readouterr()
+    assert main([command, *flags, file_flag, str(bad)]) == code
+    assert _one_error_line(capsys)
 
 
 class TestGenerate:
@@ -169,38 +196,32 @@ class TestTrainEvaluate:
     def test_empty_word_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "empty_word.tsv"
         bad.write_text("abab\tmin\t4\n\tmin\t0\n")
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
-        assert e.value.code == EXIT_DATA
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", str(bad)]) == EXIT_DATA
         assert _one_error_line(capsys)
 
     def test_bad_length_column_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad_length.tsv"
         bad.write_text("abab\tmin\t4\nab\tmin\tx\n")
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
-        assert e.value.code == EXIT_DATA
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", str(bad)]) == EXIT_DATA
         assert _one_error_line(capsys)
 
     def test_missing_dataset_is_data_error(self, workdir, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", workdir["model"],
-                  "--test", "/nonexistent.tsv"])
-        assert e.value.code == EXIT_DATA
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", "/nonexistent.tsv"]) == EXIT_DATA
 
     def test_corrupt_model_is_model_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 99}')
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
-        assert e.value.code == EXIT_MODEL
+        assert main(["evaluate", "--model", str(bad),
+                     "--test", workdir["test"]]) == EXIT_MODEL
 
     def test_non_ascii_tsv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "non_ascii.tsv"
         bad.write_bytes("abab\tmin\t4\n\u00e9b\tmin\t2\n".encode("utf-8"))
-        with pytest.raises(SystemExit) as e:
-            main(["train", "--train", str(bad), "-o", str(tmp_path / "m.json")])
-        assert e.value.code == EXIT_DATA
+        assert main(["train", "--train", str(bad),
+                     "-o", str(tmp_path / "m.json")]) == EXIT_DATA
         assert _one_error_line(capsys)
 
     def test_svm_on_nonseparable_set_is_model_error(self, tmp_path, capsys):
@@ -241,9 +262,8 @@ class TestTrainEvaluate:
     def test_malformed_tsv_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("abab\tnonsense\t4\n")
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", workdir["model"], "--test", str(bad)])
-        assert e.value.code == EXIT_DATA
+        assert main(["evaluate", "--model", workdir["model"],
+                     "--test", str(bad)]) == EXIT_DATA
 
 
 # (model file, path of the field to change, new value): each makes a model
@@ -280,9 +300,8 @@ class TestBadModelFiles:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
-        assert e.value.code == EXIT_MODEL
+        assert main(["evaluate", "--model", str(bad),
+                     "--test", workdir["test"]]) == EXIT_MODEL
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
@@ -297,9 +316,8 @@ class TestBadModelFiles:
         bad = tmp_path / "deep.json"
         bad.write_text(json.dumps(doc).replace('"NODE"', node))
         capsys.readouterr()
-        with pytest.raises(SystemExit) as e:
-            main(["evaluate", "--model", str(bad), "--test", workdir["test"]])
-        assert e.value.code == EXIT_MODEL
+        assert main(["evaluate", "--model", str(bad),
+                     "--test", workdir["test"]]) == EXIT_MODEL
         assert _one_error_line(capsys)
 
 
@@ -310,6 +328,13 @@ class TestSelectFeatures:
                      "--max-features", "3"]) == EXIT_OK
         out = capsys.readouterr().out.strip()
         assert 1 <= len(out.splitlines()) <= 3
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_max_features_below_one_is_usage_error(self, capsys, count):
+        """Refused before a file is read."""
+        assert main(["select-features", "--train", "unused.tsv", "--val", "unused.tsv",
+                     "--max-features", count]) == EXIT_USAGE
+        assert _one_error_line(capsys)
 
     def test_oversized_pool_is_usage_error(self, capsys):
         """Refused before the pool is built or a file is read."""
@@ -354,9 +379,7 @@ class TestCluster:
         assert out.startswith("cluster,size,move,")
 
     def test_k_must_be_4(self, workdir, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["cluster", "--data", workdir["train"], "--k", "3"])
-        assert e.value.code == EXIT_USAGE
+        assert main(["cluster", "--data", workdir["train"], "--k", "3"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("features", ["f9", "pool:x"])
     def test_unknown_feature_map_is_usage_error(self, workdir, capsys, features):
@@ -393,17 +416,13 @@ class TestWordCommands:
         assert _one_error_line(capsys)
 
     def test_minimize_invalid_word(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["minimize", "--word", "ab!"])
-        assert e.value.code == EXIT_DATA
+        assert main(["minimize", "--word", "ab!"]) == EXIT_DATA
 
     # cbC reduces to b, but c is no rank-2 letter
     @pytest.mark.parametrize("word,named", [("ab1", "'1'"), ("abc", "letter code 4"),
                                             ("cbC", "letter code 4")])
     def test_minimize_bad_letter_is_one_error_line(self, capsys, word, named):
-        with pytest.raises(SystemExit) as e:
-            main(["minimize", "--word", word])
-        assert e.value.code == EXIT_DATA
+        assert main(["minimize", "--word", word]) == EXIT_DATA
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
@@ -411,16 +430,23 @@ class TestWordCommands:
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", "/nonexistent.json"]) == EXIT_DATA
 
-    @pytest.mark.parametrize("schema, dim", [(7, 16), (1, 3)])
-    def test_predict_reducer_bad_centers(self, tmp_path, capsys, schema, dim):
+    # case: (schema version, center length, extra moves, text the error names)
+    BAD_CENTERS = {"7-16": (7, 16, [], "schema_version 7"),
+                   "1-3": (1, 3, [], "not (16,)"),
+                   "unknown-move": (1, 16, ["ZZ"], "unknown move 'ZZ'")}
+
+    @pytest.mark.parametrize("case", sorted(BAD_CENTERS))
+    def test_predict_reducer_bad_centers(self, tmp_path, capsys, case):
+        schema, dim, extra, named = self.BAD_CENTERS[case]
         path = tmp_path / "centers.json"
         path.write_text(json.dumps({
             "schema_version": schema, "feature_map": "f2",
-            "centers": {m.name: [0.0] * dim for m in NIELSEN_MOVES}}))
+            "centers": {name: [0.0] * dim
+                        for name in [m.name for m in NIELSEN_MOVES] + extra}}))
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", str(path)]) == EXIT_MODEL
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
     def test_predict_reducer_deeply_nested_centers(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -439,7 +465,5 @@ class TestWordCommands:
         out = capsys.readouterr().out
         assert "predicted move:" in out or "already minimal" in out
         # cbC reduces to b, but c is no rank-2 letter
-        with pytest.raises(SystemExit) as e:
-            main(["predict-reducer", "--word", "cbC", "--centers", centers])
-        assert e.value.code == EXIT_DATA
+        assert main(["predict-reducer", "--word", "cbC", "--centers", centers]) == EXIT_DATA
         assert _one_error_line(capsys)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from whitmin import features
+from whitmin.classifiers import ModelFormatError
 from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import feature_matrix, pattern_pool
 from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
@@ -28,7 +31,7 @@ def trained(train_set):
 
 class TestTraining:
     def test_regression_learns(self, trained, train_set):
-        preds = trained.predict_words(train_set.words())
+        preds = trained.model.predict(feature_matrix(train_set.words(), trained.fmap))
         assert (preds == train_set.labels()).mean() > 0.9
 
     def test_generalizes(self, trained, test_set):
@@ -65,8 +68,8 @@ class TestTraining:
         assert p.fmap.rank == 3 and p.fmap.dim == 30
         clone = pipeline_from_json(pipeline_to_json(p))
         assert clone.fmap.rank == 3
-        assert np.array_equal(clone.predict_words(train.words()),
-                              p.predict_words(train.words()))
+        X = feature_matrix(train.words(), p.fmap)
+        assert np.array_equal(clone.model.predict(X), p.model.predict(X))
 
 
 class TestEvaluation:
@@ -156,6 +159,12 @@ class TestSelection:
         with pytest.raises(ValueError):
             greedy_feature_selection([], train_set, test_set)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_max_features_below_one(self, train_set, test_set, count):
+        with pytest.raises(ValueError, match="max_features"):
+            greedy_feature_selection(pattern_pool(2, 1, 1), train_set, test_set,
+                                     max_features=count)
+
     def test_cell_budget_checked_before_counting(self, train_set, test_set, monkeypatch):
         pool = pattern_pool(2, 1, 1)
         cells = len(pool) * (len(train_set) + len(test_set))
@@ -172,13 +181,28 @@ class TestSerialization:
     def test_round_trip_predictions(self, trained, test_set):
         clone = pipeline_from_json(pipeline_to_json(trained))
         words = test_set.words()[:50]
-        assert np.array_equal(clone.predict_words(words),
-                              trained.predict_words(words))
+        X = feature_matrix(words, trained.fmap)
+        assert np.array_equal(clone.model.predict(X), trained.model.predict(X))
         assert np.allclose(clone.scores(words), trained.scores(words))
 
     def test_json_text_stable(self, trained):
         text = pipeline_to_json(trained)
         assert text == pipeline_to_json(pipeline_from_json(text))
+        assert text == pipeline_to_json(pipeline_from_json(text.encode("ascii")))
+
+    @pytest.mark.parametrize("key", ["feature_map", "method", "quantizer_kind",
+                                     "quantizer_bins", "threshold_override", "rank"])
+    def test_config_key_is_required(self, trained, key):
+        doc = json.loads(pipeline_to_json(trained))
+        del doc["config"][key]
+        with pytest.raises(ModelFormatError, match=key):
+            pipeline_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"\x81", b"{\"a\": \"\xe9\"}"])
+    def test_undecodable_bytes(self, data):
+        with pytest.raises(ModelFormatError):
+            pipeline_from_json(data)
 
     def test_single_word_predict(self, trained):
-        assert trained.predict_words([parse_cyclic_word("abAB", 2)])[0] in (1, 2)
+        X = feature_matrix([parse_cyclic_word("abAB", 2)], trained.fmap)
+        assert trained.model.predict(X)[0] in (1, 2)
