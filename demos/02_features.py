@@ -2,13 +2,14 @@
 
 Shows the built-in feature maps (letter frequencies f0, adjacent pairs f1,
 gapped pairs f2..f4, the unions f5/f6, and the two-component fstar), raw
-pattern counting, and the weighted labelled digraph of a word.
+pattern counting, and the weighted labelled digraph of a word as pattern
+counts.
 """
 
 import numpy as np
 
 from whitmin.features import (Pattern, builtin_map, count_pattern,
-                              feature_vector, pattern_pool, whitehead_graph)
+                              feature_vector, pattern_pool)
 from whitmin.words import parse_codes, parse_cyclic_word
 
 
@@ -32,10 +33,15 @@ def main():
         u = parse_cyclic_word(text, 2)
         print(f"  fstar({text}) = {feature_vector(u, star)}")
 
-    # the digraph underlying the features: edges x -> y weighted by C(w, x v y)
-    g = whitehead_graph(w, max_label_len=1)
+    # the digraph underlying the features: edges x -> y weighted by C(w, x v y),
+    # for the labels v of at most one letter
+    edges = {}
+    for p in builtin_map("f1", 2).patterns + tuple(pattern_pool(2, 1, 1)):
+        weight = count_pattern(w, p)
+        if weight:
+            edges[p.letters[0], p.letters[1:-1], p.letters[-1]] = weight
     print("\ndigraph edges of", w)
-    for (x, label, y), weight in sorted(g.edges.items()):
+    for (x, label, y), weight in sorted(edges.items()):
         lab = "".join("aAbB"[c] for c in label) or "-"
         print(f"  {'aAbB'[x]} --{lab}--> {'aAbB'[y]}  weight {weight}")
 

@@ -16,9 +16,9 @@ from .automorphisms import (NIELSEN_MOVES, AutomorphismChain, NielsenMove,
                             reducing_moves)
 from .datasets import (DatasetSpec, LabeledWordSet, WordRecord,
                        generate_dataset, load_tsv, save_tsv)
-from .features import (FeatureMap, Pattern, WhiteheadGraph, builtin_map,
-                       count_pattern, feature_matrix, feature_vector,
-                       pattern_pool, resolve_map, whitehead_graph)
+from .features import (FeatureMap, Pattern, builtin_map, count_pattern,
+                       feature_matrix, feature_vector, pattern_pool,
+                       resolve_map)
 from .pipeline import (EvaluationReport, Pipeline, PipelineConfig,
                        ScoreHistogram, evaluate, greedy_feature_selection,
                        pipeline_from_json, pipeline_to_json, score_histogram,

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, check_rank, cyclic_core, pair_counts, reduce_codes
+from .words import CyclicWord, check_rank, cyclic_core, reduce_codes, window_codes
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,9 @@ NIELSEN_MOVES: Tuple[NielsenMove, ...] = tuple(NielsenMove)
 def edge_table(letters: Sequence[int], rank: int) -> np.ndarray:
     """Whitehead graph of the cyclic word with these letters (any rotation)
     as a symmetric (2r x 2r) edge-count table."""
-    t = pair_counts(letters, 0, rank)[:, np.arange(2 * rank) ^ 1]
+    m = 2 * rank
+    pairs = np.bincount(window_codes(letters, (0, 1), rank), minlength=m * m)
+    t = pairs.reshape(m, m)[:, np.arange(m) ^ 1]
     return t + t.T
 
 
@@ -170,13 +172,9 @@ _NIELSEN_MEMBER = np.array([[c in m.automorphism.subset for c in range(4)]
 _NIELSEN_MULTIPLIERS = np.array([m.automorphism.multiplier for m in NIELSEN_MOVES])
 
 
-def _nielsen_changes(letters: Tuple[int, ...]) -> np.ndarray:
-    return _length_changes(edge_table(letters, 2), _NIELSEN_MEMBER, _NIELSEN_MULTIPLIERS)
-
-
-# Above rank 2, the least cap(A) over the A with a in A and a^-1 outside is a
-# minimum cut between a and a^-1 in the Whitehead graph (Roig, Ventura & Weil).
-# The improper A = {a} and A = all - {a^-1} both cut exactly deg(a), so some
+# The least cap(A) over the A with a in A and a^-1 outside is a minimum cut
+# between a and a^-1 in the Whitehead graph (Roig, Ventura & Weil).  The
+# improper A = {a} and A = all - {a^-1} both cut exactly deg(a), so some
 # proper (A, a) shortens w iff the maximum flow from a to a^-1 is below deg(a).
 
 def _best_cut(cap: List[List[int]], a: int) -> Tuple[int, List[int]]:
@@ -249,33 +247,32 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
         raise ValueError(f"reducing_moves lists the rank-2 Nielsen moves; got rank {w.rank}")
     if len(w) <= 1:
         return []
-    return [m for m, d in zip(NIELSEN_MOVES, _nielsen_changes(w.letters)) if d < 0]
+    changes = _length_changes(edge_table(w.letters, 2), _NIELSEN_MEMBER,
+                              _NIELSEN_MULTIPLIERS)
+    return [m for m, d in zip(NIELSEN_MOVES, changes) if d < 0]
 
 
 def is_minimal(w: CyclicWord) -> bool:
     """True when no Whitehead automorphism shortens the cyclic word w."""
     if len(w) <= 1:
         return True
-    if w.rank == 2:
-        return bool(_nielsen_changes(w.letters).min() >= 0)
     cap = edge_table(w.letters, w.rank).tolist()
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
 
 
 def _best_move(letters: Tuple[int, ...], rank: int) -> Tuple[int, Optional[TypeII]]:
     """The move with the greatest length drop and that drop, first in scan
-    order: the four Nielsen moves at rank 2, else multiplier ascending, then
-    A-bitmask ascending over every proper type II."""
-    if rank == 2:
-        changes = _nielsen_changes(letters)
-        best = int(np.argmin(changes))
-        return int(changes[best]), NIELSEN_MOVES[best].automorphism
+    order over every proper type II: multiplier b then a at rank 2 (the
+    order of NIELSEN_MOVES), else multiplier ascending; then A-bitmask
+    ascending."""
     cap = edge_table(letters, rank).tolist()
     best, move = 0, None
     # (A^c, a^-1) changes |w| as (A, a) does and comes later in the scan, so
     # only a = 2g is scanned; the least source side is a submask of every
-    # other minimum-cut A, hence first in bitmask order
-    for a in range(0, len(cap), 2):
+    # other minimum-cut A, hence first in bitmask order.  At rank 2 it is the
+    # one Nielsen move of multiplier a that can shorten w: two proper A's
+    # cutting below deg(a) would, by submodularity, make {a} do so too.
+    for a in ((2, 0) if rank == 2 else range(0, len(cap), 2)):
         change, side = _best_cut(cap, a)
         if change < best:
             best, move = change, TypeII(rank, a, frozenset(side))
@@ -284,9 +281,9 @@ def _best_move(letters: Tuple[int, ...], rank: int) -> Tuple[int, Optional[TypeI
 
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     """Greedy steepest descent: repeatedly apply the move with the greatest
-    length drop (ties: multiplier ascending, then A-bitmask ascending) until
-    no move shortens the word.  The steps work on cyclic cores in any
-    rotation; only the result is canonicalized."""
+    length drop (ties: multiplier b before a at rank 2, else ascending;
+    then A-bitmask ascending) until no move shortens the word.  The steps
+    work on cyclic cores in any rotation; only the result is canonicalized."""
     chain: AutomorphismChain = []
     letters = w.letters
     while len(letters) > 1:

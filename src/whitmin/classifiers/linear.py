@@ -4,7 +4,7 @@ support vector machine."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -38,25 +38,6 @@ class LinearModel:
     def with_quantizer(self, q: Quantizer) -> "LinearModel":
         return LinearModel(self.weights, self.theta, self.orientation,
                            self.method, q, self.training_error)
-
-
-def scatter_matrices(data: LabeledSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, S_w, S_b): mixture scatter, prior-weighted within-class scatter,
-    and between-class scatter.  S = S_w + S_b."""
-    X1 = data.class_rows(1)
-    X2 = data.class_rows(2)
-    n1, n2 = len(X1), len(X2)
-    p1 = n1 / (n1 + n2)
-    p2 = n2 / (n1 + n2)
-    mu1, C1 = mean_and_covariance(X1)
-    mu2, C2 = mean_and_covariance(X2)
-    Sw = p1 * C1 + p2 * C2
-    d = mu1 - mu2
-    Sb = p1 * p2 * np.outer(d, d)
-    mu = p1 * mu1 + p2 * mu2
-    D = data.features - mu
-    S = D.T @ D / (n1 + n2)
-    return S, Sw, Sb
 
 
 def _fisher_weights(data: LabeledSet) -> np.ndarray:

@@ -31,10 +31,6 @@ class Quantizer:
         if any(bs[i] >= bs[i + 1] for i in range(len(bs) - 1)):
             raise ValueError("boundaries must be strictly increasing")
 
-    @property
-    def num_intervals(self) -> int:
-        return len(self.interval_labels)
-
     def classify(self, scores: np.ndarray) -> np.ndarray:
         """Label of the interval holding each score."""
         idx = np.searchsorted(np.asarray(self.boundaries, dtype=np.float64), scores,

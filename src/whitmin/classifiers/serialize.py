@@ -137,10 +137,10 @@ def _model_from_dict(doc: Dict[str, Any], dim: int):
             d = doc["quantizer"]
             labels = tuple(_read_label(x, "interval label") for x in d["interval_labels"])
             q = Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]), labels,
-                          bool(d.get("degenerate", False)))
+                          bool(d["degenerate"]))
         return LinearModel(_read_array(doc["weights"], (dim,), "weights"),
                            float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
-                           method, q, float(doc.get("training_error", 0.0)))
+                           method, q, float(doc["training_error"]))
     if method == "distance":
         if doc["variant"] != "mahalanobis":
             raise ModelFormatError(f"unknown distance variant {doc['variant']!r}")
@@ -149,8 +149,8 @@ def _model_from_dict(doc: Dict[str, Any], dim: int):
             _read_array(doc["inv_cov1"], (dim, dim), "inv_cov1"),
             _read_array(doc["inv_cov2"], (dim, dim), "inv_cov2"),
             float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
-            bool(doc.get("ridge_repaired", False)),
-            float(doc.get("training_error", 0.0)))
+            bool(doc["ridge_repaired"]),
+            float(doc["training_error"]))
     if method == "tree":
         return TreeModel(_tree_node_from_dict(doc["tree"], dim))
     raise ModelFormatError(f"unknown method {method!r}")

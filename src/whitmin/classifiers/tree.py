@@ -19,11 +19,11 @@ CHI2_CUTOFF = 3.841458820694124
 
 
 def node_stats(counts_left: np.ndarray, counts_right: np.ndarray):
-    """Purity and chi-square of a split given per-class left/right counts.
+    """Purity and chi-square of K splits, one per row of the K x 2 per-class
+    left and right counts, as two length-K arrays.
 
     PR = sum_c (n_Lc ln p_Lc + n_Rc ln p_Rc) with 0 ln 0 = 0;
-    chi2 = PR - sum_c N_c ln(N_c / N).  On K x M counts, one split per row:
-    returns two length-K arrays instead of two floats.
+    chi2 = PR - sum_c N_c ln(N_c / N).
     """
     nl = np.asarray(counts_left, dtype=np.float64)
     nr = np.asarray(counts_right, dtype=np.float64)
@@ -40,10 +40,7 @@ def node_stats(counts_left: np.ndarray, counts_right: np.ndarray):
         return (x * np.log(np.divide(x, q, out=np.ones_like(x), where=x > 0))).sum(-1)
 
     pr = xlogq(nl, NL) + xlogq(nr, NR)
-    chi2 = pr - xlogq(nl + nr, N)
-    if nl.ndim == 1:
-        return float(pr), float(chi2)
-    return pr, chi2
+    return pr, pr - xlogq(nl + nr, N)
 
 
 @dataclass(frozen=True)

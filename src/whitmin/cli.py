@@ -39,7 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(status)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(_fail(message, EXIT_USAGE))
 
 
@@ -147,11 +146,13 @@ def _cmd_evaluate(args) -> int:
                      EXIT_USAGE)
     pipeline = _checked(EXIT_MODEL, pipeline_from_json, Path(args.model).read_bytes(),
                         prefix="bad model file: ")
+    if args.hist_out and pipeline.config.method == "tree":
+        return _fail("--hist-out needs a model with scores; a tree has none", EXIT_USAGE)
     test = _checked(EXIT_DATA, load_tsv, args.test, pipeline.fmap.rank)
     report = _checked(EXIT_DATA, evaluate, pipeline, test, bins=args.hist_bins,
                       strata=strata, prefix=f"{args.test}: ")
     sys.stdout.write(report.strata_csv())
-    if args.hist_out and report.histogram is not None:
+    if args.hist_out:
         with open(args.hist_out, "w") as fh:
             fh.write(report.histogram.csv())
         print(f"histogram -> {args.hist_out}")

@@ -58,13 +58,15 @@ class ClusterReport:
     def summary_csv(self) -> str:
         lines = ["cluster,size,move," +
                  ",".join(f"R_{m.name}" for m in NIELSEN_MOVES) + ",R_max"]
-        r_max = self.r_max
-        for i, (size, move, rates, r) in enumerate(zip(self.cluster_sizes, self.assignment,
-                                                      self.rates, r_max)):
+        # Python numbers: formatting numpy scalars costs several times more
+        r_max = self.r_max.tolist()
+        for i, (size, move, rates, r) in enumerate(zip(self.cluster_sizes.tolist(),
+                                                      self.assignment, self.rates.tolist(),
+                                                      r_max)):
             vals = ",".join(f"{v:.6f}" for v in (*rates, r))
             lines.append(f"{i},{size},{move.name},{vals}")
-        for name, value in (("avg", self.avg_r_max), ("max", r_max.max()),
-                            ("min", r_max.min())):
+        for name, value in (("avg", self.avg_r_max), ("max", max(r_max)),
+                            ("min", min(r_max))):
             lines.append(f"{name}_r_max,,,,,,,{value:.6f}")
         return "\n".join(lines) + "\n"
 
@@ -153,8 +155,8 @@ def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.nda
     """Centers and feature-map name from a centers file, as text or bytes.
     Raises ValueError for text that is not JSON (an undecodable byte
     included) or is nested too deeply to parse, an unknown schema, a missing
-    or unknown move, or a center whose length is not the rank-2 feature map's
-    dimension."""
+    or unknown move, no feature map, or a center whose length is not the
+    rank-2 feature map's dimension."""
     try:
         doc = json.loads(text)
     except RecursionError as e:
@@ -174,7 +176,9 @@ def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.nda
     for m in NIELSEN_MOVES:
         if m not in centers:
             raise ValueError(f"centers file missing move {m.name}")
-    fmap_name = str(doc.get("feature_map", "f2"))
+    if "feature_map" not in doc:
+        raise ValueError("centers file lacks key 'feature_map'")
+    fmap_name = str(doc["feature_map"])
     dim = resolve_map(fmap_name, 2).dim
     for m, c in centers.items():
         if c.shape != (dim,):

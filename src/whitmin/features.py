@@ -1,5 +1,5 @@
 """Subword-counting features: patterns, the built-in maps f0..f6 and fstar,
-the weighted labelled digraph of a word, and the feature-selection pattern pool.
+and the feature-selection pattern pool.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -244,30 +244,3 @@ def resolve_map(name: str, rank: int) -> FeatureMap:
         pats = tuple(pattern_pool(rank, int(lo), int(hi)))
         return FeatureMap(name, pats, rank)
     return builtin_map(name, rank)
-
-
-# ---------------------------------------------------------------------------
-# Whitehead graph
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WhiteheadGraph:
-    """Weighted labelled digraph on the letters: edge (x, v, y) has weight
-    C(w, x v y).  Only positive-weight edges are stored."""
-
-    rank: int
-    edges: Dict[Tuple[int, Tuple[int, ...], int], int] = field(default_factory=dict)
-
-    def weight(self, x: int, label: Tuple[int, ...], y: int) -> int:
-        return self.edges.get((x, tuple(label), y), 0)
-
-
-def whitehead_graph(w: CyclicWord, max_label_len: int) -> WhiteheadGraph:
-    if len(w) < 2:
-        raise ValueError("need |w| >= 2")
-    arr = np.asarray(w.letters)
-    graph = WhiteheadGraph(w.rank)
-    for span in range(2, min(max_label_len + 2, len(w)) + 1):
-        for sub, count in _window_letters(arr, tuple(range(span))).items():
-            graph.edges[(sub[0], tuple(sub[1:-1]), sub[-1])] = count
-    return graph

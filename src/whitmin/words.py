@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -190,15 +190,6 @@ def window_codes(letters: Sequence[int], offsets: Sequence[int], rank: int) -> n
     return codes
 
 
-def pair_counts(letters: Sequence[int], gap: int, rank: int) -> np.ndarray:
-    """(2r x 2r) table counting the |w| cyclic pairs (w[i], w[i + gap + 1]),
-    indices mod |w|: the x . U_gap . y subwords of a cyclic word.  A word
-    shorter than gap + 2 letters wraps onto itself."""
-    m = 2 * rank
-    codes = window_codes(letters, (0, gap + 1), rank)
-    return np.bincount(codes, minlength=m * m).reshape(m, m)
-
-
 # ---------------------------------------------------------------------------
 # text encoding: a..z generators, A..Z inverses, one word per line
 # ---------------------------------------------------------------------------
@@ -233,18 +224,12 @@ def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
 # random generation
 # ---------------------------------------------------------------------------
 
-def random_word(
-    length: int,
-    rank: int,
-    rng: Optional[np.random.Generator] = None,
-) -> CyclicWord:
+def random_word(length: int, rank: int, rng: np.random.Generator) -> CyclicWord:
     """Uniform Markov word: first letter uniform on the alphabet, each next
     letter uniform on the alphabet minus the inverse of its predecessor, and
     the last letter resampled until it differs from the inverse of the first.
     """
     check_rank(rank)
-    if rng is None:
-        rng = np.random.default_rng()
     if length == 0:
         log.warning("random_word called with length 0; returning identity")
         return CyclicWord((), rank)

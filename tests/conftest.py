@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from whitmin.automorphisms import TypeII, apply_automorphism
+from whitmin.automorphisms import NIELSEN_MOVES, TypeII, apply_automorphism
 from whitmin.words import MIN_RANK, CyclicWord
 
 # the classifiers package exports the function kmeans under its module's name
@@ -80,6 +80,22 @@ def bfs_orbit_min(w: CyclicWord) -> int:
                     nxt.append(v)
         frontier = nxt
     return best
+
+
+def nielsen_minimize(w: CyclicWord):
+    """Rank-2 minimization oracle: steepest descent over the four Nielsen
+    moves, priced by applying them.  Each step takes the shortest image,
+    first in NIELSEN_MOVES order, while it is shorter than the word; returns
+    the word reached and the chain of moves taken."""
+    chain = []
+    while len(w) > 1:
+        images = [apply_automorphism(m.automorphism, w) for m in NIELSEN_MOVES]
+        best = min(range(len(images)), key=lambda i: len(images[i]))
+        if len(images[best]) >= len(w):
+            break
+        chain.append(NIELSEN_MOVES[best].automorphism)
+        w = images[best]
+    return w, chain
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
 from whitmin.words import (CyclicWord, cyclic_reduce, parse_cyclic_word,
                            random_word, reduce_codes)
 
-from conftest import all_cyclic_words, bfs_orbit_min, enumerate_type2
+from conftest import all_cyclic_words, bfs_orbit_min, enumerate_type2, nielsen_minimize
 
 
 def cw(text):
@@ -240,6 +240,25 @@ class TestMinimality:
                 assert len(nxt) < len(current)
                 current = nxt
             assert current == m
+
+    def test_rank2_matches_nielsen_rule_exhaustive(self):
+        """Rank 2 descends by min cuts too; the first shortest Nielsen image
+        in NIELSEN_MOVES order is the reference for every word and chain."""
+        for n in range(9):
+            for w in all_cyclic_words(2, n):
+                m, chain = nielsen_minimize(w)
+                assert minimize(w) == (m, chain), str(w)
+                assert is_minimal(w) == (chain == []), str(w)
+
+    def test_rank2_matches_nielsen_rule_random(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            w = random_word(int(rng.integers(1, 1001)), 2, rng=rng)
+            for _ in range(int(rng.integers(0, 4))):
+                w = apply_automorphism(random_type2(2, rng), w)
+            m, chain = nielsen_minimize(w)
+            assert minimize(w) == (m, chain), str(w)
+            assert is_minimal(w) == (chain == []), str(w)
 
     def test_greedy_matches_bfs_oracle_small(self):
         # full agreement up to length 6 here; the acceptance suite goes to 8

@@ -63,8 +63,12 @@ class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_missing_required_flag(self):
+    def test_missing_required_flag(self, capsys):
         assert main(["generate", "--kind", "D", "-o", "x.tsv"]) == EXIT_USAGE  # no --seed
+        assert _one_error_line(capsys)
+        assert main(["train"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: the following arguments are required: "
+                                           "--train, -o/--output\n")
 
     def test_bad_choice(self):
         assert main(["generate", "--kind", "Q", "--seed", "1", "-o", "x.tsv"]) == EXIT_USAGE
@@ -175,6 +179,14 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", workdir["model"], "--test",
                      workdir["test"], "--hist-out", hist]) == EXIT_OK
         assert open(hist).read().startswith("bin_center,")
+
+    def test_hist_out_with_tree_is_usage_error(self, workdir, tmp_path, capsys):
+        hist = tmp_path / "hist.csv"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", workdir["tree"], "--test", workdir["test"],
+                     "--hist-out", str(hist)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not hist.exists()
 
     def test_hist_bins_below_two_is_usage_error(self, workdir, capsys):
         assert main(["evaluate", "--model", workdir["model"], "--test",
@@ -288,6 +300,10 @@ BAD_MODELS = {
     "threshold-override": ("model", ["config", "threshold_override"], 0.5),
     "rank-27": ("model", ["config", "rank"], 27),
     "rank-huge": ("model", ["config", "rank"], 10**9),
+    "missing-training-error": ("model", ["training_error"], _DELETE),
+    "missing-degenerate": ("model", ["quantizer", "degenerate"], _DELETE),
+    "distance-missing-training-error": ("distance", ["training_error"], _DELETE),
+    "distance-missing-ridge-repaired": ("distance", ["ridge_repaired"], _DELETE),
 }
 
 
@@ -430,19 +446,23 @@ class TestWordCommands:
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", "/nonexistent.json"]) == EXIT_DATA
 
-    # case: (schema version, center length, extra moves, text the error names)
-    BAD_CENTERS = {"7-16": (7, 16, [], "schema_version 7"),
-                   "1-3": (1, 3, [], "not (16,)"),
-                   "unknown-move": (1, 16, ["ZZ"], "unknown move 'ZZ'")}
+    # case: (schema version, center length, extra moves, whether the file
+    # names its feature map, text the error names)
+    BAD_CENTERS = {"7-16": (7, 16, [], True, "schema_version 7"),
+                   "1-3": (1, 3, [], True, "not (16,)"),
+                   "unknown-move": (1, 16, ["ZZ"], True, "unknown move 'ZZ'"),
+                   "no-feature-map": (1, 16, [], False, "lacks key 'feature_map'")}
 
     @pytest.mark.parametrize("case", sorted(BAD_CENTERS))
     def test_predict_reducer_bad_centers(self, tmp_path, capsys, case):
-        schema, dim, extra, named = self.BAD_CENTERS[case]
+        schema, dim, extra, named_map, named = self.BAD_CENTERS[case]
+        doc = {"schema_version": schema, "feature_map": "f2",
+               "centers": {name: [0.0] * dim
+                           for name in [m.name for m in NIELSEN_MOVES] + extra}}
+        if not named_map:
+            del doc["feature_map"]
         path = tmp_path / "centers.json"
-        path.write_text(json.dumps({
-            "schema_version": schema, "feature_map": "f2",
-            "centers": {name: [0.0] * dim
-                        for name in [m.name for m in NIELSEN_MOVES] + extra}}))
+        path.write_text(json.dumps(doc))
         assert main(["predict-reducer", "--word", "abab",
                      "--centers", str(path)]) == EXIT_MODEL
         lines = capsys.readouterr().err.splitlines()

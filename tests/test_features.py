@@ -6,7 +6,7 @@ import pytest
 
 from whitmin.features import (FeatureMap, Pattern, builtin_map, count_pattern,
                               feature_matrix, feature_vector, pattern_pool,
-                              resolve_map, whitehead_graph)
+                              resolve_map)
 from whitmin.words import CyclicWord, parse_codes, parse_cyclic_word, random_word
 
 
@@ -264,31 +264,3 @@ class TestPatternPool:
     def test_size_bounded_before_enumeration(self, rank, lo, hi):
         with pytest.raises(ValueError, match="more than 262144"):
             pattern_pool(rank, lo, hi)
-
-
-class TestWhiteheadGraph:
-    def test_adjacent_pairs(self):
-        g = whitehead_graph(cw("abab"), max_label_len=0)
-        assert g.weight(0, (), 2) == 2  # a -> b
-        assert g.weight(2, (), 0) == 2  # b -> a
-        assert sum(v for (x, lab, y), v in g.edges.items() if lab == ()) == 4
-
-    def test_labelled_edge(self):
-        g = whitehead_graph(cw("abAB"), max_label_len=1)
-        assert g.weight(0, (2,), 1) == 1  # a b a^-1 occurs once
-
-    def test_needs_length_two(self):
-        with pytest.raises(ValueError):
-            whitehead_graph(cw("a"), max_label_len=1)
-
-    def test_weights_match_counts(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            w = random_word(int(rng.integers(3, 12)), 2, rng=rng)
-            g = whitehead_graph(w, max_label_len=2)
-            for (x, lab, y), wt in g.edges.items():
-                p = Pattern.from_word((x,) + lab + (y,))
-                assert wt == naive_cyclic_count(w, p) == count_pattern(w, p)
-            for k in range(min(3, len(w) - 1)):
-                # every cyclic window of each label length is an edge
-                assert sum(wt for (x, lab, y), wt in g.edges.items() if len(lab) == k) == len(w)

@@ -1,0 +1,60 @@
+"""Every public module-level function or class of the package has a caller:
+its name appears in src, demos or perfbench outside its own definition.
+Package __init__ re-exports do not count, and the functions that the
+benchmark's per-layer spans name are exempt."""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "whitmin"
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SEARCHED = MODULES + sorted((ROOT / "demos").rglob("*.py")) + sorted(
+    (ROOT / "perfbench").rglob("*.py"))
+
+
+def public_definitions(source: str):
+    """(name, first line, last line) of each public module-level def or class."""
+    return [(node.name, node.lineno, node.end_lineno)
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _span_pinned():
+    """Function names that BENCHMARK.json's per-layer spans pin."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    return {m["name"].rsplit(".", 2)[1] for m in metrics
+            if m["name"].endswith((".calls", ".self_s"))}
+
+
+def unreached(definitions, texts):
+    """Names of the definitions no text names, a definition's own lines
+    aside; definitions are (path, name, first line, last line)."""
+    out = []
+    for path, name, first, last in definitions:
+        pattern = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(pattern.search(line) for other, lines in texts.items()
+                   for i, line in enumerate(lines, 1)
+                   if other != path or not first <= i <= last):
+            out.append(name)
+    return out
+
+
+def test_finds_an_unreached_definition():
+    texts = {"m.py": ["def used():", "    pass", "def lonely():", "    lonely()"],
+             "n.py": ["used()"]}
+    defs = [("m.py", "used", 1, 2), ("m.py", "lonely", 3, 4)]
+    assert unreached(defs, texts) == ["lonely"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_is_reached(path):
+    texts = {p: p.read_text().splitlines() for p in SEARCHED}
+    defs = [(path, *d) for d in public_definitions(path.read_text())
+            if d[0] not in _span_pinned()]
+    assert unreached(defs, texts) == []

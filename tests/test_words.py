@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whitmin.automorphisms import edge_table
 from whitmin.words import (CyclicWord, InvalidLetterError, check_codes,
                            cyclic_reduce, format_codes, least_rotation,
-                           pair_counts, parse_codes, parse_cyclic_word,
-                           random_word, reduce_codes, window_codes)
+                           parse_codes, parse_cyclic_word, random_word,
+                           reduce_codes, window_codes)
 
 
 def codes(text):
@@ -143,16 +144,19 @@ class TestCanonicalRotation:
 
 
 class TestPairCounts:
+    """The cyclic pairs xy of a word, counted as the Whitehead graph's edges
+    {x, y^-1} by automorphisms.edge_table."""
+
     def test_counts_every_cyclic_pair(self):
-        t = pair_counts(codes("aab"), 0, 2)
-        assert t.sum() == 3
-        assert (t[0, 0], t[0, 2], t[2, 0]) == (1, 1, 1)
-        assert pair_counts(codes("aab"), 1, 2)[0, 0] == 1   # a . U1 . a wraps
+        # aab: the pairs aa, ab, ba give the edges {a, A}, {a, B}, {b, A}
+        t = edge_table(codes("aab"), 2)
+        assert (t == t.T).all() and t.sum() == 2 * 3
+        assert (t[0, 1], t[0, 3], t[2, 1]) == (1, 1, 1)
 
     def test_short_word_wraps_onto_itself(self):
         # the Whitehead graph of a one-letter word x has the edge {x, x^-1}
-        assert pair_counts(codes("B"), 0, 2)[3, 3] == 1
-        assert pair_counts((), 0, 2).sum() == 0
+        assert edge_table(codes("B"), 2)[3, 2] == 1
+        assert edge_table((), 2).sum() == 0
 
     def test_window_codes_read_each_cyclic_window(self):
         rng = np.random.default_rng(5)
