@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, check_rank, cyclic_core, reduce_codes, window_codes
+from .words import CyclicWord, check_rank, cyclic_core, window_codes
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,37 @@ class TypeII:
 WhiteheadAutomorphism = Union[TypeI, TypeII]
 AutomorphismChain = List[WhiteheadAutomorphism]
 
+# the identity translation table; a type I's table is its perm, then this
+_BYTES = bytes(range(256))
 
-def _image_table(t: WhiteheadAutomorphism) -> List[Tuple[int, ...]]:
-    return [t.letter_image(c) for c in range(2 * t.rank)]
 
+def _cyclic_image(t: WhiteheadAutomorphism, letters: bytes) -> bytes:
+    """The core of t(w) for the cyclically reduced word w with these letters,
+    in whatever rotation it lands in.  Every rotation of w gives the same
+    core up to rotation, and the Whitehead graph ignores rotation, so a chain
+    of moves can step on these cores and canonicalize once.
 
-def _cyclic_image(t: WhiteheadAutomorphism, letters: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Apply letter images, freely reduce and cyclically reduce: the core of
-    t(w) in whatever rotation it lands in.  Every rotation of w gives the
-    same core up to rotation, and the Whitehead graph ignores rotation, so a
-    chain of moves can step on these cores and canonicalize once."""
-    table = _image_table(t)
-    out: list = []
-    for c in letters:
-        out.extend(table[c])
-    return cyclic_core(reduce_codes(out))
+    A type I permutes the letters.  A type II (A, a) sends each letter x to
+    x, x a, a^-1 x or a^-1 x a; the only pairs that cancel are a tail a or
+    the letter a followed by a head a^-1 or the letter a^-1, one pair per
+    junction, and removing one never brings two others together.  So one
+    replace of a a^-1 reduces the joined images freely, and the conjugating
+    ends that the junction of the last and first letters leaves are
+    stripped."""
+    m = 2 * t.rank
+    if isinstance(t, TypeI):
+        return letters.translate(bytes(t.perm) + _BYTES[m:])
+    images = [bytes(t.letter_image(c)) for c in range(m)]
+    a = t.multiplier
+    joined = b"".join([images[c] for c in letters])
+    return cyclic_core(joined.replace(bytes((a, a ^ 1)), b""))
 
 
 def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:
     """Apply letter images, freely reduce, cyclically reduce, canonicalize."""
     if t.rank != w.rank:
         raise ValueError(f"rank mismatch: automorphism {t.rank}, word {w.rank}")
-    return CyclicWord(_cyclic_image(t, w.letters), w.rank)
+    return CyclicWord(_cyclic_image(t, bytes(w.letters)), w.rank)
 
 
 def type2_count(rank: int) -> int:
@@ -160,11 +169,12 @@ def _length_changes(edges: np.ndarray, member: np.ndarray,
     return ((member @ edges) * (1 - member)).sum(1) - edges.sum(1)[multipliers]
 
 
-def length_change(edges: np.ndarray, t: TypeII) -> int:
-    """|t(w)| - |w| for the word w with Whitehead graph ``edges``."""
-    member = np.zeros((1, 2 * t.rank), dtype=np.int64)
-    member[0, list(t.subset)] = 1
-    return int(_length_changes(edges, member, np.array([t.multiplier]))[0])
+def length_change(cap: List[List[int]], t: TypeII) -> int:
+    """|t(w)| - |w| for the word w with Whitehead graph ``cap`` (an
+    ``edge_table`` as lists)."""
+    inside = t.subset
+    outside = [y for y in range(len(cap)) if y not in inside]
+    return sum(cap[x][y] for x in inside for y in outside) - sum(cap[t.multiplier])
 
 
 _NIELSEN_MEMBER = np.array([[c in m.automorphism.subset for c in range(4)]
@@ -260,12 +270,17 @@ def is_minimal(w: CyclicWord) -> bool:
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
 
 
-def _best_move(letters: Tuple[int, ...], rank: int) -> Tuple[int, Optional[TypeII]]:
-    """The move with the greatest length drop and that drop, first in scan
-    order over every proper type II: multiplier b then a at rank 2 (the
-    order of NIELSEN_MOVES), else multiplier ascending; then A-bitmask
-    ascending."""
-    cap = edge_table(letters, rank).tolist()
+def _graph(letters: bytes, rank: int) -> List[List[int]]:
+    """The edge_table of these letters as lists, the form _best_cut and
+    length_change read."""
+    return edge_table(np.frombuffer(letters, dtype=np.uint8), rank).tolist()
+
+
+def _best_move(cap: List[List[int]], rank: int) -> Tuple[int, Optional[TypeII]]:
+    """The move with the greatest length drop on the word with Whitehead
+    graph cap, and that drop, first in scan order over every proper type
+    II: multiplier b then a at rank 2 (the order of NIELSEN_MOVES), else
+    multiplier ascending; then A-bitmask ascending."""
     best, move = 0, None
     # (A^c, a^-1) changes |w| as (A, a) does and comes later in the scan, so
     # only a = 2g is scanned; the least source side is a submask of every
@@ -279,19 +294,29 @@ def _best_move(letters: Tuple[int, ...], rank: int) -> Tuple[int, Optional[TypeI
     return best, move
 
 
+def _descend(letters: bytes, rank: int) -> Tuple[bytes, List[List[int]], AutomorphismChain]:
+    """minimize on the letters of a cyclically reduced word: the minimal
+    core in whatever rotation it lands in, its Whitehead graph, and the
+    chain."""
+    chain: AutomorphismChain = []
+    while True:
+        cap = _graph(letters, rank)
+        if len(letters) <= 1:
+            break
+        change, move = _best_move(cap, rank)
+        if change >= 0:
+            break
+        chain.append(move)
+        letters = _cyclic_image(move, letters)
+    return letters, cap, chain
+
+
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     """Greedy steepest descent: repeatedly apply the move with the greatest
     length drop (ties: multiplier b before a at rank 2, else ascending;
     then A-bitmask ascending) until no move shortens the word.  The steps
     work on cyclic cores in any rotation; only the result is canonicalized."""
-    chain: AutomorphismChain = []
-    letters = w.letters
-    while len(letters) > 1:
-        change, move = _best_move(letters, w.rank)
-        if change >= 0:
-            break
-        chain.append(move)
-        letters = _cyclic_image(move, letters)
+    letters, _, chain = _descend(bytes(w.letters), w.rank)
     return (CyclicWord(letters, w.rank) if chain else w), chain
 
 
@@ -340,7 +365,7 @@ def random_primitive(rank: int, num_autos: int, rng: np.random.Generator) -> Cyc
     if num_autos < 0:
         raise ValueError("num_autos must be >= 0")
     check_rank(rank)
-    letters = (int(rng.integers(0, 2 * rank)),)
+    letters = bytes((int(rng.integers(0, 2 * rank)),))
     for _ in range(num_autos):
         letters = _cyclic_image(random_automorphism(rank, rng), letters)
     return CyclicWord(letters, rank)

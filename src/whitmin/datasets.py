@@ -17,10 +17,10 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-from .automorphisms import (apply_automorphism, edge_table, is_minimal,
-                            length_change, minimize, random_primitive,
-                            random_type2)
-from .words import CyclicWord, check_rank, format_codes, parse_codes, random_word
+from . import automorphisms
+from .automorphisms import is_minimal, length_change, random_primitive, random_type2
+from .words import (CyclicWord, _random_letters, check_rank, format_codes, parse_codes,
+                    random_word)
 
 log = logging.getLogger(__name__)
 
@@ -98,44 +98,45 @@ def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed, _KIND_INDEX[spec.kind], index])
 
 
-def _substitute_longer(v: CyclicWord, rng: np.random.Generator) -> Optional[CyclicWord]:
-    """A strictly longer cyclically reduced image of v under a random proper
-    type-II automorphism, or None after the retry cap.  Only the accepted
-    draw is applied; the others are priced on v's Whitehead graph."""
-    edges = edge_table(v.letters, v.rank)
+def _substitute_longer(letters: bytes, cap: List[List[int]], rank: int,
+                       rng: np.random.Generator) -> Optional[bytes]:
+    """A strictly longer cyclically reduced image of the word with these
+    letters and Whitehead graph cap under a random proper type-II
+    automorphism, or None after the retry cap.  Only the accepted draw is
+    applied; the others are priced on cap."""
     for _ in range(SUBSTITUTION_RETRIES):
-        t = random_type2(v.rank, rng)
-        if length_change(edges, t) > 0:
-            return apply_automorphism(t, v)
+        t = random_type2(rank, rng)
+        if length_change(cap, t) > 0:
+            return automorphisms._cyclic_image(t, letters)
     return None
 
 
 def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
+    """Each record's word stays raw letters, in any rotation, from the draw
+    to the record, and is checked and canonicalized once, as its
+    CyclicWord."""
     records = []
     idx = 0
+    rank = spec.rank
     for l in range(1, spec.max_length + 1):
         for _ in range(spec.per_length):
             rng = _record_rng(spec, idx)
             idx += 1
-            w = random_word(l, spec.rank, rng=rng)
-            v, _ = minimize(w)
+            v, cap, _ = automorphisms._descend(_random_letters(l, rank, rng), rank)
+            letters, label = v, LABEL_MIN
             if rng.random() < 0.5:
                 steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
                 current = v
-                ok = True
-                for _ in range(steps):
-                    longer = _substitute_longer(current, rng)
-                    if longer is None:
-                        ok = False
+                for step in range(steps):
+                    if step:
+                        cap = automorphisms._graph(current, rank)
+                    current = _substitute_longer(current, cap, rank, rng)
+                    if current is None:
+                        log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
                         break
-                    current = longer
-                if ok:
-                    records.append(WordRecord(current, LABEL_NONMIN))
                 else:
-                    log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
-                    records.append(WordRecord(v, LABEL_MIN))
-            else:
-                records.append(WordRecord(v, LABEL_MIN))
+                    letters, label = current, LABEL_NONMIN
+            records.append(WordRecord(CyclicWord(letters, rank), label))
     return LabeledWordSet(records, spec.rank)
 
 

@@ -9,6 +9,7 @@ Letters are stored as small integer codes: generator g with sign +1 has code
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -34,13 +35,16 @@ _PAIRS = [bytes((c, c ^ 1)) for c in _CODES]
 def check_codes(codes: Iterable[int], rank: int) -> bytes:
     """Raise InvalidLetterError naming the first code outside 0..2r-1; return
     the codes as bytes."""
-    if not isinstance(codes, (tuple, list)):
-        # bytes() of a buffer such as an ndarray would copy its raw memory
-        codes = tuple(codes)
-    try:
-        b = bytes(codes)
-    except ValueError:      # a code outside 0..255
-        b = None
+    if isinstance(codes, bytes):
+        b = codes
+    else:
+        if not isinstance(codes, (tuple, list)):
+            # bytes() of a buffer such as an ndarray would copy its raw memory
+            codes = tuple(codes)
+        try:
+            b = bytes(codes)
+        except ValueError:      # a code outside 0..255
+            b = None
     if b is None or b.translate(None, _CODES[:2 * rank]):
         bad = next(c for c in codes if not 0 <= c < 2 * rank)
         raise InvalidLetterError(f"letter code {bad} invalid for rank {rank}")
@@ -156,14 +160,14 @@ def _least_rotation_offset(b: bytes) -> int:
     return cands[0]
 
 
-def cyclic_core(codes: Sequence[int]) -> Tuple[int, ...]:
+def cyclic_core(codes: Sequence[int]) -> Sequence[int]:
     """The cyclically reduced c of a freely reduced sequence g c g^-1, in the
-    rotation it had inside codes."""
+    rotation it had inside codes, as a slice of codes (bytes stay bytes)."""
     i, j = 0, len(codes)
     while j - i >= 2 and codes[i] == codes[j - 1] ^ 1:
         i += 1
         j -= 1
-    return tuple(codes[i:j])
+    return codes[i:j]
 
 
 def cyclic_reduce(codes: Sequence[int], rank: int) -> CyclicWord:
@@ -224,6 +228,74 @@ def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
 # random generation
 # ---------------------------------------------------------------------------
 
+# The walk takes k letters per Python step from a table keyed by the previous
+# letter and k draws, with k the largest that keeps 2r (2r-1)^k entries within
+# _WALK_TABLE_ENTRIES: k = 6 at rank 2, 4 at rank 3, 3 at rank 4, 2 at ranks
+# 5-8 and 1 from rank 9 on.
+_WALK_TABLE_ENTRIES = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_table(rank: int) -> Tuple[int, int, np.ndarray, list]:
+    """(k, span, weights, table) for the k-letter walk at this rank, with
+    span = (2r-1)^k.  The k draws d_1..d_k (each in 0..2r-2, d_1 most
+    significant) have the code weights . d; entry p * span + code is
+    (letters, q * span): the k letters the walk takes after letter p, the
+    last of them q."""
+    m = 2 * rank
+    base = m - 1
+    k = 1
+    while m * base ** (k + 1) <= _WALK_TABLE_ENTRIES:
+        k += 1
+    span = base ** k
+    # the draw d after letter p is the letter d, or d + 1 from p^-1 on
+    step = [[d + (d >= p ^ 1) for d in range(base)] for p in range(m)]
+    starts = [q * span for q in range(m)]
+    table = []
+    for prev in range(m):
+        level = [(b"", prev)]
+        for _ in range(k):
+            level = [(piece + _CODES[c:c + 1], c)
+                     for piece, last in level for c in step[last]]
+        table += [(piece, starts[last]) for piece, last in level]
+    weights = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return k, span, weights, table
+
+
+def _random_letters(length: int, rank: int, rng: np.random.Generator) -> bytes:
+    """The letters of random_word(length, rank, rng) for length >= 1, from
+    the same draws, as a cyclically reduced word in the rotation drawn."""
+    m = 2 * rank
+    draws = rng.integers(0, m - 1, size=length)
+    first = int(rng.integers(0, m))
+    if length == 1:
+        return _CODES[first:first + 1]
+    k, span, weights, table = _walk_table(rank)
+    # draws[0] is unused; the rest are read k at a time, the last block
+    # padded with zeros whose letters are cut off
+    n = length - 1
+    blocks = -(-n // k)
+    padded = np.zeros(blocks * k, dtype=np.int64)
+    padded[:n] = draws[1:]
+    parts = [_CODES[first:first + 1]]
+    offset = first * span
+    for code in padded.reshape(blocks, k).dot(weights).tolist():
+        piece, offset = table[offset + code]
+        parts.append(piece)
+    b = b"".join(parts)[:length]
+
+    if b[-1] == b[0] ^ 1:
+        # length >= 3 here: the second letter never cancels the first
+        banned_prev = b[-2] ^ 1
+        c = b[-1]
+        while c == b[0] ^ 1:
+            c = int(rng.integers(0, m - 1))
+            if c >= banned_prev:
+                c += 1
+        b = b[:-1] + _CODES[c:c + 1]
+    return b
+
+
 def random_word(length: int, rank: int, rng: np.random.Generator) -> CyclicWord:
     """Uniform Markov word: first letter uniform on the alphabet, each next
     letter uniform on the alphabet minus the inverse of its predecessor, and
@@ -233,22 +305,4 @@ def random_word(length: int, rank: int, rng: np.random.Generator) -> CyclicWord:
     if length == 0:
         log.warning("random_word called with length 0; returning identity")
         return CyclicWord((), rank)
-
-    m = 2 * rank
-    draws = rng.integers(0, m - 1, size=length).tolist()
-    letters = [int(rng.integers(0, m))]
-    for i in range(1, length):
-        banned = letters[-1] ^ 1
-        c = draws[i]
-        if c >= banned:
-            c += 1
-        letters.append(c)
-
-    if length >= 2:
-        banned_prev = letters[-2] ^ 1
-        while letters[-1] == letters[0] ^ 1:
-            c = int(rng.integers(0, m - 1))
-            if c >= banned_prev:
-                c += 1
-            letters[-1] = c
-    return CyclicWord(tuple(letters), rank)
+    return CyclicWord(_random_letters(length, rank, rng), rank)

@@ -12,8 +12,8 @@ from whitmin.automorphisms import (NIELSEN_MOVES, NielsenMove, TypeI, TypeII,
                                    length_change, minimize,
                                    random_automorphism, random_primitive,
                                    random_type2, reducing_moves, type2_count)
-from whitmin.words import (CyclicWord, cyclic_reduce, parse_cyclic_word,
-                           random_word, reduce_codes)
+from whitmin.words import (CyclicWord, cyclic_core, cyclic_reduce,
+                           parse_cyclic_word, random_word, reduce_codes)
 
 from conftest import all_cyclic_words, bfs_orbit_min, enumerate_type2, nielsen_minimize
 
@@ -149,6 +149,81 @@ class TestTypeI:
                 assert len(apply_automorphism(t, w)) == len(w)
 
 
+def oracle_image(t, letters):
+    """The cyclic core of t(w) from per-letter images, stack reduction and
+    stripping the conjugating ends, in the rotation that w's letters give."""
+    return bytes(cyclic_core(apply_to_word(t, letters)))
+
+
+def signed_permutation(rank, gens, flips):
+    perm = [0] * (2 * rank)
+    for g in range(rank):
+        perm[2 * g] = 2 * gens[g] + flips[g]
+        perm[2 * g + 1] = perm[2 * g] ^ 1
+    return TypeI(rank, tuple(perm))
+
+
+@st.composite
+def moves_and_words(draw):
+    """A type I or a (possibly improper) type II (A, a) at rank 2-6 and a
+    cyclic word built from random letters and runs of a and a^-1."""
+    rank = draw(st.integers(2, 6))
+    m = 2 * rank
+    a = draw(st.integers(0, m - 1))
+    if draw(st.booleans()):
+        t = signed_permutation(rank, draw(st.permutations(range(rank))),
+                               draw(st.lists(st.integers(0, 1), min_size=rank,
+                                             max_size=rank)))
+    else:
+        others = [c for c in range(m) if c not in (a, a ^ 1)]
+        chosen = draw(st.lists(st.sampled_from(others), unique=True))
+        t = TypeII(rank, a, frozenset([a, *chosen]))
+    runs = st.tuples(st.sampled_from((a, a ^ 1)), st.integers(1, 4)).map(
+        lambda run: [run[0]] * run[1])
+    pieces = draw(st.lists(st.one_of(st.integers(0, m - 1).map(lambda c: [c]), runs),
+                           min_size=1, max_size=12))
+    w = cyclic_reduce([c for piece in pieces for c in piece], rank)
+    assume(len(w) >= 1)
+    return t, w
+
+
+class TestCyclicImage:
+    """The bytes image (one replace of a a^-1 for a type II, a translate for
+    a type I) against per-letter images and stack reduction, in every
+    rotation of the input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(moves_and_words())
+    @example((TypeII(2, 0, frozenset({0, 2})), CyclicWord((0, 0, 3, 1, 1, 2), 2)))
+    @example((TypeII(3, 1, frozenset({1, 2, 3, 4})), CyclicWord((1, 1, 2, 0, 0, 5), 3)))
+    def test_matches_oracle_in_every_rotation(self, case):
+        t, w = case
+        s = w.letters
+        for i in range(len(s)):
+            rot = s[i:] + s[:i]
+            assert automorphisms._cyclic_image(t, bytes(rot)) == oracle_image(t, rot)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_matches_oracle_on_short_words(self, rank):
+        """Every cyclic word of length 1-3 in every rotation, under every
+        type II at ranks 2 and 3 and a fixed sample of both types above."""
+        rng = np.random.default_rng(rank)
+        if rank <= 3:
+            moves = enumerate_type2(rank)
+        else:
+            moves = [random_type2(rank, rng) for _ in range(12)]
+        moves += [signed_permutation(rank, rng.permutation(rank), rng.integers(0, 2, rank))
+                  for _ in range(4)]
+        for n in (1, 2, 3):
+            for w in all_cyclic_words(rank, n):
+                s = w.letters
+                for t in moves:
+                    for i in range(n):
+                        rot = s[i:] + s[:i]
+                        assert automorphisms._cyclic_image(t, bytes(rot)) == \
+                            oracle_image(t, rot), (t, rot)
+
+
 class TestEnumerateType2:
     def test_counts(self):
         assert len(enumerate_type2(2)) == 8 == type2_count(2)
@@ -203,9 +278,10 @@ class TestLengthChange:
     @example(CyclicWord((3,), 3))
     @example(CyclicWord((0,), 2))
     def test_matches_applied_length_change(self, w):
-        edges = edge_table(w.letters, w.rank)
+        cap = edge_table(w.letters, w.rank).tolist()
         for t in enumerate_type2(w.rank):
-            assert length_change(edges, t) == len(apply_automorphism(t, w)) - len(w)
+            image = cyclic_core(apply_to_word(t, w.letters))
+            assert length_change(cap, t) == len(image) - len(w)
 
     def test_edge_table_is_whitehead_graph(self):
         # abAB: subwords ab, bA, AB, Ba give edges {a,B}, {b,a}, {A,b}, {B,A}
@@ -373,9 +449,23 @@ class TestApplicationCounts:
         rng = np.random.default_rng(0)
         for w in (cw("a"), cw("aabAB"), CyclicWord((0, 2, 4), 3)):
             before = calls[0]
-            longer = datasets._substitute_longer(w, rng)
+            cap = edge_table(w.letters, w.rank).tolist()
+            longer = datasets._substitute_longer(bytes(w.letters), cap, w.rank, rng)
             assert len(longer) > len(w)
             assert calls[0] - before == 1
+
+    def test_generation_applies_descent_and_substitutions(self, calls):
+        """Generating D applies each descent step and one substitution per
+        nonminimal record, and nothing else."""
+        spec = datasets.DatasetSpec("D", 2, max_length=40, per_length=2, seed=3)
+        ds = datasets.generate_dataset(spec)
+        applied = calls[0]
+        steps = sum(len(minimize(random_word(idx // spec.per_length + 1, 2,
+                                             rng=datasets._record_rng(spec, idx)))[1])
+                    for idx in range(len(ds)))
+        nonmin = sum(r.label == datasets.LABEL_NONMIN for r in ds.records)
+        assert nonmin > 0 and steps > 0
+        assert applied == nonmin + steps
 
 
 class TestCanonicalizeOnce:
@@ -387,7 +477,8 @@ class TestCanonicalizeOnce:
     def stepwise_minimize(w):
         chain = []
         while len(w) > 1:
-            change, move = automorphisms._best_move(w.letters, w.rank)
+            cap = edge_table(w.letters, w.rank).tolist()
+            change, move = automorphisms._best_move(cap, w.rank)
             if change >= 0:
                 break
             chain.append(move)

@@ -1,12 +1,17 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whitmin import words
 from whitmin.automorphisms import edge_table
 from whitmin.words import (CyclicWord, InvalidLetterError, check_codes,
                            cyclic_reduce, format_codes, least_rotation,
@@ -249,3 +254,57 @@ class TestRandomWord:
 
     def test_length_zero_degenerate(self):
         assert len(random_word(0, 2, rng=np.random.default_rng(0))) == 0
+
+
+def per_letter_walk(length, rank, rng):
+    """random_word's letters drawn one letter per step: the reference the
+    k-letter walk must reproduce draw for draw."""
+    m = 2 * rank
+    draws = rng.integers(0, m - 1, size=length).tolist()
+    letters = [int(rng.integers(0, m))]
+    for i in range(1, length):
+        c = draws[i]
+        if c >= letters[-1] ^ 1:
+            c += 1
+        letters.append(c)
+    if length >= 2:
+        banned_prev = letters[-2] ^ 1
+        while letters[-1] == letters[0] ^ 1:
+            c = int(rng.integers(0, m - 1))
+            if c >= banned_prev:
+                c += 1
+            letters[-1] = c
+    return tuple(letters)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("rank,k", [(2, 6), (3, 4), (5, 2), (17, 1), (26, 1)])
+    def test_matches_per_letter_loop(self, rank, k):
+        assert words._walk_table(rank)[0] == k
+        for length in list(range(1, 3 * k + 2)) + [1000]:
+            for seed in range(20):
+                got, ref = (np.random.default_rng([seed, length, rank]) for _ in range(2))
+                assert words._random_letters(length, rank, got) == \
+                    bytes(per_letter_walk(length, rank, ref)), (length, seed)
+                # the walk consumed exactly the draws the loop did
+                assert got.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    def test_random_word_is_the_walk_canonicalized(self):
+        for length in (1, 2, 7, 50):
+            a, b = np.random.default_rng(length), np.random.default_rng(length)
+            assert random_word(length, 3, rng=a) == CyclicWord(per_letter_walk(length, 3, b), 3)
+
+    def test_tables_stay_small(self):
+        for rank in range(2, 27):
+            k, span, _, table = words._walk_table(rank)
+            assert len(table) == 2 * rank * span <= 4096
+            assert span == (2 * rank - 1) ** k
+
+    def test_import_builds_no_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import whitmin.words as w; print(w._walk_table.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", "import whitmin; " + code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
