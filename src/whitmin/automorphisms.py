@@ -266,14 +266,16 @@ def is_minimal(w: CyclicWord) -> bool:
     """True when no Whitehead automorphism shortens the cyclic word w."""
     if len(w) <= 1:
         return True
-    cap = edge_table(w.letters, w.rank).tolist()
+    cap = _graph(w.letters, w.rank)
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
 
 
-def _graph(letters: bytes, rank: int) -> List[List[int]]:
-    """The edge_table of these letters as lists, the form _best_cut and
-    length_change read."""
-    return edge_table(np.frombuffer(letters, dtype=np.uint8), rank).tolist()
+def _graph(letters: Sequence[int], rank: int) -> List[List[int]]:
+    """The edge_table of these letters (a tuple, or bytes) as lists, the
+    form _best_cut and length_change read."""
+    if isinstance(letters, bytes):
+        letters = np.frombuffer(letters, dtype=np.uint8)
+    return edge_table(letters, rank).tolist()
 
 
 def _best_move(cap: List[List[int]], rank: int) -> Tuple[int, Optional[TypeII]]:
@@ -316,6 +318,8 @@ def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     length drop (ties: multiplier b before a at rank 2, else ascending;
     then A-bitmask ascending) until no move shortens the word.  The steps
     work on cyclic cores in any rotation; only the result is canonicalized."""
+    if len(w) <= 1:
+        return w, []
     letters, _, chain = _descend(bytes(w.letters), w.rank)
     return (CyclicWord(letters, w.rank) if chain else w), chain
 
@@ -333,6 +337,26 @@ def random_type2(rank: int, rng: np.random.Generator) -> TypeII:
     mask = int(rng.integers(1, full))
     subset = frozenset([a] + [others[i] for i in range(len(others)) if mask >> i & 1])
     return TypeII(rank, a, subset)
+
+
+def _substitute_longer(letters: bytes, cap: List[List[int]], rank: int, steps: int,
+                       rng: np.random.Generator, retries: int) -> Optional[bytes]:
+    """The core after `steps` strictly longer images of the cyclically
+    reduced word with these letters and Whitehead graph cap, each under a
+    random proper type II; None once a step finds none in `retries` draws.
+    Only the accepted draws are applied; the others are priced on the
+    current word's graph."""
+    for step in range(steps):
+        if step:
+            cap = _graph(letters, rank)
+        for _ in range(retries):
+            t = random_type2(rank, rng)
+            if length_change(cap, t) > 0:
+                letters = _cyclic_image(t, letters)
+                break
+        else:
+            return None
+    return letters
 
 
 def random_type1(rank: int, rng: np.random.Generator) -> TypeI:

@@ -42,24 +42,28 @@ class ClusterReport:
     cluster_sizes: np.ndarray
     init_kind: str
 
+    # The summaries read the rates as Python numbers.  Formatting numpy
+    # scalars costs several times more, and a numpy call on a 4 x 4 array
+    # costs tens of microseconds with cold CPU caches, as when perfbench's
+    # cluster-moves writes its reports right after a calibration step.
+
     @property
-    def r_max(self) -> np.ndarray:
-        return self.rates.max(axis=1)
+    def r_max(self) -> List[float]:
+        return [max(row) for row in self.rates.tolist()]
 
     @property
     def assignment(self) -> List[NielsenMove]:
         """Each cluster's best move; ties go to the earlier move."""
-        return [NIELSEN_MOVES[j] for j in self.rates.argmax(axis=1)]
+        return [NIELSEN_MOVES[row.index(max(row))] for row in self.rates.tolist()]
 
     @property
     def avg_r_max(self) -> float:
-        return float(np.mean(self.r_max))
+        r_max = self.r_max
+        return sum(r_max) / len(r_max)
 
     def summary_csv(self) -> str:
-        lines = ["cluster,size,move," +
-                 ",".join(f"R_{m.name}" for m in NIELSEN_MOVES) + ",R_max"]
-        # Python numbers: formatting numpy scalars costs several times more
-        r_max = self.r_max.tolist()
+        lines = [_SUMMARY_HEADER]
+        r_max = self.r_max
         for i, (size, move, rates, r) in enumerate(zip(self.cluster_sizes.tolist(),
                                                       self.assignment, self.rates.tolist(),
                                                       r_max)):
@@ -69,6 +73,10 @@ class ClusterReport:
                             ("min", min(r_max))):
             lines.append(f"{name}_r_max,,,,,,,{value:.6f}")
         return "\n".join(lines) + "\n"
+
+
+_SUMMARY_HEADER = ("cluster,size,move," + ",".join(f"R_{m.name}" for m in NIELSEN_MOVES)
+                   + ",R_max")
 
 
 def estimate_initial_centers(

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
-from . import automorphisms
-from .automorphisms import is_minimal, length_change, random_primitive, random_type2
+from .automorphisms import _descend, _substitute_longer, is_minimal, random_primitive
 from .words import (CyclicWord, _random_letters, check_rank, format_codes, parse_codes,
                     random_word)
 
@@ -98,19 +97,6 @@ def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed, _KIND_INDEX[spec.kind], index])
 
 
-def _substitute_longer(letters: bytes, cap: List[List[int]], rank: int,
-                       rng: np.random.Generator) -> Optional[bytes]:
-    """A strictly longer cyclically reduced image of the word with these
-    letters and Whitehead graph cap under a random proper type-II
-    automorphism, or None after the retry cap.  Only the accepted draw is
-    applied; the others are priced on cap."""
-    for _ in range(SUBSTITUTION_RETRIES):
-        t = random_type2(rank, rng)
-        if length_change(cap, t) > 0:
-            return automorphisms._cyclic_image(t, letters)
-    return None
-
-
 def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
     """Each record's word stays raw letters, in any rotation, from the draw
     to the record, and is checked and canonicalized once, as its
@@ -122,20 +108,16 @@ def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
         for _ in range(spec.per_length):
             rng = _record_rng(spec, idx)
             idx += 1
-            v, cap, _ = automorphisms._descend(_random_letters(l, rank, rng), rank)
-            letters, label = v, LABEL_MIN
+            letters, cap, _ = _descend(_random_letters(l, rank, rng), rank)
+            label = LABEL_MIN
             if rng.random() < 0.5:
                 steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
-                current = v
-                for step in range(steps):
-                    if step:
-                        cap = automorphisms._graph(current, rank)
-                    current = _substitute_longer(current, cap, rank, rng)
-                    if current is None:
-                        log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
-                        break
+                longer = _substitute_longer(letters, cap, rank, steps, rng,
+                                            SUBSTITUTION_RETRIES)
+                if longer is None:
+                    log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
                 else:
-                    letters, label = current, LABEL_NONMIN
+                    letters, label = longer, LABEL_NONMIN
             records.append(WordRecord(CyclicWord(letters, rank), label))
     return LabeledWordSet(records, spec.rank)
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import time
 
 import numpy as np
@@ -446,13 +447,17 @@ class TestApplicationCounts:
         assert steps > 0
 
     def test_substitution_applies_once(self, calls):
+        """One application per substitution step: the rejected draws are
+        only priced."""
         rng = np.random.default_rng(0)
-        for w in (cw("a"), cw("aabAB"), CyclicWord((0, 2, 4), 3)):
+        for w, steps in itertools.product((cw("a"), cw("aabAB"), CyclicWord((0, 2, 4), 3)),
+                                          (1, 3)):
             before = calls[0]
             cap = edge_table(w.letters, w.rank).tolist()
-            longer = datasets._substitute_longer(bytes(w.letters), cap, w.rank, rng)
-            assert len(longer) > len(w)
-            assert calls[0] - before == 1
+            longer = automorphisms._substitute_longer(bytes(w.letters), cap, w.rank, steps,
+                                                      rng, datasets.SUBSTITUTION_RETRIES)
+            assert len(longer) >= len(w) + steps
+            assert calls[0] - before == steps
 
     def test_generation_applies_descent_and_substitutions(self, calls):
         """Generating D applies each descent step and one substitution per

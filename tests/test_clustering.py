@@ -52,6 +52,9 @@ class TestExperiment:
         assert rep.rates.shape == (4, len(NIELSEN_MOVES))
         assert ((0.0 <= rep.rates) & (rep.rates <= 1.0)).all()
         assert all(r == max(rates) for r, rates in zip(rep.r_max, rep.rates))
+        # the list forms agree with numpy's max, first argmax and mean
+        assert rep.assignment == [NIELSEN_MOVES[j] for j in rep.rates.argmax(axis=1)]
+        assert rep.avg_r_max == float(np.mean(rep.rates.max(axis=1)))
         # clusters should align with reducing moves far better than chance
         assert rep.avg_r_max > 0.6
 
