@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def apply_automorphism(t: WhiteheadAutomorphism, w: CyclicWord) -> CyclicWord:
     """Apply letter images, freely reduce, cyclically reduce, canonicalize."""
     if t.rank != w.rank:
         raise ValueError(f"rank mismatch: automorphism {t.rank}, word {w.rank}")
-    return CyclicWord(_cyclic_image(t, bytes(w.letters)), w.rank)
+    return CyclicWord(_cyclic_image(t, w.letters), w.rank)
 
 
 def type2_count(rank: int) -> int:
@@ -154,32 +154,20 @@ NIELSEN_MOVES: Tuple[NielsenMove, ...] = tuple(NielsenMove)
 # at a (Whitehead 1936; Roig, Ventura & Weil, IJAC 2007, arXiv:math/0608779).
 # One O(|w|) pair count thus prices every candidate without applying any.
 
-def edge_table(letters: Sequence[int], rank: int) -> np.ndarray:
+def edge_table(letters: bytes, rank: int) -> List[List[int]]:
     """Whitehead graph of the cyclic word with these letters (any rotation)
-    as a symmetric (2r x 2r) edge-count table."""
+    as a symmetric 2r x 2r table of edge counts, one list per row."""
     m = 2 * rank
     pairs = np.bincount(window_codes(letters, (0, 1), rank), minlength=m * m)
     t = pairs.reshape(m, m)[:, np.arange(m) ^ 1]
-    return t + t.T
-
-
-def _length_changes(edges: np.ndarray, member: np.ndarray,
-                    multipliers: np.ndarray) -> np.ndarray:
-    """cap(A) - deg(a) per row of the 0/1 membership matrix of the A's."""
-    return ((member @ edges) * (1 - member)).sum(1) - edges.sum(1)[multipliers]
+    return (t + t.T).tolist()
 
 
 def length_change(cap: List[List[int]], t: TypeII) -> int:
-    """|t(w)| - |w| for the word w with Whitehead graph ``cap`` (an
-    ``edge_table`` as lists)."""
+    """|t(w)| - |w| for the word w with Whitehead graph ``cap``."""
     inside = t.subset
     outside = [y for y in range(len(cap)) if y not in inside]
     return sum(cap[x][y] for x in inside for y in outside) - sum(cap[t.multiplier])
-
-
-_NIELSEN_MEMBER = np.array([[c in m.automorphism.subset for c in range(4)]
-                            for m in NIELSEN_MOVES], dtype=np.int64)
-_NIELSEN_MULTIPLIERS = np.array([m.automorphism.multiplier for m in NIELSEN_MOVES])
 
 
 # The least cap(A) over the A with a in A and a^-1 outside is a minimum cut
@@ -257,25 +245,16 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
         raise ValueError(f"reducing_moves lists the rank-2 Nielsen moves; got rank {w.rank}")
     if len(w) <= 1:
         return []
-    changes = _length_changes(edge_table(w.letters, 2), _NIELSEN_MEMBER,
-                              _NIELSEN_MULTIPLIERS)
-    return [m for m, d in zip(NIELSEN_MOVES, changes) if d < 0]
+    cap = edge_table(w.letters, 2)
+    return [m for m in NIELSEN_MOVES if length_change(cap, m.automorphism) < 0]
 
 
 def is_minimal(w: CyclicWord) -> bool:
     """True when no Whitehead automorphism shortens the cyclic word w."""
     if len(w) <= 1:
         return True
-    cap = _graph(w.letters, w.rank)
+    cap = edge_table(w.letters, w.rank)
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
-
-
-def _graph(letters: Sequence[int], rank: int) -> List[List[int]]:
-    """The edge_table of these letters (a tuple, or bytes) as lists, the
-    form _best_cut and length_change read."""
-    if isinstance(letters, bytes):
-        letters = np.frombuffer(letters, dtype=np.uint8)
-    return edge_table(letters, rank).tolist()
 
 
 def _best_move(cap: List[List[int]], rank: int) -> Tuple[int, Optional[TypeII]]:
@@ -302,7 +281,7 @@ def _descend(letters: bytes, rank: int) -> Tuple[bytes, List[List[int]], Automor
     chain."""
     chain: AutomorphismChain = []
     while True:
-        cap = _graph(letters, rank)
+        cap = edge_table(letters, rank)
         if len(letters) <= 1:
             break
         change, move = _best_move(cap, rank)
@@ -320,7 +299,7 @@ def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     work on cyclic cores in any rotation; only the result is canonicalized."""
     if len(w) <= 1:
         return w, []
-    letters, _, chain = _descend(bytes(w.letters), w.rank)
+    letters, _, chain = _descend(w.letters, w.rank)
     return (CyclicWord(letters, w.rank) if chain else w), chain
 
 
@@ -348,7 +327,7 @@ def _substitute_longer(letters: bytes, cap: List[List[int]], rank: int, steps: i
     current word's graph."""
     for step in range(steps):
         if step:
-            cap = _graph(letters, rank)
+            cap = edge_table(letters, rank)
         for _ in range(retries):
             t = random_type2(rank, rng)
             if length_change(cap, t) > 0:

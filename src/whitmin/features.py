@@ -117,11 +117,11 @@ class FeatureMap:
         return plan, spans, int(spans.max(initial=0))
 
 
-def _window_letters(arr: np.ndarray, offsets: Sequence[int]) -> Counter:
+def _window_letters(letters: bytes, offsets: Sequence[int]) -> Counter:
     """How often each bytes string of letters at the given offsets appears
-    over the cyclic windows of the word arr."""
-    n = len(arr)
-    windows = arr.astype(np.uint8)[(np.arange(n)[:, None] + offsets) % n]
+    over the cyclic windows of the word with these letters."""
+    n = len(letters)
+    windows = np.frombuffer(letters, dtype=np.uint8)[(np.arange(n)[:, None] + offsets) % n]
     return Counter(windows.view(f"V{len(offsets)}").ravel().tolist())
 
 
@@ -134,15 +134,14 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")
     plan, spans, longest = fmap._plan
-    arr = np.asarray(w.letters, dtype=np.int64)
     counts = np.zeros(fmap.dim)
     for offsets, columns, keys in plan:
         if isinstance(keys, np.ndarray):
-            hist = np.bincount(window_codes(arr, offsets, fmap.rank),
+            hist = np.bincount(window_codes(w.letters, offsets, fmap.rank),
                                minlength=(2 * fmap.rank) ** len(offsets))
             counts[columns] = hist[keys]
         else:
-            hist = _window_letters(arr, offsets)
+            hist = _window_letters(w.letters, offsets)
             counts[columns] = [hist.get(key, 0) for key in keys]
     if n < longest:
         counts[spans > n] = 0

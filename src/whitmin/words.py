@@ -2,9 +2,13 @@
 random generation.  Minimality and the features are properties of the
 cyclic word, so every word is a CyclicWord.
 
-Letters are stored as small integer codes: generator g with sign +1 has code
-2*g, its inverse has code 2*g + 1.  The natural integer order of the codes
-(a < a^-1 < b < b^-1 < ...) is the order used for canonical cyclic rotations.
+Letters are small integer codes: generator g with sign +1 has code 2*g, its
+inverse has code 2*g + 1.  A word's letters are bytes, one code per byte,
+from the draw through minimization to the feature counts; functions that
+take codes from outside (CyclicWord, check_codes, cyclic_reduce) accept any
+sequence of ints.  The natural order of the codes (a < a^-1 < b < b^-1 <
+...) is the order of canonical cyclic rotations, so the least rotation is
+the least bytes string.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ def check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in {MIN_RANK}..{MAX_RANK} (generators a..z), got {rank}")
 
 
-def reduce_codes(codes: Sequence[int]) -> Tuple[int, ...]:
-    """Freely reduce a letter-code sequence (stack-based, single pass)."""
+def reduce_codes(codes: Sequence[int]) -> bytes:
+    """Freely reduce a sequence of letter codes 0..255 (stack-based, single
+    pass)."""
     out: list = []
     push = out.append
     pop = out.pop
@@ -67,18 +72,19 @@ def reduce_codes(codes: Sequence[int]) -> Tuple[int, ...]:
             pop()
         else:
             push(c)
-    return tuple(out)
+    return bytes(out)
 
 
 @dataclass(frozen=True)
 class CyclicWord:
-    """A cyclically reduced word, stored as its least rotation.
+    """A cyclically reduced word, stored as the bytes of its least rotation.
 
-    The constructor accepts any rotation of a cyclically reduced sequence and
-    canonicalizes it; it rejects sequences that are not cyclically reduced.
+    The constructor accepts any rotation of a cyclically reduced sequence of
+    codes and canonicalizes it; it rejects sequences that are not cyclically
+    reduced.
     """
 
-    letters: Tuple[int, ...]
+    letters: bytes
     rank: int
 
     def __post_init__(self):
@@ -100,8 +106,8 @@ class CyclicWord:
         return format_codes(self.letters)
 
 
-def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically least rotation of a sequence of letter codes.
+def least_rotation(letters: bytes) -> bytes:
+    """Lexicographically least rotation of a word's letters.
 
     Candidate elimination (after Shiloach, Fast canonization of circular
     strings, J. Algorithms 1981) on bytes.  The candidates are the starts of
@@ -114,23 +120,17 @@ def least_rotation(seq: Sequence[int]) -> Tuple[int, ...]:
     Survivors lie more than L apart, so a round costs O(n) bytes work in
     O(n / L) steps: O(n log n) in all, whatever the word.
     """
-    s = tuple(seq)
-    k = _least_rotation_offset(seq if isinstance(seq, bytes) else bytes(s))
-    return s[k:] + s[:k]
-
-
-def _least_rotation_offset(b: bytes) -> int:
-    """An offset k with b[k:] + b[:k] least (see least_rotation)."""
-    n = len(b)
+    n = len(letters)
     if n <= 1:
-        return 0
-    least = min(b)
-    count = b.count(least)
+        return letters
+    least = min(letters)
+    count = letters.count(least)
     if count == 1:
-        return b.index(least)
+        k = letters.index(least)
+        return letters[k:] + letters[:k]
     if count == n:
-        return 0
-    d = b + b
+        return letters
+    d = letters + letters
     least = bytes((least,))
     # lo ends as the longest cyclic run of the least letter: every run of d
     # lies inside a cyclic run, and each cyclic run lies whole in d
@@ -157,12 +157,12 @@ def _least_rotation_offset(b: bytes) -> int:
         cands = [i for i, blk in zip(cands, blocks) if blk == best]
         L = L2
         cands = [j for i, j in zip([-2 * n] + cands, cands) if j - i > L]
-    return cands[0]
+    return d[cands[0]:cands[0] + n]
 
 
-def cyclic_core(codes: Sequence[int]) -> Sequence[int]:
-    """The cyclically reduced c of a freely reduced sequence g c g^-1, in the
-    rotation it had inside codes, as a slice of codes (bytes stay bytes)."""
+def cyclic_core(codes: bytes) -> bytes:
+    """The cyclically reduced c of freely reduced letters g c g^-1, in the
+    rotation it had inside them."""
     i, j = 0, len(codes)
     while j - i >= 2 and codes[i] == codes[j - 1] ^ 1:
         i += 1
@@ -178,17 +178,19 @@ def cyclic_reduce(codes: Sequence[int], rank: int) -> CyclicWord:
     return CyclicWord(cyclic_core(reduce_codes(check_codes(codes, rank))), rank)
 
 
-def window_codes(letters: Sequence[int], offsets: Sequence[int], rank: int) -> np.ndarray:
+def window_codes(letters: bytes, offsets: Sequence[int], rank: int) -> np.ndarray:
     """Base-2r code of every cyclic window of w read at the given offsets:
     entry i has the digits w[i + o] (indices mod |w|) for o in offsets, the
     first offset most significant.  No offsets give code 0 everywhere; the
     caller keeps (2r)^len(offsets) within int64."""
     m = 2 * rank
-    arr = np.asarray(letters, dtype=np.int64)
-    n = len(arr)
-    doubled = np.concatenate((arr, arr))
-    codes = np.zeros(n, dtype=np.int64)
-    for o in offsets:
+    n = len(letters)
+    if not offsets:
+        return np.zeros(n, dtype=np.int64)
+    doubled = np.frombuffer(letters + letters, dtype=np.uint8).astype(np.int64)
+    start = offsets[0] % max(n, 1)
+    codes = doubled[start:start + n].copy()
+    for o in offsets[1:]:
         codes *= m
         codes += doubled[o % max(n, 1):][:n]
     return codes
@@ -210,14 +212,14 @@ def format_codes(codes: Sequence[int]) -> str:
     return check_codes(codes, MAX_RANK).translate(_TO_TEXT).decode("ascii")
 
 
-def parse_codes(text: str) -> Tuple[int, ...]:
+def parse_codes(text: str) -> bytes:
     s = text.strip()
     # a non-ASCII character encodes as one "?", so byte i is still s[i]
     b = s.encode("ascii", errors="replace").translate(_FROM_TEXT)
     bad = b.find(_NOT_TEXT)
     if bad >= 0:
         raise ValueError(f"invalid character {s[bad]!r} in word {text!r}")
-    return tuple(b)
+    return b
 
 
 def parse_cyclic_word(text: str, rank: int) -> CyclicWord:
@@ -304,5 +306,5 @@ def random_word(length: int, rank: int, rng: np.random.Generator) -> CyclicWord:
     check_rank(rank)
     if length == 0:
         log.warning("random_word called with length 0; returning identity")
-        return CyclicWord((), rank)
+        return CyclicWord(b"", rank)
     return CyclicWord(_random_letters(length, rank, rng), rank)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whitmin import words
-from whitmin.automorphisms import edge_table
+from whitmin.automorphisms import (apply_automorphism, edge_table, minimize,
+                                   random_primitive, random_type2)
+from whitmin.datasets import DatasetSpec, generate_dataset, load_tsv, save_tsv
 from whitmin.words import (CyclicWord, InvalidLetterError, check_codes,
                            cyclic_reduce, format_codes, least_rotation,
                            parse_codes, parse_cyclic_word, random_word,
@@ -26,7 +28,7 @@ def codes(text):
 class TestLetters:
     def test_order_matches_spec(self):
         # a < a^-1 < b < b^-1
-        assert codes("aAbB") == (0, 1, 2, 3)
+        assert codes("aAbB") == bytes((0, 1, 2, 3))
 
     def test_invalid(self):
         with pytest.raises(InvalidLetterError):
@@ -43,8 +45,8 @@ class TestFreeReduce:
         assert reduce_codes(codes("abBa")) == codes("aa")
 
     def test_identity_cases(self):
-        assert reduce_codes(()) == ()
-        assert reduce_codes(codes("aA")) == ()
+        assert reduce_codes(()) == b""
+        assert reduce_codes(codes("aA")) == b""
 
     def test_idempotent_and_nonincreasing(self):
         rng = np.random.default_rng(0)
@@ -62,7 +64,7 @@ class TestFreeReduce:
 
 
 def inverse(letters):
-    return tuple(c ^ 1 for c in reversed(letters))
+    return bytes(c ^ 1 for c in reversed(letters))
 
 
 class TestCyclicReduce:
@@ -84,17 +86,17 @@ class TestCyclicReduce:
             rank = int(rng.integers(2, 4))
             c = random_word(int(rng.integers(0, 12)), rank, rng=rng)
             r = int(rng.integers(0, max(len(c), 1)))
-            g = tuple(rng.integers(0, 2 * rank, size=int(rng.integers(0, 6))).tolist())
+            g = bytes(rng.integers(0, 2 * rank, size=int(rng.integers(0, 6))).tolist())
             raw = g + c.letters[r:] + c.letters[:r] + inverse(g)
             assert cyclic_reduce(raw, rank) == c
 
 
 def naive_least_rotation(s):
-    return min(s[i:] + s[:i] for i in range(len(s))) if s else ()
+    return min(s[i:] + s[:i] for i in range(len(s))) if s else b""
 
 
 def fibonacci_word(n):
-    a, b = (0,), (0, 2)
+    a, b = bytes((0,)), bytes((0, 2))
     while len(b) < n:
         a, b = b, b + a
     return b[:n]
@@ -105,7 +107,7 @@ class TestCanonicalRotation:
         # every word over 2 letters up to length 12, over 3 up to length 8
         for letters, max_len in ((2, 12), (3, 8)):
             for n in range(max_len + 1):
-                for s in itertools.product(range(letters), repeat=n):
+                for s in map(bytes, itertools.product(range(letters), repeat=n)):
                     assert least_rotation(s) == naive_least_rotation(s), s
 
     @settings(max_examples=300, deadline=None)
@@ -113,20 +115,20 @@ class TestCanonicalRotation:
            st.integers(1, 12), st.integers(-1, 5))
     def test_periodic_and_near_periodic(self, u, power, last):
         # u^power, and with last >= 0 the same word with its last letter set
-        s = tuple(u) * power
+        s = bytes(u) * power
         if last >= 0:
-            s = s[:-1] + (last,)
+            s = s[:-1] + bytes((last,))
         assert least_rotation(s) == naive_least_rotation(s)
 
     def test_accepts_bytes(self):
-        assert least_rotation(bytes((3, 1, 2, 1))) == (1, 2, 1, 3)
+        assert least_rotation(bytes((3, 1, 2, 1))) == bytes((1, 2, 1, 3))
 
     @pytest.mark.parametrize("name", ["a^(n-1)b", "(ab)^(n/2)", "(aab)^k B", "fibonacci"])
     def test_adversarial_words_finish_fast(self, name):
         n = 10 ** 6
-        word = {"a^(n-1)b": (0,) * (n - 1) + (2,),
-                "(ab)^(n/2)": (0, 2) * (n // 2),
-                "(aab)^k B": (0, 0, 2) * ((n - 1) // 3) + (3,),
+        word = {"a^(n-1)b": bytes((0,)) * (n - 1) + bytes((2,)),
+                "(ab)^(n/2)": bytes((0, 2)) * (n // 2),
+                "(aab)^k B": bytes((0, 0, 2)) * ((n - 1) // 3) + bytes((3,)),
                 "fibonacci": fibonacci_word(n)}[name]
         t0 = time.perf_counter()
         canon = least_rotation(word)
@@ -155,23 +157,56 @@ class TestPairCounts:
     def test_counts_every_cyclic_pair(self):
         # aab: the pairs aa, ab, ba give the edges {a, A}, {a, B}, {b, A}
         t = edge_table(codes("aab"), 2)
-        assert (t == t.T).all() and t.sum() == 2 * 3
-        assert (t[0, 1], t[0, 3], t[2, 1]) == (1, 1, 1)
+        assert t == [list(col) for col in zip(*t)] and sum(map(sum, t)) == 2 * 3
+        assert (t[0][1], t[0][3], t[2][1]) == (1, 1, 1)
 
     def test_short_word_wraps_onto_itself(self):
         # the Whitehead graph of a one-letter word x has the edge {x, x^-1}
-        assert edge_table(codes("B"), 2)[3, 2] == 1
-        assert edge_table((), 2).sum() == 0
+        assert edge_table(codes("B"), 2)[3][2] == 1
+        assert sum(map(sum, edge_table(b"", 2))) == 0
 
     def test_window_codes_read_each_cyclic_window(self):
+        # the empty word, one to 14 letters at ranks 3 and 26, and every
+        # rank-26 code 0..51 in one word; offsets from none to beyond |w|
         rng = np.random.default_rng(5)
-        for n in range(1, 15):
-            w = random_word(n, 3, rng=rng).letters
-            for offsets in ((), (0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5)):
-                expect = [sum(w[(i + o) % n] * 6 ** (len(offsets) - 1 - j)
+        cases = [(b"", 2), (bytes(range(52)), 26)] + [
+            (random_word(n, rank, rng=rng).letters, rank)
+            for rank in (3, 26) for n in range(1, 15)]
+        for w, rank in cases:
+            n = len(w)
+            for offsets in ((), (0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5),
+                            (n, 2 * n + 3), (60,)):
+                expect = [sum(w[(i + o) % n] * (2 * rank) ** (len(offsets) - 1 - j)
                               for j, o in enumerate(offsets)) for i in range(n)]
-                assert window_codes(w, offsets, 3).tolist() == expect
-        assert window_codes((), (0, 1), 2).shape == (0,)
+                assert window_codes(w, offsets, rank).tolist() == expect, (w, offsets)
+        assert window_codes(b"", (0, 1), 2).shape == (0,)
+
+
+class TestBytesLetters:
+    """A word's letters have one format, bytes, whichever function made the
+    word and whatever sequence of codes it was built from."""
+
+    def test_every_producer_gives_bytes(self, tmp_path):
+        rng = np.random.default_rng(6)
+        w = random_word(12, 2, rng=rng)
+        made = [w, random_word(0, 2, rng=rng), cyclic_reduce([2, 0, 2, 3, 1, 3], 2),
+                parse_cyclic_word("abAB", 2), apply_automorphism(random_type2(2, rng), w),
+                minimize(w)[0], minimize(parse_cyclic_word("abab", 2))[0],
+                random_primitive(3, 4, rng)]
+        for kind in ("D", "Se", "S10", "SR", "SP"):
+            ds = generate_dataset(DatasetSpec(kind, 2, max_length=12, per_length=2,
+                                              size=20, seed=1))
+            path = str(tmp_path / f"{kind}.tsv")
+            save_tsv(ds, path)
+            made += ds.words() + load_tsv(path).words()
+        for w in made:
+            assert type(w.letters) is bytes, (str(w), type(w.letters))
+
+    def test_any_sequence_of_codes_gives_one_word(self):
+        codes = (2, 0, 3, 3, 1)
+        words = [CyclicWord(c, 2) for c in (codes, list(codes), bytes(codes), iter(codes))]
+        assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
+        assert words[0].letters == bytes((0, 3, 3, 1, 2))
 
 
 class TestTextEncoding:
@@ -184,7 +219,7 @@ class TestTextEncoding:
             parse_cyclic_word("ab1", 2)
 
     def test_all_codes_round_trip(self):
-        codes52 = tuple(range(52))
+        codes52 = bytes(range(52))
         text = format_codes(codes52)
         assert text == "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
         assert parse_codes(text) == codes52
