@@ -203,8 +203,8 @@ class TestBytesLetters:
             assert type(w.letters) is bytes, (str(w), type(w.letters))
 
     def test_any_sequence_of_codes_gives_one_word(self):
-        codes = (2, 0, 3, 3, 1)
-        words = [CyclicWord(c, 2) for c in (codes, list(codes), bytes(codes), iter(codes))]
+        seq = (2, 0, 3, 3, 1)
+        words = [CyclicWord(c, 2) for c in (seq, list(seq), bytes(seq), iter(seq))]
         assert all(w == words[0] and hash(w) == hash(words[0]) for w in words)
         assert words[0].letters == bytes((0, 3, 3, 1, 2))
 
