@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -27,6 +27,9 @@ LABEL_MIN = "min"
 LABEL_NONMIN = "nonmin"
 
 SUBSTITUTION_RETRIES = 100
+
+# A record's index is one 32-bit entropy word of its stream's seed.
+MAX_RECORDS = 2**32 - 1
 
 
 class DataFormatError(ValueError):
@@ -87,14 +90,109 @@ class DatasetSpec:
             raise ValueError("size must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.record_count > MAX_RECORDS:
+            raise ValueError(f"record count {self.record_count} exceeds {MAX_RECORDS}")
+
+    @property
+    def record_count(self) -> int:
+        if self.kind in ("SR", "SP"):
+            return self.size
+        return self.max_length * self.per_length
 
 
 _KIND_INDEX = {"D": 0, "Se": 1, "SR": 2, "SP": 3, "S10": 4}
 
 
-def _record_rng(spec: DatasetSpec, index: int) -> np.random.Generator:
-    # one independent stream per record: parallel-safe, order-independent
-    return np.random.default_rng([spec.seed, _KIND_INDEX[spec.kind], index])
+# NumPy's SeedSequence (NEP 19): the 4-word pool hash of the entropy words,
+# then generate_state's hash of the pool into PCG64's seed words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_RNG_BLOCK = 1024
+
+
+def _uint32_words(n: int) -> List[int]:
+    """n's little-endian 32-bit words, as SeedSequence reads an int."""
+    out = [n & _MASK32]
+    n >>= 32
+    while n:
+        out.append(n & _MASK32)
+        n >>= 32
+    return out
+
+
+def _seed_states(prefix: List[int], indices: np.ndarray) -> np.ndarray:
+    """Row j is what SeedSequence(prefix + [indices[j]]).generate_state(4,
+    uint64) returns, for the 32-bit words prefix and indices below 2**32;
+    the hash runs on every row at once in uint32 arithmetic."""
+    u32 = np.uint32
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * u32(_MIX_MULT_L) - y * u32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    entropy = [np.full(len(indices), w, dtype=u32) for w in prefix]
+    entropy.append(indices.astype(u32))
+    entropy += [np.zeros(len(indices), dtype=u32)] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ u32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * u32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # uint64 word k is 32-bit words 2k (low) and 2k+1 (high)
+    return np.stack([state[k] | state[k + 1] << np.uint64(32)
+                     for k in range(0, 2 * _POOL_SIZE, 2)], axis=1)
+
+
+def _record_rngs(spec: DatasetSpec, count: int) -> Iterator[np.random.Generator]:
+    """The generators of records 0..count-1, in index order.
+
+    Record i of kind k (D=0, Se=1, SR=2, SP=3, S10=4) under seed s draws
+    from the stream numpy.random.default_rng([s, k, i]) gives: one
+    independent stream per record, parallel-safe and order-independent, so
+    fixed-seed files stay byte-identical.  The seed states are hashed
+    _RNG_BLOCK records at a time, never count at once; i < 2**32
+    (MAX_RECORDS bounds a spec's record count)."""
+    # here, not at module level: importing whitmin does not load numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        """A precomputed PCG64 seed: the one generate_state(4, uint64) row."""
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a precomputed seed state holds 4 uint64 words only")
+            return self.row
+
+    prefix = _uint32_words(spec.seed) + [_KIND_INDEX[spec.kind]]
+    for start in range(0, count, _RNG_BLOCK):
+        indices = np.arange(start, min(start + _RNG_BLOCK, count), dtype=np.uint64)
+        for row in _seed_states(prefix, indices):
+            yield np.random.Generator(np.random.PCG64(SeedState(row)))
 
 
 def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
@@ -102,30 +200,26 @@ def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
     to the record, and is checked and canonicalized once, as its
     CyclicWord."""
     records = []
-    idx = 0
     rank = spec.rank
-    for l in range(1, spec.max_length + 1):
-        for _ in range(spec.per_length):
-            rng = _record_rng(spec, idx)
-            idx += 1
-            letters, cap, _ = _descend(_random_letters(l, rank, rng), rank)
-            label = LABEL_MIN
-            if rng.random() < 0.5:
-                steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
-                longer = _substitute_longer(letters, cap, rank, steps, rng,
-                                            SUBSTITUTION_RETRIES)
-                if longer is None:
-                    log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
-                else:
-                    letters, label = longer, LABEL_NONMIN
-            records.append(WordRecord(CyclicWord(letters, rank), label))
+    for idx, rng in enumerate(_record_rngs(spec, spec.record_count)):
+        l = idx // spec.per_length + 1
+        letters, cap, _ = _descend(_random_letters(l, rank, rng), rank)
+        label = LABEL_MIN
+        if rng.random() < 0.5:
+            steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
+            longer = _substitute_longer(letters, cap, rank, steps, rng,
+                                        SUBSTITUTION_RETRIES)
+            if longer is None:
+                log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
+            else:
+                letters, label = longer, LABEL_NONMIN
+        records.append(WordRecord(CyclicWord(letters, rank), label))
     return LabeledWordSet(records, spec.rank)
 
 
 def _generate_tested(spec: DatasetSpec) -> LabeledWordSet:
     records = []
-    for idx in range(spec.size):
-        rng = _record_rng(spec, idx)
+    for rng in _record_rngs(spec, spec.record_count):
         l = int(rng.integers(1, spec.max_length + 1))
         if spec.kind == "SR":
             w = random_word(l, spec.rank, rng=rng)

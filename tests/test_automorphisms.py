@@ -474,7 +474,8 @@ class TestApplicationCounts:
         ds = datasets.generate_dataset(spec)
         applied = calls[0]
         steps = sum(len(minimize(random_word(idx // spec.per_length + 1, 2,
-                                             rng=datasets._record_rng(spec, idx)))[1])
+                                             rng=np.random.default_rng(
+                                                 [spec.seed, 0, idx])))[1])
                     for idx in range(len(ds)))
         nonmin = sum(r.label == datasets.LABEL_NONMIN for r in ds.records)
         assert nonmin > 0 and steps > 0

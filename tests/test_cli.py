@@ -128,7 +128,10 @@ class TestGenerate:
                                        ["--kind", "D", "--per-len", "0"],
                                        ["--kind", "D", "--per-len", "-2"],
                                        ["--kind", "SR", "--size", "0"],
-                                       ["--kind", "SP", "--size", "-5"]])
+                                       ["--kind", "SP", "--size", "-5"],
+                                       ["--kind", "SR", "--size", "4294967296"],
+                                       ["--kind", "D", "--max-len", "65536",
+                                        "--per-len", "65536"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
         assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE

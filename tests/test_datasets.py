@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from whitmin.automorphisms import is_minimal
-from whitmin.datasets import (LABEL_MIN, LABEL_NONMIN, DataFormatError,
-                              DatasetSpec, LabeledWordSet, WordRecord,
+from whitmin.datasets import (_KIND_INDEX, _RNG_BLOCK, LABEL_MIN, LABEL_NONMIN,
+                              MAX_RECORDS, DataFormatError, DatasetSpec,
+                              LabeledWordSet, WordRecord, _record_rngs,
                               generate_dataset, load_tsv, save_tsv)
 from whitmin.words import parse_cyclic_word
 
@@ -32,12 +33,62 @@ class TestSpec:
         with pytest.raises(ValueError):
             DatasetSpec("SR", rank=rank)
 
+    @pytest.mark.parametrize("kind, sizes", [
+        ("SR", dict(size=2**32)),
+        ("SP", dict(size=2**40)),
+        ("D", dict(max_length=2**16, per_length=2**16)),
+        ("S10", dict(max_length=2**31, per_length=3)),
+    ])
+    def test_record_count_below_2_to_the_32(self, kind, sizes):
+        with pytest.raises(ValueError, match="record count"):
+            DatasetSpec(kind, **sizes)
+
+    def test_largest_record_count_accepted(self):
+        assert DatasetSpec("SR", size=MAX_RECORDS).record_count == 2**32 - 1
+        assert DatasetSpec("Se", max_length=2**16 + 1,
+                           per_length=2**16 - 1).record_count == 2**32 - 1
+
     def test_primitives_labelled_by_length_at_rank_6(self):
         # a primitive element is minimal exactly when it is one letter
         sp = generate_dataset(DatasetSpec("SP", rank=6, size=60, seed=3))
         assert {r.label for r in sp.records} == {LABEL_MIN, LABEL_NONMIN}
         for r in sp.records:
             assert (r.label == LABEL_MIN) == (len(r.word) == 1)
+
+
+class TestRecordStreams:
+    """_record_rngs hashes SeedSequence's entropy in blocks; each stream must
+    be the one numpy.random.default_rng([seed, kind, index]) gives."""
+
+    INDICES = (0, 1, _RNG_BLOCK - 1, _RNG_BLOCK, _RNG_BLOCK + 1)
+
+    @staticmethod
+    def assert_oracle(rng, seed, kind, idx):
+        oracle = np.random.default_rng([seed, _KIND_INDEX[kind], idx])
+        assert rng.bit_generator.state == oracle.bit_generator.state, (seed, kind, idx)
+        assert (rng.integers(0, 2**62, 50) == oracle.integers(0, 2**62, 50)).all()
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_INDEX))
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 7])
+    def test_matches_default_rng(self, kind, seed):
+        spec = DatasetSpec(kind, seed=seed)
+        rngs = list(_record_rngs(spec, _RNG_BLOCK + 2))
+        assert len(rngs) == _RNG_BLOCK + 2
+        for idx in self.INDICES:
+            self.assert_oracle(rngs[idx], seed, kind, idx)
+
+    def test_count_is_built_one_block_at_a_time(self):
+        # 2**32 - 1 states at once would be 128 GiB; the first needs one block
+        spec = DatasetSpec("SR", seed=9)
+        rngs = _record_rngs(spec, MAX_RECORDS)
+        for idx in range(3):
+            self.assert_oracle(next(rngs), 9, "SR", idx)
+
+    def test_short_and_empty_counts(self):
+        spec = DatasetSpec("D", seed=4)
+        assert list(_record_rngs(spec, 0)) == []
+        (rng,) = _record_rngs(spec, 1)
+        self.assert_oracle(rng, 4, "D", 0)
 
 
 class TestGenerateD(object):
