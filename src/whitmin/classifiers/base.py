@@ -34,14 +34,17 @@ class LabeledSet:
 
 def sorted_class_counts(values: np.ndarray, labels: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stably sorted values and labels, and the (N+1) x 2 cumulative counts:
-    row k counts classes 1 and 2 among the first k sorted values, so the
-    counts at or below theta are row searchsorted(values, theta, "right")."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
+    """Stably sorted values and labels, and the cumulative class counts, of
+    an (N,) array or, column by column, of an (N, d) one: row k of the
+    (N+1) x 2 (or (N+1) x d x 2) counts holds classes 1 and 2 among the first
+    k sorted values, so the counts at or below theta are row
+    searchsorted(values, theta, "right")."""
+    order = np.argsort(values, axis=0, kind="stable")
+    v = np.take_along_axis(values, order, axis=0)
     y = labels[order]
-    counts = np.zeros((len(v) + 1, 2), dtype=np.int64)
-    np.cumsum(y[:, None] == np.arange(1, 3), axis=0, out=counts[1:])
+    counts = np.zeros((len(v) + 1, *v.shape[1:], 2), dtype=np.int64)
+    for c in (0, 1):
+        np.cumsum(y == c + 1, axis=0, out=counts[1:, ..., c])
     return v, y, counts
 
 

@@ -84,23 +84,30 @@ def _majority(labels: np.ndarray) -> int:
     return 2 if (labels == 2).sum() > (labels == 1).sum() else 1
 
 
-def _best_split(col: np.ndarray, y: np.ndarray):
-    """(purity, theta, chi2) of the column's purest threshold, or None.
-    Candidates are the midpoints between adjacent distinct sorted values
-    where the class changes; ties go to the smallest theta."""
-    v, ys, counts = sorted_class_counts(col, y)
+def _best_split(X: np.ndarray, y: np.ndarray):
+    """(feature, theta, chi2) of the node's purest (component, threshold)
+    candidate, or None.  A column's candidates are the midpoints between
+    adjacent distinct sorted values where the class changes; ties go to the
+    smallest feature, then the smallest theta."""
+    v, ys, counts = sorted_class_counts(X, y)
     cut = (ys[:-1] != ys[1:]) & (v[:-1] < v[1:])
-    thetas = np.unique((v[:-1][cut] + v[1:][cut]) / 2.0)
-    nl = counts[np.searchsorted(v, thetas, side="right")]
-    nr = counts[-1] - nl
-    # a midpoint that rounds onto an end value (or overflows) leaves a side empty
+    j, i = np.nonzero(cut.T)  # column-major: by feature, then by theta
+    lo, hi = v[i, j], v[i + 1, j]
+    with np.errstate(over="ignore"):
+        thetas = (lo + hi) / 2.0
+    nl = counts[i + 1, j]
+    # a midpoint that rounds onto its upper neighbour, or overflows, counts
+    # every value of its column at or below it
+    for k in np.flatnonzero(~((lo <= thetas) & (thetas < hi))):
+        nl[k] = counts[np.searchsorted(v[:, j[k]], thetas[k], side="right"), j[k]]
+    nr = counts[-1, j] - nl
+    # ... and may leave a side empty
     ok = (nl.sum(-1) > 0) & (nr.sum(-1) > 0)
     if not ok.any():
         return None
-    thetas, nl, nr = thetas[ok], nl[ok], nr[ok]
-    pr, chi2 = node_stats(nl, nr)
-    i = int(np.argmax(pr))
-    return pr[i].item(), thetas[i].item(), chi2[i].item()
+    pr, chi2 = node_stats(nl[ok], nr[ok])
+    k = int(np.argmax(pr))
+    return int(j[ok][k]), thetas[ok][k].item(), chi2[k].item()
 
 
 def fit_tree(data: LabeledSet) -> TreeModel:
@@ -116,16 +123,10 @@ def fit_tree(data: LabeledSet) -> TreeModel:
     def grow(X: np.ndarray, y: np.ndarray, depth: int) -> TreeNodeOrLeaf:
         if depth >= max_depth or len(y) < MIN_NODE or len(np.unique(y)) == 1:
             return TreeLeaf(_majority(y))
-        best = None  # (-purity, feature, theta, chi2)
-        for j in range(X.shape[1]):
-            split = _best_split(X[:, j], y)
-            if split is not None:
-                pr, theta, chi2 = split
-                if best is None or (-pr, j, theta) < best[:3]:
-                    best = (-pr, j, theta, chi2)
-        if best is None or best[3] < CHI2_CUTOFF:
+        split = _best_split(X, y)
+        if split is None or split[2] < CHI2_CUTOFF:
             return TreeLeaf(_majority(y))
-        _, j, theta, _ = best
+        j, theta, _ = split
         mask = X[:, j] <= theta
         return TreeNode(
             j, float(theta),

@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import CyclicWord, check_rank, format_codes, window_codes
+from .words import CyclicWord, check_rank, format_codes, grouped_window_codes
 
 # Most cells a feature matrix has, len(words) x dim, 8 bytes each: pool:1-5
 # (4,356 patterns) on 10,000 + 10,000 words fits.
@@ -75,9 +75,10 @@ def count_pattern(w: CyclicWord, p: Pattern) -> int:
     return round(feature_vector(w, FeatureMap("", (p,), w.rank))[0] * len(w))
 
 
-# Patterns sharing their offsets are counted together, by one bincount of
-# base-2r window codes when the (2r)^k code table has at most this many
-# entries, else by one Counter of the windows' k letters as bytes.
+# Patterns sharing their offsets are counted together: by base-2r window
+# codes when the (2r)^k code table has at most this many entries, all such
+# groups of a map in one bincount, else by one Counter of the windows' k
+# letters as bytes.
 _MAX_WINDOW_CODES = 1 << 16
 
 
@@ -94,27 +95,40 @@ class FeatureMap:
         return len(self.patterns)
 
     @functools.cached_property
-    def _plan(self) -> Tuple[list, np.ndarray, int]:
-        """Built on first use: one (offsets, columns, keys) group per offset
-        tuple, over the patterns whose letters all lie in the 2r-letter
-        alphabet (any other pattern counts 0), keys their codes (an array) or
-        letters (bytes); every pattern's span; and the longest span."""
+    def _plan(self) -> Tuple[tuple, list, np.ndarray, int]:
+        """Built on first use, over the patterns whose letters all lie in the
+        2r-letter alphabet (any other pattern counts 0), grouped by offset
+        tuple.  The groups whose (2r)^k code table has at most
+        _MAX_WINDOW_CODES entries share one table, each from its own base:
+        their (offsets, base) pairs, their columns, the patterns' codes plus
+        the bases, and the table's size.  Every other group is an (offsets,
+        columns, letters as bytes) triple.  Then every pattern's span, and
+        the longest span."""
         m = 2 * self.rank
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, p in enumerate(self.patterns):
             if all(0 <= c < m for c in p.letters):
                 groups.setdefault(p.offsets, []).append(i)
-        plan = []
-        for offsets, columns in groups.items():
-            letters = [self.patterns[i].letters for i in columns]
+        table: List[Tuple[Tuple[int, ...], int]] = []
+        columns: List[int] = []
+        keys: List[int] = []
+        counted = []
+        size = 0
+        for offsets, group in groups.items():
+            letters = [self.patterns[i].letters for i in group]
             if m ** len(offsets) <= _MAX_WINDOW_CODES:
-                keys = np.array([functools.reduce(lambda code, c: code * m + c, ls, 0)
-                                 for ls in letters], dtype=np.int64)
+                table.append((offsets, size))
+                columns += group
+                keys += [size + functools.reduce(lambda code, c: code * m + c, ls, 0)
+                         for ls in letters]
+                size += m ** len(offsets)
             else:
-                keys = [bytes(ls) for ls in letters]
-            plan.append((offsets, np.array(columns, dtype=np.intp), keys))
+                counted.append((offsets, np.array(group, dtype=np.intp),
+                                [bytes(ls) for ls in letters]))
+        bincounted = (tuple(table), np.array(columns, dtype=np.intp),
+                      np.array(keys, dtype=np.int64), size)
         spans = np.array([p.span for p in self.patterns], dtype=np.int64)
-        return plan, spans, int(spans.max(initial=0))
+        return bincounted, counted, spans, int(spans.max(initial=0))
 
 
 def _window_letters(letters: bytes, offsets: Sequence[int]) -> Counter:
@@ -133,16 +147,14 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     n = len(w)
     if n == 0:
         raise ValueError("feature vector undefined for the empty word")
-    plan, spans, longest = fmap._plan
+    (table, columns, keys, size), counted, spans, longest = fmap._plan
     counts = np.zeros(fmap.dim)
-    for offsets, columns, keys in plan:
-        if isinstance(keys, np.ndarray):
-            hist = np.bincount(window_codes(w.letters, offsets, fmap.rank),
-                               minlength=(2 * fmap.rank) ** len(offsets))
-            counts[columns] = hist[keys]
-        else:
-            hist = _window_letters(w.letters, offsets)
-            counts[columns] = [hist.get(key, 0) for key in keys]
+    if table:
+        codes = grouped_window_codes(w.letters, table, fmap.rank)
+        counts[columns] = np.bincount(codes, minlength=size)[keys]
+    for offsets, group, letters in counted:
+        hist = _window_letters(w.letters, offsets)
+        counts[group] = [hist.get(key, 0) for key in letters]
     if n < longest:
         counts[spans > n] = 0
     return counts / n

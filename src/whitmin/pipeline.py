@@ -153,9 +153,7 @@ def evaluate(
         n = int(mask.sum())
         acc = float((preds[mask] == y[mask]).mean()) if n else None
         report_strata[lo] = (n, acc)
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    for t, p in zip(y, preds):
-        confusion[t - 1, p - 1] += 1
+    confusion = np.bincount((y - 1) * 2 + preds - 1, minlength=4).reshape(2, 2)
     hist = None
     if pipeline.config.method != "tree":
         hist = _histogram(pipeline.model.scores(X), y, bins)

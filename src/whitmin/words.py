@@ -183,17 +183,38 @@ def window_codes(letters: bytes, offsets: Sequence[int], rank: int) -> np.ndarra
     entry i has the digits w[i + o] (indices mod |w|) for o in offsets, the
     first offset most significant.  No offsets give code 0 everywhere; the
     caller keeps (2r)^len(offsets) within int64."""
-    m = 2 * rank
-    n = len(letters)
     if not offsets:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(len(letters), dtype=np.int64)
+    return _window_codes(letters, ((offsets, 0),), 2 * rank)[0]
+
+
+def grouped_window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
+                         rank: int) -> np.ndarray:
+    """The window_codes of each (offsets, base) group plus its base, one group
+    after another, from one read of the letters; every group has at least
+    one offset."""
+    codes = _window_codes(letters, groups, 2 * rank)
+    return codes[0] if len(codes) == 1 else np.concatenate(codes)
+
+
+def _window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
+                  m: int) -> list:
+    n = len(letters)
+    wrap = max(n, 1)
+    # the letters twice over, so that every cyclic window is one slice
     doubled = np.frombuffer(letters + letters, dtype=np.uint8).astype(np.int64)
-    start = offsets[0] % max(n, 1)
-    codes = doubled[start:start + n].copy()
-    for o in offsets[1:]:
-        codes *= m
-        codes += doubled[o % max(n, 1):][:n]
-    return codes
+    out = []
+    for offsets, base in groups:
+        s = offsets[0] % wrap
+        codes = doubled[s:s + n].copy()
+        for o in offsets[1:]:
+            codes *= m
+            s = o % wrap
+            codes += doubled[s:s + n]
+        if base:
+            codes += base
+        out.append(codes)
+    return out
 
 
 # ---------------------------------------------------------------------------

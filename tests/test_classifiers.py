@@ -153,6 +153,21 @@ class TestSortedClassCounts:
             assert row.tolist() == [int(((values <= theta) & (labels == c)).sum())
                                     for c in (1, 2)]
 
+    def test_columns_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(29)
+        for n, d in [(1, 1), (2, 3), (50, 4), (200, 7)]:
+            X = rng.integers(0, 4, size=(n, d)).astype(float)  # ties in every column
+            X[:, -1] = rng.normal(size=n)
+            labels = np.resize([1, 2], n)
+            rng.shuffle(labels)
+            v, y, counts = sorted_class_counts(X, labels)
+            assert v.shape == y.shape == (n, d) and counts.shape == (n + 1, d, 2)
+            assert counts.dtype == np.int64
+            for j in range(d):
+                vj, yj, cj = sorted_class_counts(X[:, j], labels)
+                assert v[:, j].tobytes() == vj.tobytes()
+                assert np.array_equal(y[:, j], yj) and np.array_equal(counts[:, j], cj)
+
 
 class TestDistance:
     def test_mahalanobis_separates_blobs(self):
@@ -524,12 +539,42 @@ class TestTree:
 
 
     def test_matches_per_threshold_scan(self, monkeypatch):
+        """Random scores in 1..3 components; then 1..8 components mixing
+        random scores, duplicated columns (a tie across components goes to
+        the smaller one), constant columns, pairs of adjacent floats, whose
+        midpoint can round onto the upper value, and values whose midpoints
+        overflow to -inf or inf."""
+        cases = []
         rng = np.random.default_rng(31)
         for it in range(120):
             n, d = int(rng.integers(2, 100)), int(rng.integers(1, 4))
             X = np.column_stack([random_scores(rng, n) for _ in range(d)])
             y = rng.integers(1, 3, size=n)
-            min_node = int(rng.integers(2, 12))
+            cases.append((X, y, int(rng.integers(2, 12)), it))
+        rng = np.random.default_rng(32)
+        rounded_up = 0
+        for it in range(160):
+            n, d = int(rng.integers(2, 100)), int(rng.integers(1, 9))
+            columns = []
+            for _ in range(d):
+                kind = int(rng.integers(0, 5))
+                if kind == 1 and columns:
+                    columns.append(columns[int(rng.integers(0, len(columns)))])
+                elif kind == 2:
+                    columns.append(np.full(n, float(rng.normal())))
+                elif kind == 3:
+                    columns.append(adjacent_floats(rng, n))
+                    v = np.unique(columns[-1])
+                    rounded_up += int(((v[:-1] + v[1:]) / 2.0 == v[1:]).sum())
+                elif kind == 4:
+                    columns.append(rng.choice([-1.0, 1.0], size=n)
+                                   * rng.choice([1.0, 1.5, 1.7], size=n) * 1e308)
+                else:
+                    columns.append(random_scores(rng, n))
+            y = rng.integers(1, 3, size=n)
+            cases.append((np.column_stack(columns), y, int(rng.integers(2, 12)), it))
+        assert rounded_up > 20
+        for X, y, min_node, it in cases:
             cutoff = float(chdtri(1, 0.05)) if it % 4 else 0.0
             monkeypatch.setattr(tree_module, "MIN_NODE", min_node)
             monkeypatch.setattr(tree_module, "CHI2_CUTOFF", cutoff)
@@ -537,6 +582,14 @@ class TestTree:
             got = fit_tree(data).root
             want = _scan_tree(data, min_node, cutoff)
             assert _tree_text(got) == _tree_text(want)
+
+
+def adjacent_floats(rng, n):
+    """Values drawn from one to three pairs (a, nextafter(a, inf)).  Their
+    midpoint rounds onto the upper value when a's last mantissa bit is 1."""
+    lows = rng.normal(size=int(rng.integers(1, 4))) * 10.0 ** int(rng.integers(-3, 4))
+    pairs = np.concatenate([lows, np.nextafter(lows, np.inf)])
+    return pairs[rng.integers(0, len(pairs), size=n)]
 
 
 def _tree_text(node):
@@ -561,8 +614,9 @@ def _scan_tree(data, min_node, cutoff):
         for j in range(X.shape[1]):
             order = np.argsort(X[:, j], kind="stable")
             v, ys = X[order, j], y[order]
-            thetas = sorted({(v[i] + v[i + 1]) / 2.0 for i in range(len(v) - 1)
-                             if ys[i] != ys[i + 1] and v[i] < v[i + 1]})
+            with np.errstate(over="ignore"):
+                thetas = sorted({(v[i] + v[i + 1]) / 2.0 for i in range(len(v) - 1)
+                                 if ys[i] != ys[i + 1] and v[i] < v[i + 1]})
             for theta in thetas:
                 left = X[:, j] <= theta
                 nl = np.bincount(y[left], minlength=3)[1:]

@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from whitmin.features import (FeatureMap, Pattern, builtin_map, count_pattern,
-                              feature_matrix, feature_vector, pattern_pool,
-                              resolve_map)
+from whitmin.features import (FeatureMap, Pattern, _pair_patterns, builtin_map,
+                              count_pattern, feature_matrix, feature_vector,
+                              pattern_pool, resolve_map)
 from whitmin.words import CyclicWord, parse_codes, parse_cyclic_word, random_word
 
 
@@ -22,6 +22,16 @@ def naive_cyclic_count(w, p):
         return 0
     return sum(all(w.letters[(i + o) % n] == c for c, o in zip(p.letters, p.offsets))
                for i in range(n))
+
+
+def rotation_count(w, p):
+    """Independent oracle: how many rotations of w carry the pattern's
+    letters at its offsets; none when its span exceeds |w|."""
+    n = len(w)
+    if p.span > n:
+        return 0
+    rotations = [w.letters[i:] + w.letters[:i] for i in range(n)]
+    return sum(all(r[o] == c for c, o in zip(p.letters, p.offsets)) for r in rotations)
 
 
 # a cyclically reduced 40-letter word: its window code would need a 4^40 table
@@ -165,6 +175,41 @@ class TestFeatureVector:
             assert feature_vector(w, fmap).tobytes() == slow.tobytes(), str(w)
             assert [count_pattern(w, p) for p in pats] == exact
         assert nonzero > 20
+
+    @pytest.mark.parametrize("name", ["f5", "f6", "pool:1-3", "mixed"])
+    def test_many_groups_match_rotation_oracle(self, name):
+        """Maps of several offset groups, words of every length from 1 to the
+        longest span + 1.  The mixed rank-9 map counts its pairs and 3-letter
+        subwords by window codes and its 5- and 6-letter patterns, whose
+        (2r)^k codes exceed 2^16, by Counter, into one vector."""
+        rng = np.random.default_rng(12)
+        rank = 9 if name == "mixed" else 2
+        words = []
+        if name == "mixed":
+            source = random_word(12, rank, rng=rng).letters
+            short = random_word(5, rank, rng=rng).letters
+            gapped = (0, 1, 3, 4, 6)
+            pats = (_pair_patterns(rank, 0) + _pair_patterns(rank, 2)
+                    + [Pattern.from_word(source[i:i + 3]) for i in range(4)]
+                    + [Pattern.pair(source[0], 5, source[6]),
+                       Pattern.from_word(source[:5]),
+                       Pattern(tuple(source[o] for o in gapped), gapped),
+                       # matches the 5-letter word only if read past its end
+                       Pattern.from_word(short + short[:1])])
+            assert (2 * rank) ** 3 <= 1 << 16 < (2 * rank) ** 5
+            fmap = FeatureMap(name, tuple(pats), rank)
+            words += [CyclicWord(source, rank), CyclicWord(short, rank)]
+        else:
+            fmap = resolve_map(name, rank)
+        assert len({p.offsets for p in fmap.patterns}) >= 2
+        longest = max(p.span for p in fmap.patterns)
+        words += [random_word(n, rank, rng=rng) for n in range(1, longest + 2) for _ in range(4)]
+        for w in words:
+            exact = [rotation_count(w, p) for p in fmap.patterns]
+            if name == "mixed" and w == words[0]:
+                assert all(exact[-4:-1])  # the source holds its patterns
+            slow = np.array(exact) / len(w)
+            assert feature_vector(w, fmap).tobytes() == slow.tobytes(), (str(w), name)
 
     def test_large_pool_counted_in_bounded_time(self):
         fmap = resolve_map("pool:7-7", 2)
