@@ -158,7 +158,7 @@ def edge_table(letters: bytes, rank: int) -> List[List[int]]:
     """Whitehead graph of the cyclic word with these letters (any rotation)
     as a symmetric 2r x 2r table of edge counts, one list per row."""
     m = 2 * rank
-    pairs = np.bincount(window_codes(letters, (0, 1), rank), minlength=m * m)
+    pairs = np.bincount(window_codes(letters, (((0, 1), 0),), rank), minlength=m * m)
     t = pairs.reshape(m, m)[:, np.arange(m) ^ 1]
     return (t + t.T).tolist()
 
@@ -318,17 +318,21 @@ def random_type2(rank: int, rng: np.random.Generator) -> TypeII:
     return TypeII(rank, a, subset)
 
 
+# Random type IIs drawn per substitution step before generation gives up.
+SUBSTITUTION_RETRIES = 100
+
+
 def _substitute_longer(letters: bytes, cap: List[List[int]], rank: int, steps: int,
-                       rng: np.random.Generator, retries: int) -> Optional[bytes]:
+                       rng: np.random.Generator) -> Optional[bytes]:
     """The core after `steps` strictly longer images of the cyclically
     reduced word with these letters and Whitehead graph cap, each under a
-    random proper type II; None once a step finds none in `retries` draws.
-    Only the accepted draws are applied; the others are priced on the
-    current word's graph."""
+    random proper type II; None once a step finds none in
+    SUBSTITUTION_RETRIES draws.  Only the accepted draws are applied; the
+    others are priced on the current word's graph."""
     for step in range(steps):
         if step:
             cap = edge_table(letters, rank)
-        for _ in range(retries):
+        for _ in range(SUBSTITUTION_RETRIES):
             t = random_type2(rank, rng)
             if length_change(cap, t) > 0:
                 letters = _cyclic_image(t, letters)

@@ -35,10 +35,6 @@ class LinearModel:
             return self.quantizer.classify(s)
         return threshold_labels(s, self.theta, self.orientation)
 
-    def with_quantizer(self, q: Quantizer) -> "LinearModel":
-        return LinearModel(self.weights, self.theta, self.orientation,
-                           self.method, q, self.training_error)
-
 
 def _fisher_weights(data: LabeledSet) -> np.ndarray:
     X1 = data.class_rows(1)

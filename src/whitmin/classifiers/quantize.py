@@ -85,8 +85,7 @@ def build_quantizer(
     s, _, counts = sorted_class_counts(scores, labels)
     lo, hi = float(s[0]), float(s[-1])
     if hi <= lo:
-        n1, n2 = counts[-1]
-        return Quantizer(kind, (), (1 if n1 >= n2 else 2,), degenerate=True)
+        return Quantizer(kind, (), tuple(_majority_labels(s, counts, [])), degenerate=True)
 
     if kind == "equal_interval":
         bounds = [lo + (hi - lo) * i / num_intervals for i in range(1, num_intervals)]

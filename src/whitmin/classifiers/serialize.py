@@ -43,7 +43,9 @@ def _tree_node_to_dict(node) -> Dict[str, Any]:
     }
 
 
-def _read_array(value, shape: tuple, name: str) -> np.ndarray:
+def read_array(value, shape: tuple, name: str) -> np.ndarray:
+    """value as a float64 array; ModelFormatError names it unless it has this
+    shape."""
     a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise ModelFormatError(f"{name} has shape {a.shape}, not {shape}")
@@ -138,16 +140,16 @@ def _model_from_dict(doc: Dict[str, Any], dim: int):
             labels = tuple(_read_label(x, "interval label") for x in d["interval_labels"])
             q = Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]), labels,
                           bool(d["degenerate"]))
-        return LinearModel(_read_array(doc["weights"], (dim,), "weights"),
+        return LinearModel(read_array(doc["weights"], (dim,), "weights"),
                            float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
                            method, q, float(doc["training_error"]))
     if method == "distance":
         if doc["variant"] != "mahalanobis":
             raise ModelFormatError(f"unknown distance variant {doc['variant']!r}")
         return DistanceModel(
-            _read_array(doc["mu1"], (dim,), "mu1"), _read_array(doc["mu2"], (dim,), "mu2"),
-            _read_array(doc["inv_cov1"], (dim, dim), "inv_cov1"),
-            _read_array(doc["inv_cov2"], (dim, dim), "inv_cov2"),
+            read_array(doc["mu1"], (dim,), "mu1"), read_array(doc["mu2"], (dim,), "mu2"),
+            read_array(doc["inv_cov1"], (dim, dim), "inv_cov1"),
+            read_array(doc["inv_cov2"], (dim, dim), "inv_cov2"),
             float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
             bool(doc["ridge_repaired"]),
             float(doc["training_error"]))

@@ -15,8 +15,8 @@ from typing import List, Optional
 from .automorphisms import apply_automorphism, is_minimal, minimize
 from .clustering import (centers_from_json, centers_to_json,
                          clustering_experiment, predict_reducer, report_centers_by_move)
-from .datasets import DatasetSpec, generate_dataset, load_tsv, save_tsv
-from .features import pattern_pool, resolve_map
+from .datasets import DatasetSpec, generate_records, load_tsv, save_tsv
+from .features import resolve_map
 from .pipeline import (MAX_BINS, PipelineConfig, evaluate, greedy_feature_selection,
                        pipeline_from_json, pipeline_to_json, train_pipeline)
 from .words import check_rank, cyclic_reduce, parse_codes
@@ -117,9 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_generate(args) -> int:
     spec = _checked(EXIT_USAGE, DatasetSpec, args.kind, args.rank, args.max_len,
                     args.per_len, args.seed, args.size)
-    ds = generate_dataset(spec)
-    save_tsv(ds, args.output)
-    print(f"wrote {len(ds)} records to {args.output}")
+    count = save_tsv(generate_records(spec), args.output)
+    print(f"wrote {count} records to {args.output}")
     return EXIT_OK
 
 
@@ -162,9 +161,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_select_features(args) -> int:
     if args.max_features is not None and args.max_features < 1:
         return _fail(f"--max-features must be >= 1, got {args.max_features}", EXIT_USAGE)
-    lo, _, hi = args.pool.partition("-")
-    pool = _checked(EXIT_USAGE, lambda: pattern_pool(args.rank, int(lo), int(hi)),
-                    prefix=f"bad pool spec {args.pool!r}: ")
+    pool = _checked(EXIT_USAGE, resolve_map, f"pool:{args.pool}", args.rank,
+                    prefix=f"bad pool spec {args.pool!r}: ").patterns
     train = _checked(EXIT_DATA, load_tsv, args.train_file, args.rank)
     val = _checked(EXIT_DATA, load_tsv, args.val_file, args.rank)
     chosen = _checked(EXIT_DATA, greedy_feature_selection, pool, train, val,

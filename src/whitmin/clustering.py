@@ -12,6 +12,7 @@ import numpy as np
 
 from .automorphisms import NIELSEN_MOVES, NielsenMove, reducing_moves
 from .classifiers import kmeans
+from .classifiers.serialize import SCHEMA_VERSION, read_array
 from .datasets import LabeledWordSet
 from .features import FeatureMap, feature_matrix, resolve_map
 from .words import CyclicWord
@@ -19,10 +20,6 @@ from .words import CyclicWord
 
 class EmptyPureSet(ValueError):
     """Some Nielsen move has no word reduced by it alone in the sample."""
-
-    def __init__(self, move: NielsenMove):
-        super().__init__(f"no word is reduced only by {move.name}; enlarge the sample")
-        self.move = move
 
 
 def _move_table(words: Sequence[CyclicWord]) -> np.ndarray:
@@ -89,7 +86,7 @@ def estimate_initial_centers(
     centers = {}
     for m, column in zip(NIELSEN_MOVES, pure.T):
         if not column.any():
-            raise EmptyPureSet(m)
+            raise EmptyPureSet(f"no word is reduced only by {m.name}; enlarge the sample")
         centers[m] = feature_matrix([sample[i] for i in np.flatnonzero(column)],
                                     fmap).mean(axis=0)
     return centers
@@ -153,7 +150,7 @@ def predict_reducer(
 
 def centers_to_json(centers: Dict[NielsenMove, np.ndarray], fmap_name: str) -> str:
     return json.dumps({
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "feature_map": fmap_name,
         "centers": {m.name: list(map(float, centers[m])) for m in NIELSEN_MOVES},
     }, indent=2)
@@ -171,11 +168,15 @@ def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.nda
         raise ValueError("centers file is nested too deeply") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("centers"), dict):
         raise ValueError("a centers file is a JSON object with a centers object")
-    if doc.get("schema_version") != 1:
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported centers schema_version "
                          f"{doc.get('schema_version')!r}")
+    if "feature_map" not in doc:
+        raise ValueError("centers file lacks key 'feature_map'")
+    fmap_name = str(doc["feature_map"])
+    dim = resolve_map(fmap_name, 2).dim
     try:
-        centers = {NielsenMove[name]: np.array(vals, dtype=np.float64)
+        centers = {NielsenMove[name]: read_array(vals, (dim,), f"center {name} for {fmap_name}")
                    for name, vals in doc["centers"].items()}
     except KeyError as e:
         raise ValueError(f"unknown move {e}") from e
@@ -184,14 +185,6 @@ def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.nda
     for m in NIELSEN_MOVES:
         if m not in centers:
             raise ValueError(f"centers file missing move {m.name}")
-    if "feature_map" not in doc:
-        raise ValueError("centers file lacks key 'feature_map'")
-    fmap_name = str(doc["feature_map"])
-    dim = resolve_map(fmap_name, 2).dim
-    for m, c in centers.items():
-        if c.shape != (dim,):
-            raise ValueError(f"center {m.name} has shape {c.shape}, not ({dim},) "
-                             f"for {fmap_name}")
     return centers, fmap_name
 
 

@@ -26,8 +26,6 @@ log = logging.getLogger(__name__)
 LABEL_MIN = "min"
 LABEL_NONMIN = "nonmin"
 
-SUBSTITUTION_RETRIES = 100
-
 # A record's index is one 32-bit entropy word of its stream's seed.
 MAX_RECORDS = 2**32 - 1
 
@@ -53,6 +51,9 @@ class LabeledWordSet:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def __iter__(self) -> Iterator[WordRecord]:
+        return iter(self.records)
 
     def words(self) -> List[CyclicWord]:
         return [r.word for r in self.records]
@@ -195,11 +196,10 @@ def _record_rngs(spec: DatasetSpec, count: int) -> Iterator[np.random.Generator]
             yield np.random.Generator(np.random.PCG64(SeedState(row)))
 
 
-def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
+def _substitution_records(spec: DatasetSpec, max_steps: int) -> Iterator[WordRecord]:
     """Each record's word stays raw letters, in any rotation, from the draw
     to the record, and is checked and canonicalized once, as its
     CyclicWord."""
-    records = []
     rank = spec.rank
     for idx, rng in enumerate(_record_rngs(spec, spec.record_count)):
         l = idx // spec.per_length + 1
@@ -207,47 +207,49 @@ def _generate_substitution(spec: DatasetSpec, max_steps: int) -> LabeledWordSet:
         label = LABEL_MIN
         if rng.random() < 0.5:
             steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
-            longer = _substitute_longer(letters, cap, rank, steps, rng,
-                                        SUBSTITUTION_RETRIES)
+            longer = _substitute_longer(letters, cap, rank, steps, rng)
             if longer is None:
                 log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
             else:
                 letters, label = longer, LABEL_NONMIN
-        records.append(WordRecord(CyclicWord(letters, rank), label))
-    return LabeledWordSet(records, spec.rank)
+        yield WordRecord(CyclicWord(letters, rank), label)
 
 
-def _generate_tested(spec: DatasetSpec) -> LabeledWordSet:
-    records = []
+def _tested_records(spec: DatasetSpec) -> Iterator[WordRecord]:
     for rng in _record_rngs(spec, spec.record_count):
         l = int(rng.integers(1, spec.max_length + 1))
         if spec.kind == "SR":
             w = random_word(l, spec.rank, rng=rng)
         else:
             w = random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
-        label = LABEL_MIN if is_minimal(w) else LABEL_NONMIN
-        records.append(WordRecord(w, label))
-    return LabeledWordSet(records, spec.rank)
+        yield WordRecord(w, LABEL_MIN if is_minimal(w) else LABEL_NONMIN)
+
+
+def generate_records(spec: DatasetSpec) -> Iterator[WordRecord]:
+    """The spec's records in index order, each built when it is drawn."""
+    if spec.kind in ("SR", "SP"):
+        return _tested_records(spec)
+    return _substitution_records(spec, max_steps=10 if spec.kind == "S10" else 1)
 
 
 def generate_dataset(spec: DatasetSpec) -> LabeledWordSet:
     """Deterministic given the spec (including its seed)."""
-    if spec.kind in ("D", "Se"):
-        return _generate_substitution(spec, max_steps=1)
-    if spec.kind == "S10":
-        return _generate_substitution(spec, max_steps=10)
-    return _generate_tested(spec)
+    return LabeledWordSet(list(generate_records(spec)), spec.rank)
 
 
 # ---------------------------------------------------------------------------
 # TSV files: "# word<TAB>label<TAB>length" header, one record per line
 # ---------------------------------------------------------------------------
 
-def save_tsv(ds: LabeledWordSet, path: str) -> None:
+def save_tsv(records: Iterable[WordRecord], path: str) -> int:
+    """Write each record as it comes (a LabeledWordSet iterates its records);
+    returns how many were written."""
+    count = 0
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("# word\tlabel\tlength\n")
-        for r in ds.records:
+        for count, r in enumerate(records, 1):
             fh.write(f"{format_codes(r.word.letters)}\t{r.label}\t{r.length}\n")
+    return count
 
 
 def load_tsv(path: str, rank: int = 2) -> LabeledWordSet:

@@ -5,14 +5,13 @@ and the feature-selection pattern pool.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .words import CyclicWord, check_rank, format_codes, grouped_window_codes
+from .words import CyclicWord, check_rank, format_codes, window_codes
 
 # Most cells a feature matrix has, len(words) x dim, 8 bytes each: pool:1-5
 # (4,356 patterns) on 10,000 + 10,000 words fits.
@@ -150,7 +149,7 @@ def feature_vector(w: CyclicWord, fmap: FeatureMap) -> np.ndarray:
     (table, columns, keys, size), counted, spans, longest = fmap._plan
     counts = np.zeros(fmap.dim)
     if table:
-        codes = grouped_window_codes(w.letters, table, fmap.rank)
+        codes = window_codes(w.letters, table, fmap.rank)
         counts[columns] = np.bincount(codes, minlength=size)[keys]
     for offsets, group, letters in counted:
         hist = _window_letters(w.letters, offsets)
@@ -193,6 +192,10 @@ def _pair_patterns(rank: int, gap: int) -> List[Pattern]:
             if gap or x2 != x1 ^ 1]
 
 
+# The gaps of each pair map's x1 . U_gap . x2 patterns, in column order.
+_PAIR_GAPS = {"f1": (0,), "f2": (1,), "f3": (2,), "f4": (3,), "f5": (0, 1), "f6": (0, 1, 2, 3)}
+
+
 def builtin_map(name: str, rank: int) -> FeatureMap:
     """The built-in feature maps.
 
@@ -206,18 +209,10 @@ def builtin_map(name: str, rank: int) -> FeatureMap:
         if rank != 2:
             raise ValueError("fstar is defined for rank 2 only")
         pats = (Pattern.from_word((1, 2)), Pattern.from_word((3, 0)))
-        return FeatureMap("fstar", pats, rank)
-    if name == "f0":
+    elif name == "f0":
         pats = tuple(Pattern.from_word((c,)) for c in range(2 * rank))
-    elif name == "f1":
-        pats = tuple(_pair_patterns(rank, 0))
-    elif name in ("f2", "f3", "f4"):
-        pats = tuple(_pair_patterns(rank, int(name[1]) - 1))
-    elif name == "f5":
-        pats = tuple(_pair_patterns(rank, 0) + _pair_patterns(rank, 1))
-    elif name == "f6":
-        pats = tuple(itertools.chain.from_iterable(
-            _pair_patterns(rank, g) for g in range(4)))
+    elif name in _PAIR_GAPS:
+        pats = tuple(p for g in _PAIR_GAPS[name] for p in _pair_patterns(rank, g))
     else:
         raise ValueError(f"unknown feature map {name!r}")
     return FeatureMap(name, pats, rank)

@@ -4,6 +4,7 @@ feature selection."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -71,7 +72,7 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
         if cfg.quantizer_kind:
             q = build_quantizer(model.scores(X), y, cfg.quantizer_bins,
                                 cfg.quantizer_kind)
-            model = model.with_quantizer(q)
+            model = dataclasses.replace(model, quantizer=q)
     elif cfg.method == "distance":
         model = fit_distance(data)
     else:

@@ -178,29 +178,16 @@ def cyclic_reduce(codes: Sequence[int], rank: int) -> CyclicWord:
     return CyclicWord(cyclic_core(reduce_codes(check_codes(codes, rank))), rank)
 
 
-def window_codes(letters: bytes, offsets: Sequence[int], rank: int) -> np.ndarray:
-    """Base-2r code of every cyclic window of w read at the given offsets:
-    entry i has the digits w[i + o] (indices mod |w|) for o in offsets, the
-    first offset most significant.  No offsets give code 0 everywhere; the
-    caller keeps (2r)^len(offsets) within int64."""
-    if not offsets:
-        return np.zeros(len(letters), dtype=np.int64)
-    return _window_codes(letters, ((offsets, 0),), 2 * rank)[0]
-
-
-def grouped_window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
-                         rank: int) -> np.ndarray:
-    """The window_codes of each (offsets, base) group plus its base, one group
-    after another, from one read of the letters; every group has at least
-    one offset."""
-    codes = _window_codes(letters, groups, 2 * rank)
-    return codes[0] if len(codes) == 1 else np.concatenate(codes)
-
-
-def _window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
-                  m: int) -> list:
+def window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
+                 rank: int) -> np.ndarray:
+    """Base-2r codes of the cyclic windows of w, one (offsets, base) group
+    after another, from one read of the letters: a group's entry i has the
+    digits w[i + o] (indices mod |w|) for o in its offsets, the first offset
+    most significant, plus its base.  Every group has at least one offset;
+    the caller keeps each code within int64."""
     n = len(letters)
     wrap = max(n, 1)
+    m = 2 * rank
     # the letters twice over, so that every cyclic window is one slice
     doubled = np.frombuffer(letters + letters, dtype=np.uint8).astype(np.int64)
     out = []
@@ -214,7 +201,7 @@ def _window_codes(letters: bytes, groups: Sequence[Tuple[Sequence[int], int]],
         if base:
             codes += base
         out.append(codes)
-    return out
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------

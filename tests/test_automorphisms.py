@@ -462,8 +462,7 @@ class TestApplicationCounts:
                                           (1, 3)):
             before = calls[0]
             cap = edge_table(w.letters, w.rank)
-            longer = automorphisms._substitute_longer(w.letters, cap, w.rank, steps,
-                                                      rng, datasets.SUBSTITUTION_RETRIES)
+            longer = automorphisms._substitute_longer(w.letters, cap, w.rank, steps, rng)
             assert len(longer) >= len(w) + steps
             assert calls[0] - before == steps
 

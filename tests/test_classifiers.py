@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import time
@@ -234,7 +235,7 @@ class TestLinear:
         data = two_blob_set(rng)
         model = fit_linear(data, method="regression")
         q = build_quantizer(model.scores(data.features), data.labels, 10)
-        model = model.with_quantizer(q)
+        model = dataclasses.replace(model, quantizer=q)
         clone = json_round_trip(model)
         assert np.array_equal(clone.weights, model.weights)
         assert clone.quantizer == model.quantizer
@@ -728,8 +729,8 @@ class TestSerialization:
             doc = {"schema_version": 1, "method": "tree", "tree": {"leaf": label}}
         else:
             model = fit_linear(data)
-            model = model.with_quantizer(
-                build_quantizer(model.scores(data.features), data.labels, 4))
+            model = dataclasses.replace(model, quantizer=build_quantizer(
+                model.scores(data.features), data.labels, 4))
             doc = model_to_dict(model)
             if field == "orientation":
                 doc["orientation"] = label

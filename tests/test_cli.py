@@ -4,6 +4,7 @@ import pytest
 
 from whitmin.automorphisms import NIELSEN_MOVES
 from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
 from whitmin.pipeline import MAX_BINS
 
 
@@ -144,6 +145,17 @@ class TestGenerate:
                      "-o", str(out)]) == EXIT_USAGE
         assert _one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["D", "Se", "SR", "SP", "S10"])
+    def test_streamed_output_matches_saved_dataset(self, tmp_path, capsys, kind):
+        out, saved = tmp_path / "out.tsv", tmp_path / "saved.tsv"
+        assert main(["generate", "--kind", kind, "--rank", "3", "--max-len", "12",
+                     "--per-len", "3", "--size", "40", "--seed", "5",
+                     "-o", str(out)]) == EXIT_OK
+        spec = DatasetSpec(kind, 3, max_length=12, per_length=3, seed=5, size=40)
+        assert save_tsv(generate_dataset(spec), str(saved)) == spec.record_count
+        assert out.read_bytes() == saved.read_bytes()
+        assert capsys.readouterr().out == f"wrote {spec.record_count} records to {out}\n"
 
     def test_rank_9(self, tmp_path, capsys):
         out = tmp_path / "r9.tsv"

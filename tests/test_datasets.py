@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from whitmin.automorphisms import is_minimal
 from whitmin.datasets import (_KIND_INDEX, _RNG_BLOCK, LABEL_MIN, LABEL_NONMIN,
                               MAX_RECORDS, DataFormatError, DatasetSpec,
                               LabeledWordSet, WordRecord, _record_rngs,
-                              generate_dataset, load_tsv, save_tsv)
+                              generate_dataset, generate_records, load_tsv, save_tsv)
 from whitmin.words import parse_cyclic_word
 
 
@@ -47,6 +49,14 @@ class TestSpec:
         assert DatasetSpec("SR", size=MAX_RECORDS).record_count == 2**32 - 1
         assert DatasetSpec("Se", max_length=2**16 + 1,
                            per_length=2**16 - 1).record_count == 2**32 - 1
+
+    def test_largest_spec_streams_its_first_records(self):
+        # 2**32 - 1 records could never be held at once; the first five come
+        # out as they are drawn, the records of the same seed at size 5
+        first = list(itertools.islice(generate_records(
+            DatasetSpec("SR", max_length=10, size=MAX_RECORDS, seed=1)), 5))
+        assert first == generate_dataset(
+            DatasetSpec("SR", max_length=10, size=5, seed=1)).records
 
     def test_primitives_labelled_by_length_at_rank_6(self):
         # a primitive element is minimal exactly when it is one letter

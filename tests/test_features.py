@@ -253,7 +253,34 @@ class TestFeatureVector:
                 assert abs(counts.sum() - len(w)) < 1e-9
 
 
+def chained_builtin_patterns(name, rank):
+    """Independent oracle: the built-in maps' patterns as an if/elif chain
+    over the map names, f5 and f6 concatenating the pair maps."""
+    if name == "fstar":
+        return (Pattern.from_word((1, 2)), Pattern.from_word((3, 0)))
+    if name == "f0":
+        return tuple(Pattern.from_word((c,)) for c in range(2 * rank))
+    elif name == "f1":
+        return tuple(_pair_patterns(rank, 0))
+    elif name in ("f2", "f3", "f4"):
+        return tuple(_pair_patterns(rank, int(name[1]) - 1))
+    elif name == "f5":
+        return tuple(_pair_patterns(rank, 0) + _pair_patterns(rank, 1))
+    elif name == "f6":
+        return tuple(itertools.chain.from_iterable(
+            _pair_patterns(rank, g) for g in range(4)))
+    raise ValueError(name)
+
+
 class TestBuiltinMaps:
+    @pytest.mark.parametrize("rank", [2, 3, 26])
+    def test_patterns_match_chained_oracle(self, rank):
+        names = [f"f{i}" for i in range(7)] + (["fstar"] if rank == 2 else [])
+        for name in names:
+            fmap = builtin_map(name, rank)
+            assert (fmap.name, fmap.rank) == (name, rank)
+            assert fmap.patterns == chained_builtin_patterns(name, rank), (name, rank)
+
     def test_dimensions(self):
         assert builtin_map("f0", 2).dim == 4
         assert builtin_map("f1", 2).dim == 12

@@ -167,19 +167,27 @@ class TestPairCounts:
 
     def test_window_codes_read_each_cyclic_window(self):
         # the empty word, one to 14 letters at ranks 3 and 26, and every
-        # rank-26 code 0..51 in one word; offsets from none to beyond |w|
+        # rank-26 code 0..51 in one word; one to six offsets, some beyond |w|
         rng = np.random.default_rng(5)
         cases = [(b"", 2), (bytes(range(52)), 26)] + [
             (random_word(n, rank, rng=rng).letters, rank)
             for rank in (3, 26) for n in range(1, 15)]
         for w, rank in cases:
             n = len(w)
-            for offsets in ((), (0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5),
+            expect = {}
+            for offsets in ((0,), (2, 0), (1, 4, 9), (0, 1, 2, 3, 4, 5),
                             (n, 2 * n + 3), (60,)):
-                expect = [sum(w[(i + o) % n] * (2 * rank) ** (len(offsets) - 1 - j)
-                              for j, o in enumerate(offsets)) for i in range(n)]
-                assert window_codes(w, offsets, rank).tolist() == expect, (w, offsets)
-        assert window_codes(b"", (0, 1), 2).shape == (0,)
+                expect[offsets] = [sum(w[(i + o) % n] * (2 * rank) ** (len(offsets) - 1 - j)
+                                       for j, o in enumerate(offsets)) for i in range(n)]
+                got = window_codes(w, ((offsets, 0),), rank).tolist()
+                assert got == expect[offsets], (w, offsets)
+            # three groups with nonzero bases: each group's codes plus its
+            # base, one group after another
+            groups = (((1, 4, 9), 7), ((0,), 1000), ((2, 0), 123456))
+            got = window_codes(w, groups, rank).tolist()
+            assert got == [c + base for offsets, base in groups
+                           for c in expect[offsets]], w
+        assert window_codes(b"", (((0, 1), 0),), 2).shape == (0,)
 
 
 class TestBytesLetters:
