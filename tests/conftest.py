@@ -117,3 +117,31 @@ def kmeans_objectives(monkeypatch, X, init):
             history.append(float(((X - model.centers[model.assignments]) ** 2).sum()))
             centers = model.centers
     return history
+
+
+def unique_candidates_threshold(scores, labels):
+    """choose_threshold as one 1-d search: the unique candidates in theta
+    order, one searchsorted, the first least (theta, orientation) error."""
+    order = np.argsort(scores, kind="stable")
+    s, y = scores[order], labels[order]
+    change = y[:-1] != y[1:]
+    with np.errstate(over="ignore"):
+        cands = np.unique(np.append((s[:-1][change] + s[1:][change]) / 2.0, s[-1]))
+    k = np.searchsorted(s, cands, side="right")
+    le1 = np.concatenate([[0], np.cumsum(y == 1)])[k]
+    le2 = np.concatenate([[0], np.cumsum(y == 2)])[k]
+    n1, n2 = (y == 1).sum(), (y == 2).sum()
+    err = np.stack([le2 + (n1 - le1), le1 + (n2 - le2)], axis=1)
+    k, orient = divmod(int(np.argmin(err)), 2)
+    return float(cands[k]), orient + 1, int(err[k, orient]) / len(s)
+
+
+def one_matrix_least_squares(A, b):
+    """Normal-equation least squares of one matrix, with the ridge rule
+    written out."""
+    G = A.T @ A
+    evals = np.linalg.eigvalsh(G)
+    if not (evals[-1] > 0.0 and evals[0] >= 1e-12 * evals[-1]):
+        ridge = 1e-8 * max(np.trace(G), 1e-300) / G.shape[0] + np.finfo(float).tiny
+        G = G + ridge * np.eye(G.shape[0])
+    return np.linalg.solve(G, A.T @ b)

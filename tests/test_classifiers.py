@@ -11,7 +11,8 @@ from scipy.special import chdtri
 from whitmin.classifiers import (LabeledSet, Quantizer, build_quantizer, choose_threshold,
                                  fit_distance, fit_linear, fit_tree, kmeans,
                                  node_stats, threshold_labels)
-from whitmin.classifiers.base import sorted_class_counts
+from whitmin.classifiers.base import _column_thresholds, sorted_class_counts
+from whitmin.classifiers.flats import _discriminant
 from whitmin.classifiers import tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
                                           _min_error_boundaries)
@@ -19,7 +20,7 @@ from whitmin.classifiers.serialize import (ModelFormatError, model_from_dict,
                                            model_to_dict)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
 
-from conftest import kmeans_objectives
+from conftest import kmeans_objectives, unique_candidates_threshold
 
 
 def json_round_trip(model, dim=3):
@@ -48,6 +49,9 @@ def random_scores(rng, n):
     if kind == 2:
         return rng.normal(size=n) * 10.0 ** int(rng.integers(-300, 308))
     return np.round(rng.normal(size=n) * 1e6, 1)
+
+
+THRESHOLD_CASES = ("ties", "constant", "one_of_a_class", "adjacent", "overflow")
 
 
 def two_blob_set(rng, n=60, d=3, sep=4.0):
@@ -117,6 +121,45 @@ class TestThreshold:
             want = _loop_threshold(scores, labels)
             assert got == want and [type(x) for x in got] == [float, int, float]
             checked += 1
+
+    @pytest.mark.parametrize("kind", THRESHOLD_CASES)
+    def test_columns_match_one_column_oracle(self, kind):
+        rng = np.random.default_rng(THRESHOLD_CASES.index(kind))
+        for _ in range(300):
+            n, c = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+            S = np.column_stack([threshold_case(rng, kind, n) for _ in range(c)])
+            labels = rng.integers(1, 3, size=n)
+            if kind == "one_of_a_class":
+                labels[:] = rng.integers(1, 3)
+                labels[rng.integers(n)] = 3 - labels[0]
+            if not ((labels == 1).any() and (labels == 2).any()):
+                continue
+            with np.errstate(all="raise"):
+                theta, orient, err = _column_thresholds(S, labels)
+                ones = [choose_threshold(S[:, j], labels) for j in range(c)]
+            for j in range(c):
+                want = _bits(unique_candidates_threshold(S[:, j], labels))
+                assert _bits((theta[j].item(), int(orient[j]), int(err[j]) / n)) == want
+                assert _bits(ones[j]) == want
+
+
+def threshold_case(rng, kind, n):
+    """One column of scores of the given kind."""
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "one_of_a_class":
+        return random_scores(rng, n)
+    if kind == "adjacent":
+        return adjacent_floats(rng, n)
+    # midpoints of these overflow to +-inf
+    return rng.choice([-1.7e308, -1.6e308, -1e308, 0.0, 1e308, 1.6e308, 1.7e308], size=n)
+
+
+def _bits(result):
+    theta, orient, err = result
+    return float.hex(theta), orient, float.hex(err)
 
 
 def _loop_threshold(scores, labels):
@@ -197,8 +240,8 @@ class TestDistance:
         assert np.array_equal(clone.scores(X), model.scores(X))
 
     def test_scores_match_row_formula(self):
-        # scores(X) must be bit-equal to the one-row formulas: a matrix form
-        # sums in another order and moves the fitted theta
+        # scores(X) must be bit-equal to the one-row formulas, or the fitted
+        # theta moves
         rng = np.random.default_rng(25)
         data = two_blob_set(rng, d=5)
         X = data.features
@@ -206,6 +249,31 @@ class TestDistance:
         rows = [float((x - m.mu1) @ m.inv_cov1 @ (x - m.mu1)
                       - (x - m.mu2) @ m.inv_cov2 @ (x - m.mu2)) for x in X]
         assert m.scores(X).tolist() == rows
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("d", [1, 2, 60])
+    def test_stacked_scores_match_row_loop(self, n, d):
+        # guards the stacked product against a numpy or BLAS routing change
+        rng = np.random.default_rng(n * 100 + d)
+        X1 = rng.integers(0, 4, size=(40, d)).astype(float)
+        # class 1 repeats a column, so its covariance needs the ridge
+        X1[:, 0] = X1[:, -1]
+        X2 = rng.normal(size=(40, d)) + 1.0
+        m = fit_distance(LabeledSet(np.vstack([X1, X2]), np.repeat([1, 2], 40)))
+        assert m.ridge_repaired == (d > 1)
+        for X in (rng.normal(size=(n, d)), rng.integers(0, 5, size=(n, d)) / 7.0):
+            args = (X, m.mu1, m.mu2, m.inv_cov1, m.inv_cov2)
+            assert _discriminant(*args).tobytes() == _row_loop_discriminant(*args).tobytes()
+
+
+def _row_loop_discriminant(X, mu1, mu2, inv1, inv2):
+    """The discriminant one row at a time."""
+    out = np.empty(X.shape[0])
+    for i, x in enumerate(np.asarray(X, dtype=np.float64)):
+        d1 = x - mu1
+        d2 = x - mu2
+        out[i] = d1 @ inv1 @ d1 - d2 @ inv2 @ d2
+    return out
 
 
 class TestLinear:

@@ -16,6 +16,8 @@ from whitmin.numerics import (MARGIN_TOL, EigenResult, NonSeparable,
                               least_squares, mean_and_covariance,
                               qp_hard_margin, ridge_if_singular, sym_eigen)
 
+from conftest import one_matrix_least_squares
+
 
 def test_package_import_loads_no_scipy():
     # scipy.optimize takes most of an import's time and memory; only the SVM
@@ -109,6 +111,26 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             least_squares(np.ones((3, 2)), np.ones(4))
+        with pytest.raises(ValueError):
+            least_squares(np.ones((5, 3, 2)), np.ones(4))
+        with pytest.raises(ValueError):
+            least_squares(np.ones((5, 3, 0)), np.ones(3))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stack_matches_one_solve_per_matrix(self, d):
+        # one problem per matrix of the stack, bit for bit; the zero and
+        # repeated columns take the ridge
+        rng = np.random.default_rng(d)
+        A = rng.integers(0, 4, size=(12, 40, d)).astype(float)
+        A[3, :, 0] = 0.0
+        A[7, :, -1] = A[7, :, 0]
+        b = rng.normal(size=40)
+        V = least_squares(A, b)
+        B = rng.normal(size=(12, 40))
+        W = least_squares(A, B)
+        for k in range(12):
+            assert V[k].tobytes() == one_matrix_least_squares(A[k], b).tobytes()
+            assert W[k].tobytes() == one_matrix_least_squares(A[k], B[k]).tobytes()
 
 
 class TestRidge:
@@ -127,6 +149,18 @@ class TestRidge:
         G = W.T @ W
         R, repaired = ridge_if_singular(G)
         assert not repaired and R is G
+
+    def test_stack_repairs_each_matrix_alone(self):
+        rng = np.random.default_rng(6)
+        W = rng.normal(size=(5, 30, 8))
+        W[1, :, 2] = W[1, :, 3]
+        W[4] = 0.0
+        G = np.swapaxes(W, 1, 2) @ W
+        R, repaired = ridge_if_singular(G)
+        assert repaired.tolist() == [False, True, False, False, True]
+        for k in range(5):
+            one, flag = ridge_if_singular(G[k])
+            assert R[k].tobytes() == one.tobytes() and flag == repaired[k]
 
 
 class TestHardMarginQP:

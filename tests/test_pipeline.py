@@ -1,17 +1,20 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from whitmin import features
+from whitmin import features, pipeline
 from whitmin.classifiers import ModelFormatError
 from whitmin.datasets import DatasetSpec, generate_dataset
-from whitmin.features import feature_matrix, pattern_pool
+from whitmin.features import FeatureMap, feature_matrix, pattern_pool
 from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
                               evaluate, greedy_feature_selection,
                               pipeline_from_json, pipeline_to_json,
                               score_histogram, train_pipeline)
 from whitmin.words import parse_cyclic_word
+
+from conftest import one_matrix_least_squares, unique_candidates_threshold
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +179,46 @@ class TestSelection:
         monkeypatch.setattr(features, "MAX_SELECTION_CELLS", cells)
         assert greedy_feature_selection(pool, train_set, test_set, max_features=1)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("max_features", [3, None])
+    def test_fit_sized_candidates_match_one_fit_loop(self, monkeypatch, seed, max_features):
+        # the sizes of perfbench's fit-methods workload; with no cap the
+        # selection stops on MIN_IMPROVEMENT
+        train, validation = (generate_dataset(DatasetSpec(kind, max_length=100,
+                                                          per_length=3, seed=seed))
+                             for kind in ("D", "Se"))
+        picked = _assert_candidates_match(monkeypatch, pattern_pool(2, 1, 1), train,
+                                          validation, max_features)
+        assert len(picked) < len(pattern_pool(2, 1, 1))
+
+    def test_rank3_pool_candidates_match_one_fit_loop(self, monkeypatch):
+        pool = pattern_pool(3, 1, 1)
+        assert len(pool) == 150
+        train, validation = (generate_dataset(DatasetSpec(kind, rank=3, max_length=40,
+                                                          per_length=3, seed=seed))
+                             for kind, seed in (("D", 3), ("Se", 4)))
+        _assert_candidates_match(monkeypatch, pool, train, validation, None)
+
+    def test_exhausted_pool_matches_one_fit_loop(self, monkeypatch, train_set, test_set):
+        monkeypatch.setattr(pipeline, "MIN_IMPROVEMENT", -1.0)
+        pool = pattern_pool(2, 1, 1)[:6]
+        picked = _assert_candidates_match(monkeypatch, pool, train_set, test_set, None)
+        assert sorted(picked) == list(range(6))
+
+    def test_chunked_candidates_match_one_fit_loop(self, monkeypatch, train_set, test_set):
+        # one candidate per stack
+        monkeypatch.setattr(pipeline, "STACK_CELLS", 1)
+        _assert_candidates_match(monkeypatch, pattern_pool(2, 1, 1), train_set, test_set, 3)
+
+    def test_rank3_pool_selected_in_bounded_time(self):
+        train, validation = (generate_dataset(DatasetSpec(kind, rank=3, max_length=100,
+                                                          per_length=3, seed=seed))
+                             for kind, seed in (("D", 5), ("Se", 6)))
+        start = time.perf_counter()
+        picked = greedy_feature_selection(pattern_pool(3, 1, 1), train, validation)
+        assert time.perf_counter() - start < 2.0
+        assert picked
+
 
 class TestSerialization:
     def test_round_trip_predictions(self, trained, test_set):
@@ -206,3 +249,65 @@ class TestSerialization:
     def test_single_word_predict(self, trained):
         X = feature_matrix([parse_cyclic_word("abAB", 2)], trained.fmap)
         assert trained.model.predict(X)[0] in (1, 2)
+
+
+def _one_fit_selection(pool, train, validation, max_features):
+    """Greedy selection with one least-squares fit and one threshold per
+    candidate: the selection, and each step's candidate solutions and
+    validation accuracies."""
+    X = feature_matrix(train.words() + validation.words(),
+                       FeatureMap("pool", tuple(pool), train.rank))
+    Xtr, Xva = X[:len(train)], X[len(train):]
+    ytr, yva = train.labels(), validation.labels()
+    btr = (ytr == 2).astype(np.float64)
+    selected, steps, best_acc = [], [], 0.0
+    limit = max_features if max_features is not None else len(pool)
+    while len(selected) < limit:
+        best, solutions, accuracies = None, [], []
+        for j in range(len(pool)):
+            if j in selected:
+                continue
+            A = Xtr[:, selected + [j]]
+            v = one_matrix_least_squares(A, btr)
+            theta, orient, _ = unique_candidates_threshold(A @ v, ytr)
+            preds = np.where(Xva[:, selected + [j]] @ v <= theta, orient, 3 - orient)
+            acc = float((preds == yva).mean())
+            solutions.append(v)
+            accuracies.append(acc)
+            if best is None or acc > best[0]:
+                best = (acc, j)
+        if best is not None:
+            steps.append((np.array(solutions), np.array(accuracies)))
+        if best is None or best[0] < best_acc + pipeline.MIN_IMPROVEMENT:
+            break
+        best_acc = best[0]
+        selected.append(best[1])
+    return selected, steps
+
+
+def _assert_candidates_match(monkeypatch, pool, train, validation, max_features):
+    """Run greedy_feature_selection, recording each stacked solve and each
+    chunk's accuracies, and assert every candidate's solution and accuracy,
+    not only the selection, are bit-equal to the one-fit loop's."""
+    solves, scored = [], []
+
+    def record(fn, out):
+        def wrapper(*args):
+            out.append(fn(*args))
+            return out[-1]
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "least_squares", record(pipeline.least_squares, solves))
+    monkeypatch.setattr(pipeline, "_accuracies", record(pipeline._accuracies, scored))
+    picked = greedy_feature_selection(pool, train, validation, max_features)
+    want, steps = _one_fit_selection(pool, train, validation, max_features)
+    assert picked == want
+    assert len(solves) == len(scored)
+    width = [v.shape[1] for v in solves]
+    assert sorted(set(width)) == list(range(1, len(steps) + 1))
+    for m, (solutions, accuracies) in enumerate(steps, 1):
+        got_v = np.concatenate([v for v, w in zip(solves, width) if w == m])
+        got_acc = np.concatenate([a for a, w in zip(scored, width) if w == m])
+        assert got_v.tobytes() == solutions.tobytes()
+        assert got_acc.tobytes() == accuracies.tobytes()
+    return picked
