@@ -8,6 +8,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from ..numerics import mean_and_covariance
+
 
 @dataclass(frozen=True)
 class LabeledSet:
@@ -28,8 +30,12 @@ class LabeledSet:
         if y.min() < 1 or y.max() > 2:
             raise ValueError("labels out of range")
 
-    def class_rows(self, c: int) -> np.ndarray:
-        return self.features[self.labels == c]
+    def class_moments(self) -> Tuple[Tuple[int, np.ndarray, np.ndarray], ...]:
+        """(n, mean, 1/n-normalized covariance) of class 1, then of class 2."""
+        rows = [self.features[self.labels == c] for c in (1, 2)]
+        if not (len(rows[0]) and len(rows[1])):
+            raise ValueError("both classes must be nonempty")
+        return tuple((len(X), *mean_and_covariance(X)) for X in rows)
 
 
 def sorted_class_counts(values: np.ndarray, labels: np.ndarray

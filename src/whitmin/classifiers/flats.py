@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from ..numerics import mean_and_covariance, ridge_if_singular
+from ..numerics import ridge_if_singular
 from .base import LabeledSet, choose_threshold, threshold_labels
-
-
-def _inv_with_ridge(C: np.ndarray) -> Tuple[np.ndarray, bool]:
-    C, repaired = ridge_if_singular(C)
-    inv = np.linalg.inv(C)
-    return (inv + inv.T) / 2.0, repaired
 
 
 def _discriminant(X, mu1, mu2, inv1, inv2) -> np.ndarray:
@@ -53,14 +46,10 @@ class DistanceModel:
 
 
 def fit_distance(data: LabeledSet) -> DistanceModel:
-    X1 = data.class_rows(1)
-    X2 = data.class_rows(2)
-    if len(X1) == 0 or len(X2) == 0:
-        raise ValueError("both classes must be nonempty")
-    mu1, C1 = mean_and_covariance(X1)
-    mu2, C2 = mean_and_covariance(X2)
-    inv1, rep1 = _inv_with_ridge(C1)
-    inv2, rep2 = _inv_with_ridge(C2)
+    (_, mu1, C1), (_, mu2, C2) = data.class_moments()
+    C, repaired = ridge_if_singular(np.stack([C1, C2]))
+    inv = np.linalg.inv(C)
+    inv1, inv2 = (inv + np.swapaxes(inv, 1, 2)) / 2.0
     scores = _discriminant(data.features, mu1, mu2, inv1, inv2)
     theta, orient, err = choose_threshold(scores, data.labels)
-    return DistanceModel(mu1, mu2, inv1, inv2, theta, orient, rep1 or rep2, err)
+    return DistanceModel(mu1, mu2, inv1, inv2, theta, orient, bool(repaired.any()), err)

@@ -8,10 +8,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics import (least_squares, mean_and_covariance, qp_hard_margin,
-                        ridge_if_singular)
+from ..numerics import least_squares, qp_hard_margin, ridge_if_singular
 from .base import LabeledSet, choose_threshold, threshold_labels
 from .quantize import Quantizer
+
+# The methods fit_linear takes, in the order the CLI lists them.
+LINEAR_METHODS = ("regression", "fisher", "svm")
 
 
 @dataclass(frozen=True)
@@ -37,11 +39,7 @@ class LinearModel:
 
 
 def _fisher_weights(data: LabeledSet) -> np.ndarray:
-    X1 = data.class_rows(1)
-    X2 = data.class_rows(2)
-    n1, n2 = len(X1), len(X2)
-    mu1, C1 = mean_and_covariance(X1)
-    mu2, C2 = mean_and_covariance(X2)
+    (n1, mu1, C1), (n2, mu2, C2) = data.class_moments()
     Sw, _ = ridge_if_singular(n1 / (n1 + n2) * C1 + n2 / (n1 + n2) * C2)
     return np.linalg.solve(Sw, mu1 - mu2)
 

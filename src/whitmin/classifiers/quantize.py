@@ -9,6 +9,10 @@ import numpy as np
 
 from .base import sorted_class_counts
 
+# Most back-pointer cells the min-error DP keeps, (bins - 1) x (distinct
+# scores + 1) int64s: 128 MiB.
+MIN_ERROR_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -72,7 +76,7 @@ def build_quantizer(
     equal_probability: M bins with per-bin counts differing by at most one
     min_error:         dynamic-programming boundary placement minimizing the
                        majority-vote training error (O(M n) in the number n of
-                       distinct scores, two running minima per bin count)
+                       distinct scores; ValueError past MIN_ERROR_CELLS cells)
     """
     if num_intervals < 2:
         raise ValueError("need at least 2 intervals")
@@ -116,10 +120,12 @@ def _min_error_boundaries(s: np.ndarray, counts: np.ndarray, m: int) -> List[flo
     consecutive distinct values.  O(m n) in the n distinct values."""
     vals = np.unique(s)
     n = len(vals)
+    m = min(m, n)
+    if (m - 1) * (n + 1) > MIN_ERROR_CELLS:
+        raise ValueError(f"{m} min-error bins over {n} distinct scores need too much memory")
     # p1[j], p2[j]: class counts over the first j distinct values
     p1, p2 = counts[np.concatenate([[0], np.searchsorted(s, vals, side="right")])].T
 
-    m = min(m, n)
     # prev[j]: least error covering values 0..j-1 with k - 1 bins
     prev = np.minimum(p1, p2)
     choice: List[np.ndarray] = []

@@ -12,7 +12,7 @@ from typing import Any, Dict
 import numpy as np
 
 from .flats import DistanceModel
-from .linear import LinearModel
+from .linear import LINEAR_METHODS, LinearModel
 from .quantize import Quantizer
 from .tree import TreeLeaf, TreeModel, TreeNode
 
@@ -28,10 +28,6 @@ class ModelFormatError(ValueError):
     """Serialized model document is malformed or has an unknown schema."""
 
 
-def _arr(a) -> list:
-    return np.asarray(a, dtype=np.float64).tolist()
-
-
 def _tree_node_to_dict(node) -> Dict[str, Any]:
     if isinstance(node, TreeLeaf):
         return {"leaf": node.label}
@@ -41,6 +37,11 @@ def _tree_node_to_dict(node) -> Dict[str, Any]:
         "left": _tree_node_to_dict(node.left),
         "right": _tree_node_to_dict(node.right),
     }
+
+
+def write_array(a) -> list:
+    """a as nested lists of Python floats, the JSON form read_array reads."""
+    return np.asarray(a, dtype=np.float64).tolist()
 
 
 def read_array(value, shape: tuple, name: str) -> np.ndarray:
@@ -74,7 +75,7 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
     if isinstance(model, LinearModel):
         doc.update(
             method=model.method,
-            weights=_arr(model.weights),
+            weights=write_array(model.weights),
             theta=float(model.theta),
             orientation=int(model.orientation),
             training_error=float(model.training_error),
@@ -82,20 +83,20 @@ def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
         q = model.quantizer
         if q is not None:
             doc["quantizer"] = {"kind": q.kind,
-                                "boundaries": [float(b) for b in q.boundaries],
+                                "boundaries": write_array(q.boundaries),
                                 "interval_labels": list(q.interval_labels),
                                 "degenerate": q.degenerate}
     elif isinstance(model, DistanceModel):
         doc.update(
             method="distance",
             variant="mahalanobis",
-            mu1=_arr(model.mu1), mu2=_arr(model.mu2),
+            mu1=write_array(model.mu1), mu2=write_array(model.mu2),
             theta=float(model.theta),
             orientation=int(model.orientation),
             ridge_repaired=model.ridge_repaired,
             training_error=float(model.training_error),
-            inv_cov1=_arr(model.inv_cov1),
-            inv_cov2=_arr(model.inv_cov2),
+            inv_cov1=write_array(model.inv_cov1),
+            inv_cov2=write_array(model.inv_cov2),
         )
     elif isinstance(model, TreeModel):
         doc.update(
@@ -133,7 +134,7 @@ def model_from_dict(doc: Dict[str, Any], dim: int):
 
 def _model_from_dict(doc: Dict[str, Any], dim: int):
     method = doc.get("method")
-    if method in ("regression", "fisher", "svm"):
+    if method in LINEAR_METHODS:
         q = None
         if "quantizer" in doc:
             d = doc["quantizer"]

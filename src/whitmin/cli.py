@@ -17,7 +17,8 @@ from .clustering import (centers_from_json, centers_to_json,
                          clustering_experiment, predict_reducer, report_centers_by_move)
 from .datasets import DatasetSpec, generate_records, load_tsv, save_tsv
 from .features import resolve_map
-from .pipeline import (MAX_BINS, PipelineConfig, evaluate, greedy_feature_selection,
+from .pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA, MAX_BINS,
+                       METHODS, PipelineConfig, evaluate, greedy_feature_selection,
                        pipeline_from_json, pipeline_to_json, train_pipeline)
 from .words import check_rank, cyclic_reduce, parse_codes
 
@@ -25,6 +26,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
+
+# --quantizer's names for the quantizer kinds
+_QUANTIZERS = {"equal": "equal_interval", "prob": "equal_probability",
+               "minerr": "min_error", "none": None}
 
 
 class _Exit(Exception):
@@ -65,20 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="generate a labeled word dataset (TSV)")
     g.add_argument("--kind", required=True, choices=["D", "Se", "SR", "SP", "S10"])
     g.add_argument("--rank", type=int, default=2)
-    g.add_argument("--max-len", type=int, default=1000)
-    g.add_argument("--per-len", type=int, default=10)
-    g.add_argument("--size", type=int, default=5000, help="SR/SP record count")
+    g.add_argument("--max-len", type=int, default=DatasetSpec.max_length)
+    g.add_argument("--per-len", type=int, default=DatasetSpec.per_length)
+    g.add_argument("--size", type=int, default=DatasetSpec.size, help="SR/SP record count")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("-o", "--output", required=True)
 
     t = sub.add_parser("train", help="train a pipeline on a dataset")
-    t.add_argument("--features", default="f6",
+    t.add_argument("--features", default=PipelineConfig.feature_map,
                    help="f0..f6, fstar, or pool:<min>-<max>")
-    t.add_argument("--model", default="regression",
-                   choices=["regression", "fisher", "svm", "tree", "distance"])
-    t.add_argument("--quantizer", default="equal",
-                   choices=["equal", "prob", "minerr", "none"])
-    t.add_argument("--bins", type=int, default=100)
+    t.add_argument("--model", default=PipelineConfig.method, choices=METHODS)
+    t.add_argument("--quantizer", default="equal", choices=_QUANTIZERS)
+    t.add_argument("--bins", type=int, default=DEFAULT_QUANTIZER_BINS)
     t.add_argument("--rank", type=int, default=2)
     t.add_argument("--train", dest="train_file", required=True)
     t.add_argument("-o", "--output", required=True)
@@ -86,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="evaluate a trained pipeline")
     e.add_argument("--model", required=True)
     e.add_argument("--test", required=True)
-    e.add_argument("--strata", default="0,4,100")
-    e.add_argument("--hist-bins", type=int, default=50)
+    e.add_argument("--strata", default=",".join(map(str, DEFAULT_STRATA)))
+    e.add_argument("--hist-bins", type=int, default=DEFAULT_HIST_BINS)
     e.add_argument("--hist-out", help="write the score histogram CSV here")
 
     s = sub.add_parser("select-features", help="greedy forward feature selection")
@@ -123,12 +126,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    kinds = {"equal": "equal_interval", "prob": "equal_probability",
-             "minerr": "min_error", "none": None}
     _checked(EXIT_USAGE, resolve_map, args.features, args.rank,
              prefix=f"bad feature map {args.features!r}: ")
     cfg = _checked(EXIT_USAGE, PipelineConfig, args.features, args.model,
-                   kinds[args.quantizer], args.bins)
+                   _QUANTIZERS[args.quantizer], args.bins)
     train = _checked(EXIT_DATA, load_tsv, args.train_file, args.rank)
     pipeline = _checked(EXIT_MODEL, train_pipeline, train, cfg)
     with open(args.output, "w") as fh:
@@ -145,7 +146,7 @@ def _cmd_evaluate(args) -> int:
                      EXIT_USAGE)
     pipeline = _checked(EXIT_MODEL, pipeline_from_json, Path(args.model).read_bytes(),
                         prefix="bad model file: ")
-    if args.hist_out and pipeline.config.method == "tree":
+    if args.hist_out and not hasattr(pipeline.model, "scores"):
         return _fail("--hist-out needs a model with scores; a tree has none", EXIT_USAGE)
     test = _checked(EXIT_DATA, load_tsv, args.test, pipeline.fmap.rank)
     report = _checked(EXIT_DATA, evaluate, pipeline, test, bins=args.hist_bins,

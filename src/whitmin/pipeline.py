@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classifiers import (LabeledSet, build_quantizer, fit_distance, fit_linear,
-                          fit_tree, threshold_labels)
+from .classifiers import (LINEAR_METHODS, LabeledSet, build_quantizer, fit_distance,
+                          fit_linear, fit_tree, threshold_labels)
 from .classifiers.base import _column_thresholds
 from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
 from .datasets import LabeledWordSet
@@ -20,10 +20,14 @@ from .features import FeatureMap, Pattern, feature_matrix, resolve_map
 from .numerics import least_squares
 from .words import CyclicWord
 
+# Every pipeline method, in the order `whitmin train --model` lists them.
+METHODS = LINEAR_METHODS + ("tree", "distance")
 DEFAULT_STRATA = (0, 4, 100)
 DEFAULT_QUANTIZER_BINS = 100
-# Most quantizer or histogram bins: each bin costs tens of bytes, and more
-# bins than scores separate nothing.
+DEFAULT_HIST_BINS = 50
+# Most quantizer or histogram bins: more bins than scores separate nothing.
+# A histogram, equal-interval or equal-probability bin costs tens of bytes;
+# min-error bins have their own memory bound, quantize.MIN_ERROR_CELLS.
 MAX_BINS = 100_000
 # Greedy selection stops when the best candidate raises validation accuracy
 # by less than this.
@@ -36,14 +40,14 @@ STACK_CELLS = 1 << 22
 @dataclass(frozen=True)
 class PipelineConfig:
     feature_map: str = "f6"
-    method: str = "regression"          # regression|fisher|svm|tree|distance
+    method: str = "regression"          # one of METHODS
     quantizer_kind: Optional[str] = "equal_interval"
     quantizer_bins: int = DEFAULT_QUANTIZER_BINS
 
     def __post_init__(self):
-        if self.method not in ("regression", "fisher", "svm", "tree", "distance"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.method in ("regression", "fisher", "svm") and self.quantizer_kind
+        if (self.method in LINEAR_METHODS and self.quantizer_kind
                 and not 2 <= self.quantizer_bins <= MAX_BINS):
             raise ValueError(f"a quantizer needs 2 to {MAX_BINS} bins, "
                              f"got {self.quantizer_bins}")
@@ -71,7 +75,7 @@ def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
     y = train.labels()
     data = LabeledSet(X, y)
 
-    if cfg.method in ("regression", "fisher", "svm"):
+    if cfg.method in LINEAR_METHODS:
         model = fit_linear(data, cfg.method)
         if cfg.quantizer_kind:
             q = build_quantizer(model.scores(X), y, cfg.quantizer_bins,
@@ -143,7 +147,7 @@ def _histogram(s: np.ndarray, y: np.ndarray, bins: int) -> ScoreHistogram:
 def evaluate(
     pipeline: Pipeline,
     test: LabeledWordSet,
-    bins: int = 50,
+    bins: int = DEFAULT_HIST_BINS,
     strata: Sequence[int] = DEFAULT_STRATA,
 ) -> EvaluationReport:
     if not len(test):
@@ -160,7 +164,7 @@ def evaluate(
         report_strata[lo] = (n, acc)
     confusion = np.bincount((y - 1) * 2 + preds - 1, minlength=4).reshape(2, 2)
     hist = None
-    if pipeline.config.method != "tree":
+    if hasattr(pipeline.model, "scores"):
         hist = _histogram(pipeline.model.scores(X), y, bins)
     return EvaluationReport(report_strata, confusion, hist)
 

@@ -13,12 +13,13 @@ from whitmin.classifiers import (LabeledSet, Quantizer, build_quantizer, choose_
                                  node_stats, threshold_labels)
 from whitmin.classifiers.base import _column_thresholds, sorted_class_counts
 from whitmin.classifiers.flats import _discriminant
-from whitmin.classifiers import tree as tree_module
+from whitmin.classifiers import quantize, tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
                                           _min_error_boundaries)
 from whitmin.classifiers.serialize import (ModelFormatError, model_from_dict,
                                            model_to_dict)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
+from whitmin.numerics import mean_and_covariance, ridge_if_singular
 
 from conftest import kmeans_objectives, unique_candidates_threshold
 
@@ -72,9 +73,14 @@ class TestLabeledSet:
         with pytest.raises(ValueError):
             LabeledSet(np.ones((2, 2)), np.array([1]))
 
-    def test_class_rows(self):
+    def test_class_moments(self):
         s = LabeledSet(np.arange(6).reshape(3, 2), np.array([1, 2, 1]))
-        assert s.class_rows(1).shape == (2, 2)
+        (n1, mu1, C1), (n2, mu2, C2) = s.class_moments()
+        assert (n1, n2) == (2, 1)
+        assert mu1.tolist() == [2.0, 3.0] and mu2.tolist() == [2.0, 3.0]
+        assert C1.shape == C2.shape == (2, 2)
+        with pytest.raises(ValueError, match="both classes must be nonempty"):
+            LabeledSet(np.ones((2, 2)), np.array([2, 2])).class_moments()
 
 
 class TestThreshold:
@@ -265,6 +271,33 @@ class TestDistance:
             args = (X, m.mu1, m.mu2, m.inv_cov1, m.inv_cov2)
             assert _discriminant(*args).tobytes() == _row_loop_discriminant(*args).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 60])
+    @pytest.mark.parametrize("singular", [(), (1,), (2,), (1, 2)])
+    def test_stacked_inverses_match_one_matrix_at_a_time(self, d, singular):
+        rng = np.random.default_rng(d * 10 + len(singular))
+        classes = []
+        for c in (1, 2):
+            X = rng.normal(size=(200, d)) * rng.uniform(0.5, 3.0, size=d) + c
+            if c in singular:
+                X[:, 0] = 0.0 if d == 1 else X[:, -1]
+            classes.append(X)
+        # a zero 1 x 1 covariance gets a tiny ridge, so its scores overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = fit_distance(LabeledSet(np.vstack(classes), np.repeat([1, 2], 200)))
+        (inv1, rep1), (inv2, rep2) = (_inv_with_ridge(mean_and_covariance(X)[1])
+                                      for X in classes)
+        assert (rep1, rep2) == (1 in singular, 2 in singular)
+        assert m.inv_cov1.tobytes() == inv1.tobytes()
+        assert m.inv_cov2.tobytes() == inv2.tobytes()
+        assert m.ridge_repaired is bool(singular)
+
+
+def _inv_with_ridge(C):
+    """One covariance's ridge repair and symmetrized inverse, on its own."""
+    C, repaired = ridge_if_singular(C)
+    inv = np.linalg.inv(C)
+    return (inv + inv.T) / 2.0, repaired
+
 
 def _row_loop_discriminant(X, mu1, mu2, inv1, inv2):
     """The discriminant one row at a time."""
@@ -378,6 +411,16 @@ class TestQuantizers:
         for kind in ("equal_interval", "equal_probability"):
             q = build_quantizer(scores, labels, 100, kind=kind)
             assert quantizer_error(qm, scores, labels) <= quantizer_error(q, scores, labels)
+
+    def test_min_error_over_cell_budget(self, monkeypatch):
+        # 10 distinct scores in m bins keep (m - 1) x 11 back-pointer cells
+        monkeypatch.setattr(quantize, "MIN_ERROR_CELLS", 3 * 11)
+        scores = np.arange(10.0)
+        labels = np.tile([1, 2], 5)
+        assert len(build_quantizer(scores, labels, 4, kind="min_error").boundaries) == 3
+        with pytest.raises(ValueError, match="5 min-error bins over 10 distinct scores"):
+            build_quantizer(scores, labels, 5, kind="min_error")
+        build_quantizer(scores, labels, 5, kind="equal_interval")
 
     def test_intervals_partition_the_line(self):
         q = Quantizer("equal_interval", (0.0, 1.0), (1, 2, 1))

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from whitmin.automorphisms import NIELSEN_MOVES
-from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, main
+from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
 from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
-from whitmin.pipeline import MAX_BINS
+from whitmin.pipeline import MAX_BINS, METHODS, PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,13 @@ class TestUsageErrors:
 
     def test_bad_choice(self):
         assert main(["generate", "--kind", "Q", "--seed", "1", "-o", "x.tsv"]) == EXIT_USAGE
+
+    def test_model_choices_are_the_pipeline_methods(self):
+        train = build_parser()._subparsers._group_actions[0].choices["train"]
+        model = next(a for a in train._actions if a.dest == "model")
+        assert model.choices == METHODS
+        with pytest.raises(ValueError, match="^unknown method 'forest'$"):
+            PipelineConfig(method="forest")
 
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
     def test_help_returns_ok(self, capsys, argv):
@@ -272,6 +279,17 @@ class TestTrainEvaluate:
         assert main(["train", *flags, "--train", "unused.tsv",
                      "-o", "unused.json"]) == EXIT_USAGE
         assert _one_error_line(capsys)
+
+    def test_min_error_over_cell_budget_is_model_error(self, workdir, tmp_path, capsys,
+                                                       monkeypatch):
+        import whitmin.classifiers.quantize as quantize
+        monkeypatch.setattr(quantize, "MIN_ERROR_CELLS", 100)
+        out = tmp_path / "m.json"
+        capsys.readouterr()
+        assert main(["train", "--quantizer", "minerr", "--train", workdir["train"],
+                     "-o", str(out)]) == EXIT_MODEL
+        assert _one_error_line(capsys)
+        assert not out.exists()
 
     def test_over_cell_budget(self, workdir, tmp_path, capsys, monkeypatch):
         """train exits 3 and evaluate exits 2, before counting a feature."""

@@ -1,7 +1,8 @@
-"""Every public module-level function or class of the package has a caller:
-its name appears in src, demos or perfbench outside its own definition.
-Package __init__ re-exports do not count, and the functions that the
-benchmark's per-layer spans name are exempt."""
+"""Every module-level function or class of the package has a caller.  A
+public one's name appears in src, demos or perfbench outside its own
+definition; package __init__ re-exports do not count, and the functions that
+the benchmark's per-layer spans name are exempt.  A private one's name
+appears in src outside its own definition.  Tests never count as callers."""
 
 import ast
 import json
@@ -17,12 +18,13 @@ SEARCHED = MODULES + sorted((ROOT / "demos").rglob("*.py")) + sorted(
     (ROOT / "perfbench").rglob("*.py"))
 
 
-def public_definitions(source: str):
-    """(name, first line, last line) of each public module-level def or class."""
+def definitions(source: str, private: bool):
+    """(name, first line, last line) of each private, or each public,
+    module-level def or class."""
     return [(node.name, node.lineno, node.end_lineno)
             for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and node.name.startswith("_") == private]
 
 
 def _span_pinned():
@@ -55,6 +57,13 @@ def test_finds_an_unreached_definition():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_definition_is_reached(path):
     texts = {p: p.read_text().splitlines() for p in SEARCHED}
-    defs = [(path, *d) for d in public_definitions(path.read_text())
+    defs = [(path, *d) for d in definitions(path.read_text(), private=False)
             if d[0] not in _span_pinned()]
+    assert unreached(defs, texts) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_definition_is_reached(path):
+    texts = {p: p.read_text().splitlines() for p in PACKAGE.rglob("*.py")}
+    defs = [(path, *d) for d in definitions(path.read_text(), private=True)]
     assert unreached(defs, texts) == []
