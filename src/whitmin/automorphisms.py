@@ -243,8 +243,6 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
     trivially on cyclic words)."""
     if w.rank != 2:
         raise ValueError(f"reducing_moves lists the rank-2 Nielsen moves; got rank {w.rank}")
-    if len(w) <= 1:
-        return []
     cap = edge_table(w.letters, 2)
     return [m for m in NIELSEN_MOVES if length_change(cap, m.automorphism) < 0]
 
@@ -282,8 +280,6 @@ def _descend(letters: bytes, rank: int) -> Tuple[bytes, List[List[int]], Automor
     chain: AutomorphismChain = []
     while True:
         cap = edge_table(letters, rank)
-        if len(letters) <= 1:
-            break
         change, move = _best_move(cap, rank)
         if change >= 0:
             break
@@ -297,8 +293,6 @@ def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     length drop (ties: multiplier b before a at rank 2, else ascending;
     then A-bitmask ascending) until no move shortens the word.  The steps
     work on cyclic cores in any rotation; only the result is canonicalized."""
-    if len(w) <= 1:
-        return w, []
     letters, _, chain = _descend(w.letters, w.rank)
     return (CyclicWord(letters, w.rank) if chain else w), chain
 

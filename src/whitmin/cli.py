@@ -8,14 +8,15 @@ predict-reducer.  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from .automorphisms import apply_automorphism, is_minimal, minimize
-from .clustering import (centers_from_json, centers_to_json,
+from .clustering import (INITS, centers_from_json, centers_to_json,
                          clustering_experiment, predict_reducer, report_centers_by_move)
-from .datasets import DatasetSpec, generate_records, load_tsv, save_tsv
+from .datasets import KINDS, DatasetSpec, generate_records, load_tsv, save_tsv
 from .features import resolve_map
 from .pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA, MAX_BINS,
                        METHODS, PipelineConfig, evaluate, greedy_feature_selection,
@@ -30,6 +31,8 @@ EXIT_MODEL = 3
 # --quantizer's names for the quantizer kinds
 _QUANTIZERS = {"equal": "equal_interval", "prob": "equal_probability",
                "minerr": "min_error", "none": None}
+_DEFAULT_QUANTIZER = next(name for name, kind in _QUANTIZERS.items()
+                          if kind == PipelineConfig.quantizer_kind)
 
 
 class _Exit(Exception):
@@ -68,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a labeled word dataset (TSV)")
-    g.add_argument("--kind", required=True, choices=["D", "Se", "SR", "SP", "S10"])
-    g.add_argument("--rank", type=int, default=2)
+    g.add_argument("--kind", required=True, choices=KINDS)
+    g.add_argument("--rank", type=int, default=DatasetSpec.rank)
     g.add_argument("--max-len", type=int, default=DatasetSpec.max_length)
     g.add_argument("--per-len", type=int, default=DatasetSpec.per_length)
     g.add_argument("--size", type=int, default=DatasetSpec.size, help="SR/SP record count")
@@ -80,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--features", default=PipelineConfig.feature_map,
                    help="f0..f6, fstar, or pool:<min>-<max>")
     t.add_argument("--model", default=PipelineConfig.method, choices=METHODS)
-    t.add_argument("--quantizer", default="equal", choices=_QUANTIZERS)
+    t.add_argument("--quantizer", default=_DEFAULT_QUANTIZER, choices=_QUANTIZERS)
     t.add_argument("--bins", type=int, default=DEFAULT_QUANTIZER_BINS)
-    t.add_argument("--rank", type=int, default=2)
+    t.add_argument("--rank", type=int, default=DatasetSpec.rank)
     t.add_argument("--train", dest="train_file", required=True)
     t.add_argument("-o", "--output", required=True)
 
@@ -97,19 +100,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pool", default="1-3", help="middle length range, e.g. 1-3")
     s.add_argument("--train", dest="train_file", required=True)
     s.add_argument("--val", dest="val_file", required=True)
-    s.add_argument("--rank", type=int, default=2)
-    s.add_argument("--max-features", type=int, default=None)
+    s.add_argument("--rank", type=int, default=DatasetSpec.rank)
+    s.add_argument("--max-features", type=int)
 
     c = sub.add_parser("cluster", help="4-means length-reduction experiment")
+    experiment = inspect.signature(clustering_experiment).parameters
     c.add_argument("--features", default="f2")
-    c.add_argument("--init", default="estimated", choices=["random", "estimated"])
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--init", default=experiment["init"].default, choices=INITS)
+    c.add_argument("--seed", type=int, default=experiment["seed"].default)
     c.add_argument("--data", required=True)
     c.add_argument("--centers-out", help="write cluster centers JSON here")
 
     m = sub.add_parser("minimize", help="minimize a single word")
     m.add_argument("--word", required=True)
-    m.add_argument("--rank", type=int, default=2)
+    m.add_argument("--rank", type=int, default=DatasetSpec.rank)
 
     r = sub.add_parser("predict-reducer", help="predict a length-reducing move")
     r.add_argument("--word", required=True)
@@ -186,12 +190,11 @@ def _cmd_cluster(args) -> int:
     if args.centers_out:
         centers = report_centers_by_move(report)
         if len(centers) < 4:
-            print("warning: fewer than 4 distinct move assignments; "
-                  "centers file not written", file=sys.stderr)
-        else:
-            with open(args.centers_out, "w") as fh:
-                fh.write(centers_to_json(centers, fmap.name))
-            print(f"centers -> {args.centers_out}")
+            return _fail("fewer than 4 distinct move assignments; "
+                         "centers file not written", EXIT_DATA)
+        with open(args.centers_out, "w") as fh:
+            fh.write(centers_to_json(centers, fmap.name))
+        print(f"centers -> {args.centers_out}")
     return EXIT_OK
 
 

@@ -17,6 +17,9 @@ from .datasets import LabeledWordSet
 from .features import FeatureMap, feature_matrix, resolve_map
 from .words import CyclicWord
 
+# clustering_experiment's ways to choose the initial centers
+INITS = ("random", "estimated")
+
 
 class EmptyPureSet(ValueError):
     """Some Nielsen move has no word reduced by it alone in the sample."""
@@ -105,7 +108,7 @@ def clustering_experiment(
     (first ``sample_fraction`` of a seeded shuffle); 'random' picks 4 data
     points.  Both variants cluster the same remainder.
     """
-    if init not in ("estimated", "random"):
+    if init not in INITS:
         raise ValueError(f"unknown init {init!r}")
     words = data.words()
     if any(lbl != 2 for lbl in data.labels()):

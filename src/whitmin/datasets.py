@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 LABEL_MIN = "min"
 LABEL_NONMIN = "nonmin"
 
+# The dataset kinds.  A kind's position is an entropy word of each record's
+# stream seed (_record_rngs), so reordering them changes every dataset.
+KINDS = ("D", "Se", "SR", "SP", "S10")
 # A record's index is one 32-bit entropy word of its stream's seed.
 MAX_RECORDS = 2**32 - 1
 
@@ -72,7 +75,7 @@ class LabeledWordSet:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    kind: str                 # D | Se | SR | SP | S10
+    kind: str                 # one of KINDS
     rank: int = 2
     max_length: int = 1000
     per_length: int = 10
@@ -80,7 +83,7 @@ class DatasetSpec:
     size: int = 5000          # SR / SP only
 
     def __post_init__(self):
-        if self.kind not in ("D", "Se", "SR", "SP", "S10"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         check_rank(self.rank)
         if self.max_length < 1:
@@ -99,9 +102,6 @@ class DatasetSpec:
         if self.kind in ("SR", "SP"):
             return self.size
         return self.max_length * self.per_length
-
-
-_KIND_INDEX = {"D": 0, "Se": 1, "SR": 2, "SP": 3, "S10": 4}
 
 
 # NumPy's SeedSequence (NEP 19): the 4-word pool hash of the entropy words,
@@ -189,7 +189,7 @@ def _record_rngs(spec: DatasetSpec, count: int) -> Iterator[np.random.Generator]
                 raise ValueError("a precomputed seed state holds 4 uint64 words only")
             return self.row
 
-    prefix = _uint32_words(spec.seed) + [_KIND_INDEX[spec.kind]]
+    prefix = _uint32_words(spec.seed) + [KINDS.index(spec.kind)]
     for start in range(0, count, _RNG_BLOCK):
         indices = np.arange(start, min(start + _RNG_BLOCK, count), dtype=np.uint64)
         for row in _seed_states(prefix, indices):

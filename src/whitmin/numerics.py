@@ -8,7 +8,7 @@ iteration cap or a tolerance parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -52,10 +52,11 @@ def sym_eigen(C: np.ndarray) -> EigenResult:
     return EigenResult(values[::-1], vectors[:, ::-1])
 
 
-def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, Union[bool, np.ndarray]]:
+def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The symmetric matrix G, with a deterministic ridge added when G is
-    numerically singular, and whether the ridge was added.  A stack of
-    matrices (..., d, d) is repaired matrix by matrix, with one flag each.
+    numerically singular, and whether the ridge was added, as a numpy bool.
+    A stack of matrices (..., d, d) is repaired matrix by matrix, with one
+    flag each.
 
     G counts as singular when its smallest eigenvalue is below 1e-12 times the
     largest, or the largest is not positive; the ridge is then
@@ -69,7 +70,7 @@ def ridge_if_singular(G: np.ndarray) -> Tuple[np.ndarray, Union[bool, np.ndarray
         ridge = (1e-8 * np.maximum(np.trace(G, axis1=-2, axis2=-1), 1e-300) / dim
                  + np.finfo(float).tiny)
         G = np.where(singular[..., None, None], G + ridge[..., None, None] * np.eye(dim), G)
-    return G, (singular if G.ndim > 2 else bool(singular))
+    return G, singular
 
 
 def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_d
 from .datasets import LabeledWordSet
 from .features import FeatureMap, Pattern, feature_matrix, resolve_map
 from .numerics import least_squares
-from .words import CyclicWord
 
 # Every pipeline method, in the order `whitmin train --model` lists them.
 METHODS = LINEAR_METHODS + ("tree", "distance")
@@ -60,9 +59,6 @@ class Pipeline:
     fmap: FeatureMap
     model: object
     config: PipelineConfig
-
-    def scores(self, words: Sequence[CyclicWord]) -> np.ndarray:
-        return self.model.scores(feature_matrix(words, self.fmap))
 
 
 def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
@@ -126,20 +122,17 @@ class ScoreHistogram:
         return "\n".join(lines) + "\n"
 
 
-def score_histogram(pipeline: Pipeline, data: LabeledWordSet, bins: int) -> ScoreHistogram:
-    """Class-conditional equal-width binned counts of the discriminant scores."""
-    return _histogram(pipeline.scores(data.words()), data.labels(), bins)
-
-
-def _histogram(s: np.ndarray, y: np.ndarray, bins: int) -> ScoreHistogram:
+def score_histogram(scores: np.ndarray, labels: np.ndarray, bins: int) -> ScoreHistogram:
+    """Class-conditional equal-width binned counts of the discriminant scores
+    of words with these labels."""
     if not 2 <= bins <= MAX_BINS:
         raise ValueError(f"need 2 to {MAX_BINS} bins, got {bins}")
-    lo, hi = float(s.min()), float(s.max())
+    lo, hi = float(scores.min()), float(scores.max())
     if hi <= lo:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, bins + 1)
-    c1, _ = np.histogram(s[y == 1], bins=edges)
-    c2, _ = np.histogram(s[y == 2], bins=edges)
+    c1, _ = np.histogram(scores[labels == 1], bins=edges)
+    c2, _ = np.histogram(scores[labels == 2], bins=edges)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return ScoreHistogram(centers, c1, c2)
 
@@ -165,7 +158,7 @@ def evaluate(
     confusion = np.bincount((y - 1) * 2 + preds - 1, minlength=4).reshape(2, 2)
     hist = None
     if hasattr(pipeline.model, "scores"):
-        hist = _histogram(pipeline.model.scores(X), y, bins)
+        hist = score_histogram(pipeline.model.scores(X), y, bins)
     return EvaluationReport(report_strata, confusion, hist)
 
 

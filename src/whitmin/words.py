@@ -65,13 +65,11 @@ def reduce_codes(codes: Sequence[int]) -> bytes:
     """Freely reduce a sequence of letter codes 0..255 (stack-based, single
     pass)."""
     out: list = []
-    push = out.append
-    pop = out.pop
     for c in codes:
         if out and out[-1] == c ^ 1:
-            pop()
+            out.pop()
         else:
-            push(c)
+            out.append(c)
     return bytes(out)
 
 
@@ -123,15 +121,8 @@ def least_rotation(letters: bytes) -> bytes:
     n = len(letters)
     if n <= 1:
         return letters
-    least = min(letters)
-    count = letters.count(least)
-    if count == 1:
-        k = letters.index(least)
-        return letters[k:] + letters[:k]
-    if count == n:
-        return letters
     d = letters + letters
-    least = bytes((least,))
+    least = bytes((min(letters),))
     # lo ends as the longest cyclic run of the least letter: every run of d
     # lies inside a cyclic run, and each cyclic run lies whole in d
     lo, hi = 1, 2
@@ -278,8 +269,6 @@ def _random_letters(length: int, rank: int, rng: np.random.Generator) -> bytes:
     m = 2 * rank
     draws = rng.integers(0, m - 1, size=length)
     first = int(rng.integers(0, m))
-    if length == 1:
-        return _CODES[first:first + 1]
     k, span, weights, table = _walk_table(rank)
     # draws[0] is unused; the rest are read k at a time, the last block
     # padded with zeros whose letters are cut off
@@ -295,7 +284,8 @@ def _random_letters(length: int, rank: int, rng: np.random.Generator) -> bytes:
     b = b"".join(parts)[:length]
 
     if b[-1] == b[0] ^ 1:
-        # length >= 3 here: the second letter never cancels the first
+        # length >= 3 here: a one-letter word ends in its own first letter,
+        # and the second letter never cancels the first
         banned_prev = b[-2] ^ 1
         c = b[-1]
         while c == b[0] ^ 1:

@@ -15,8 +15,7 @@ from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
 from whitmin.features import builtin_map
 from whitmin.numerics import (NonSeparable, least_squares, mean_and_covariance,
                               qp_hard_margin, sym_eigen)
-from whitmin.pipeline import (PipelineConfig, evaluate, pipeline_to_json,
-                              score_histogram, train_pipeline)
+from whitmin.pipeline import PipelineConfig, evaluate, pipeline_to_json, train_pipeline
 
 from conftest import all_cyclic_words, bfs_orbit_min, kmeans_objectives
 
@@ -124,10 +123,9 @@ def test_c5_f6_score_histogram_overlap(capsys, dataset_cache):
     0.5 decision point."""
     train = dataset_cache("D", 11)
     test = dataset_cache("Se", 12)
-    pipeline, _ = _train_eval(train, test, "f6")
-    hist = score_histogram(pipeline, test, bins=50)
-    overlap = hist.overlap_fraction()
-    ok = overlap <= 0.05
+    _, report = _train_eval(train, test, "f6")
+    overlap = report.histogram.overlap_fraction()
+    ok = len(report.histogram.bin_centers) == 50 and overlap <= 0.05
     _report(capsys, "C5 f6 histogram overlap", ok, f"overlap {overlap:.4f}")
 
 

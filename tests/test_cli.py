@@ -1,11 +1,15 @@
+import inspect
 import json
 
 import pytest
 
 from whitmin.automorphisms import NIELSEN_MOVES
-from whitmin.cli import EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE, build_parser, main
-from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
-from whitmin.pipeline import MAX_BINS, METHODS, PipelineConfig
+from whitmin.cli import (_QUANTIZERS, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE,
+                         build_parser, main)
+from whitmin.clustering import INITS, clustering_experiment
+from whitmin.datasets import KINDS, DatasetSpec, generate_dataset, save_tsv
+from whitmin.pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA,
+                              MAX_BINS, METHODS, PipelineConfig)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,31 @@ def _one_error_line(capsys):
     return len(lines) == 1 and lines[0].startswith("error:")
 
 
+# Each option whose default or choices a library module owns: (command, dest,
+# the attribute read, the owner's value).  "kind" reads the --quantizer
+# default as the quantizer kind it names.
+_OWNED = [
+    ("generate", "kind", "choices", KINDS),
+    *[(command, "rank", "default", DatasetSpec.rank)
+      for command in ("generate", "train", "select-features", "minimize")],
+    ("generate", "max_len", "default", DatasetSpec.max_length),
+    ("generate", "per_len", "default", DatasetSpec.per_length),
+    ("generate", "size", "default", DatasetSpec.size),
+    ("train", "features", "default", PipelineConfig.feature_map),
+    ("train", "model", "default", PipelineConfig.method),
+    ("train", "model", "choices", METHODS),
+    ("train", "quantizer", "kind", PipelineConfig.quantizer_kind),
+    ("train", "bins", "default", DEFAULT_QUANTIZER_BINS),
+    ("evaluate", "strata", "default", ",".join(map(str, DEFAULT_STRATA))),
+    ("evaluate", "hist_bins", "default", DEFAULT_HIST_BINS),
+    ("cluster", "init", "default",
+     inspect.signature(clustering_experiment).parameters["init"].default),
+    ("cluster", "init", "choices", INITS),
+    ("cluster", "seed", "default",
+     inspect.signature(clustering_experiment).parameters["seed"].default),
+]
+
+
 class TestUsageErrors:
     def test_no_command(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -74,10 +103,15 @@ class TestUsageErrors:
     def test_bad_choice(self):
         assert main(["generate", "--kind", "Q", "--seed", "1", "-o", "x.tsv"]) == EXIT_USAGE
 
-    def test_model_choices_are_the_pipeline_methods(self):
-        train = build_parser()._subparsers._group_actions[0].choices["train"]
-        model = next(a for a in train._actions if a.dest == "model")
-        assert model.choices == METHODS
+    @pytest.mark.parametrize("command, dest, read, owner", _OWNED,
+                             ids=[f"{c}-{d}-{r}" for c, d, r, _ in _OWNED])
+    def test_options_read_their_library_owner(self, command, dest, read, owner):
+        parser = build_parser()._subparsers._group_actions[0].choices[command]
+        action = next(a for a in parser._actions if a.dest == dest)
+        value = _QUANTIZERS[action.default] if read == "kind" else getattr(action, read)
+        assert value == owner
+
+    def test_unknown_method_is_named(self):
         with pytest.raises(ValueError, match="^unknown method 'forest'$"):
             PipelineConfig(method="forest")
 
@@ -426,6 +460,19 @@ class TestCluster:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("cluster,size,move,")
+
+    def test_too_few_moves_for_centers_is_data_error(self, tmp_path, capsys):
+        # twenty copies of one word: every cluster is assigned the same move
+        data = tmp_path / "same.tsv"
+        data.write_text("abab\tnonmin\t4\n" * 20)
+        centers = tmp_path / "centers.json"
+        assert main(["cluster", "--data", str(data), "--init", "random", "--seed", "0",
+                     "--centers-out", str(centers)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out.startswith("cluster,size,move,")
+        assert captured.err == ("error: fewer than 4 distinct move assignments; "
+                                "centers file not written\n")
+        assert not centers.exists()
 
     def test_k_must_be_4(self, workdir, capsys):
         assert main(["cluster", "--data", workdir["train"], "--k", "3"]) == EXIT_USAGE

@@ -10,8 +10,7 @@ from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import FeatureMap, feature_matrix, pattern_pool
 from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
                               evaluate, greedy_feature_selection,
-                              pipeline_from_json, pipeline_to_json,
-                              score_histogram, train_pipeline)
+                              pipeline_from_json, pipeline_to_json, train_pipeline)
 from whitmin.words import parse_cyclic_word
 
 from conftest import one_matrix_least_squares, unique_candidates_threshold
@@ -129,13 +128,13 @@ class TestEvaluation:
         assert "|w|>0," in csv
 
     def test_histogram_bins_bounded(self, trained, test_set):
-        score_histogram(trained, test_set, bins=MAX_BINS)
+        evaluate(trained, test_set, bins=MAX_BINS)
         for bins in (1, MAX_BINS + 1):
             with pytest.raises(ValueError):
-                score_histogram(trained, test_set, bins=bins)
+                evaluate(trained, test_set, bins=bins)
 
     def test_histogram_properties(self, trained, test_set):
-        hist = score_histogram(trained, test_set, bins=40)
+        hist = evaluate(trained, test_set, bins=40).histogram
         y = test_set.labels()
         assert hist.counts_class1.sum() == int((y == 1).sum())
         assert hist.counts_class2.sum() == int((y == 2).sum())
@@ -226,7 +225,7 @@ class TestSerialization:
         words = test_set.words()[:50]
         X = feature_matrix(words, trained.fmap)
         assert np.array_equal(clone.model.predict(X), trained.model.predict(X))
-        assert np.allclose(clone.scores(words), trained.scores(words))
+        assert np.allclose(clone.model.scores(X), trained.model.scores(X))
 
     def test_json_text_stable(self, trained):
         text = pipeline_to_json(trained)

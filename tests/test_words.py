@@ -123,10 +123,13 @@ class TestCanonicalRotation:
     def test_accepts_bytes(self):
         assert least_rotation(bytes((3, 1, 2, 1))) == bytes((1, 2, 1, 3))
 
-    @pytest.mark.parametrize("name", ["a^(n-1)b", "(ab)^(n/2)", "(aab)^k B", "fibonacci"])
+    @pytest.mark.parametrize("name", ["a^n", "b^(n-1)a", "a^(n-1)b", "(ab)^(n/2)",
+                                      "(aab)^k B", "fibonacci"])
     def test_adversarial_words_finish_fast(self, name):
         n = 10 ** 6
-        word = {"a^(n-1)b": bytes((0,)) * (n - 1) + bytes((2,)),
+        word = {"a^n": bytes((0,)) * n,
+                "b^(n-1)a": bytes((2,)) * (n - 1) + bytes((0,)),
+                "a^(n-1)b": bytes((0,)) * (n - 1) + bytes((2,)),
                 "(ab)^(n/2)": bytes((0, 2)) * (n // 2),
                 "(aab)^k B": bytes((0, 0, 2)) * ((n - 1) // 3) + bytes((3,)),
                 "fibonacci": fibonacci_word(n)}[name]
@@ -137,6 +140,8 @@ class TestCanonicalRotation:
             rng = np.random.default_rng(0)
             for k in rng.integers(0, n, size=50).tolist():
                 assert canon <= word[k:] + word[:k]
+        elif name == "b^(n-1)a":
+            assert canon == word[-1:] + word[:-1]
         else:
             assert canon == word
 
