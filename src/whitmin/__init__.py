@@ -3,7 +3,7 @@
 Core layers:
   words / automorphisms  free-group words, Whitehead moves, minimization
   features               subword-counting feature maps (f0..f6, fstar, pools)
-  numerics               eigensolver, least squares, hard-margin SVM as NNLS
+  numerics               eigensolver, least squares, soft-margin SVM by finite Newton
   classifiers            Mahalanobis distance, linear, quantizers, trees, K-means
   datasets / pipeline    labeled word sets, training/evaluation harness
   clustering             4-means length-reduction heuristic

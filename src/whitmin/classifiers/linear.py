@@ -1,5 +1,5 @@
-"""Linear two-class classifiers: regression, Fisher discriminant, hard-margin
-support vector machine."""
+"""Linear two-class classifiers: regression, Fisher discriminant, L2
+soft-margin support vector machine."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics import least_squares, qp_hard_margin, ridge_if_singular
+from ..numerics import least_squares, ridge_if_singular, soft_margin_svm
 from .base import LabeledSet, choose_threshold, threshold_labels
 from .quantize import Quantizer
 
@@ -50,7 +50,7 @@ def fit_linear(data: LabeledSet, method: str = "regression") -> LinearModel:
 
     regression: v = argmin ||Av - b|| with b = 0 for class 1 and 1 for class 2
     fisher:     v = Sw^-1 (mu1 - mu2), unit multiplicative constant
-    svm:        v minimizes v'v subject to y_k v'z_k >= 1 (labels +1 / -1)
+    svm:        v = numerics.soft_margin_svm of the rows y_k z_k (labels +1 / -1)
     """
     if not ((data.labels == 1).any() and (data.labels == 2).any()):
         raise ValueError("both classes must be nonempty")
@@ -62,7 +62,7 @@ def fit_linear(data: LabeledSet, method: str = "regression") -> LinearModel:
         v = _fisher_weights(data)
     elif method == "svm":
         y = np.where(data.labels == 1, 1.0, -1.0)
-        v = qp_hard_margin(X * y[:, None])
+        v = soft_margin_svm(X * y[:, None])
     else:
         raise ValueError(f"unknown method {method!r}")
     if not np.any(v):

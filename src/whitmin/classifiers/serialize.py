@@ -46,10 +46,12 @@ def write_array(a) -> list:
 
 def read_array(value, shape: tuple, name: str) -> np.ndarray:
     """value as a float64 array; ModelFormatError names it unless it has this
-    shape."""
+    shape and only finite values (Python's json reads NaN and Infinity)."""
     a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise ModelFormatError(f"{name} has shape {a.shape}, not {shape}")
+    if not np.isfinite(a).all():
+        raise ModelFormatError(f"{name} has a value that is not finite")
     return a
 
 

@@ -31,6 +31,9 @@ LABEL_NONMIN = "nonmin"
 KINDS = ("D", "Se", "SR", "SP", "S10")
 # A record's index is one 32-bit entropy word of its stream's seed.
 MAX_RECORDS = 2**32 - 1
+# Longest word a spec may ask for: one such SR word plus is_minimal takes about
+# 2 s and 0.5 GB.
+MAX_LENGTH = 1 << 24
 
 
 class DataFormatError(ValueError):
@@ -96,6 +99,8 @@ class DatasetSpec:
             raise ValueError("seed must be >= 0")
         if self.record_count > MAX_RECORDS:
             raise ValueError(f"record count {self.record_count} exceeds {MAX_RECORDS}")
+        if self.max_length > MAX_LENGTH:
+            raise ValueError(f"max_length {self.max_length} exceeds {MAX_LENGTH}")
 
     @property
     def record_count(self) -> int:

@@ -1,8 +1,8 @@
 """Small dense linear algebra for the classifiers: sample statistics, the
 symmetric eigensolver (LAPACK), the one ridge rule for numerically singular
-matrices, normal-equation least squares, and the hard-margin SVM problem as a
-nonnegative least squares.  Every solver is exact and finite; none takes an
-iteration cap or a tolerance parameter.
+matrices, normal-equation least squares, and the L2 soft-margin SVM by finite
+Newton.  Every solver is exact and finite; none takes an iteration cap or a
+tolerance parameter.
 """
 
 from __future__ import annotations
@@ -12,12 +12,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-# Largest shortfall below 1 that qp_hard_margin accepts in a margin.
-MARGIN_TOL = 1e-6
-
-
-class NonSeparable(ValueError):
-    """No hyperplane separates the two classes of a hard-margin problem."""
+# The weight C of the squared margin violations in soft_margin_svm.
+SVM_C = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,32 +85,31 @@ def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, At @ b[..., None])[..., 0]
 
 
-def qp_hard_margin(A: np.ndarray) -> np.ndarray:
-    """Minimize w'w subject to Aw >= 1 (rows of A are y_k z_k').
-
-    A least-distance program, solved as one nonnegative least squares
-    (Lawson & Hanson, ch. 23): u >= 0 minimizing ||Eu - f|| with
-    E = [A'; 1'] and f = (0, ..., 0, 1).  With r = Eu - f, the optimum is
-    w = -r[:d] / r[d].  A zero residual means u >= 0, sum(u) = 1 and
-    A'u = 0, so no w separates the rows (Gordan); NonSeparable is raised
-    then, and whenever the recovered w misses a margin by more than
-    MARGIN_TOL.
-    """
-    # scipy.optimize takes most of the package's import time; only this
-    # solver needs it
-    from scipy.optimize import nnls
-
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] == 0:
-        raise ValueError("A must be a nonempty 2-d matrix")
-    n, d = A.shape
-    E = np.vstack([A.T, np.ones((1, n))])
-    f = np.zeros(d + 1)
-    f[d] = 1.0
-    u, _ = nnls(E, f)
-    r = E @ u - f
-    if r[d] < 0.0:
-        w = -r[:d] / r[d]
-        if (A @ w).min() >= 1.0 - MARGIN_TOL:
+def soft_margin_svm(Z: np.ndarray) -> np.ndarray:
+    """The w minimizing f(w) = w'w + C sum_k max(0, 1 - z_k'w)^2, C = SVM_C, rows z_k of Z,
+    by finite Newton (Mangasarian 2002): from w = 0, solve (I + C Za'Za) wbar = C Za'1 over
+    the rows with z_k'w < 1; wbar is optimal if it has the same such rows, else line-search."""
+    Z = np.asarray(Z, dtype=np.float64)
+    w, f = np.zeros(Z.shape[1]), SVM_C * len(Z)
+    while True:
+        a = 1.0 - Z @ w
+        v = a > 0.0
+        Za = Z[v]
+        wbar = np.linalg.solve(np.eye(len(w)) + SVM_C * Za.T @ Za, SVM_C * Za.sum(axis=0))
+        if np.array_equal(Z @ wbar < 1.0, v):
+            return wbar
+        # Exact minimum of f on the segment: f'(w + t p) / 2 = alpha + beta t between
+        # the sorted t >= 0 where row k enters or leaves the violators, and crossing
+        # it adds C |q_k| (a_k, -q_k) to (alpha, beta).
+        p, q = wbar - w, Z @ (wbar - w)
+        t = np.divide(a, q, out=np.full_like(a, np.inf), where=(q != 0.0) & (v == (q > 0.0)))
+        k = np.argsort(t)
+        cq = SVM_C * np.abs(q[k])
+        alpha = w @ p - SVM_C * q[v] @ a[v] + np.cumsum(np.append(0.0, cq * a[k]))
+        beta = p @ p + SVM_C * q[v] @ q[v] - np.cumsum(np.append(0.0, cq * q[k]))
+        j = np.argmax(alpha + beta * np.append(t[k], np.inf) >= 0.0)
+        w_next = w + min(1.0, -alpha[j] / beta[j]) * p
+        f_next = w_next @ w_next + SVM_C * np.sum(np.maximum(1.0 - Z @ w_next, 0.0) ** 2)
+        if not f_next < f:  # only rounding can keep an exact step from lowering f
             return w
-    raise NonSeparable("no hyperplane separates the training classes")
+        w, f = w_next, f_next

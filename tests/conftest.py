@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from whitmin.automorphisms import NIELSEN_MOVES, TypeII, apply_automorphism
+from whitmin.numerics import SVM_C
 from whitmin.words import MIN_RANK, CyclicWord
 
 # the classifiers package exports the function kmeans under its module's name
@@ -145,3 +146,10 @@ def one_matrix_least_squares(A, b):
         ridge = 1e-8 * max(np.trace(G), 1e-300) / G.shape[0] + np.finfo(float).tiny
         G = G + ridge * np.eye(G.shape[0])
     return np.linalg.solve(G, A.T @ b)
+
+
+def svm_kkt_residual(Z, w):
+    """The largest component of the soft-margin SVM's gradient,
+    w - C Z'max(0, 1 - Zw), relative to the largest of w."""
+    g = w - SVM_C * Z.T @ np.maximum(1.0 - Z @ w, 0.0)
+    return np.abs(g).max() / np.abs(w).max()

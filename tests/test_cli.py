@@ -173,7 +173,9 @@ class TestGenerate:
                                        ["--kind", "SP", "--size", "-5"],
                                        ["--kind", "SR", "--size", "4294967296"],
                                        ["--kind", "D", "--max-len", "65536",
-                                        "--per-len", "65536"]])
+                                        "--per-len", "65536"],
+                                       ["--kind", "SR", "--max-len", "1000000000000",
+                                        "--size", "3"]])
     def test_invalid_spec_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "out.tsv"
         assert main(["generate", *flags, "--seed", "1", "-o", str(out)]) == EXIT_USAGE
@@ -280,10 +282,16 @@ class TestTrainEvaluate:
                      "--test", "/nonexistent.tsv"]) == EXIT_DATA
 
     def test_corrupt_model_is_model_error(self, workdir, tmp_path, capsys):
+        # an unknown schema, and weights that json reads as NaN
+        nan_weights = json.loads(open(workdir["model"]).read())
+        nan_weights["weights"] = [float("nan")] * len(nan_weights["weights"])
         bad = tmp_path / "bad.json"
-        bad.write_text('{"schema_version": 99}')
-        assert main(["evaluate", "--model", str(bad),
-                     "--test", workdir["test"]]) == EXIT_MODEL
+        for text in ('{"schema_version": 99}', json.dumps(nan_weights)):
+            bad.write_text(text)
+            capsys.readouterr()
+            assert main(["evaluate", "--model", str(bad),
+                         "--test", workdir["test"]]) == EXIT_MODEL
+            assert _one_error_line(capsys)
 
     def test_non_ascii_tsv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "non_ascii.tsv"
@@ -292,16 +300,18 @@ class TestTrainEvaluate:
                      "-o", str(tmp_path / "m.json")]) == EXIT_DATA
         assert _one_error_line(capsys)
 
-    def test_svm_on_nonseparable_set_is_model_error(self, tmp_path, capsys):
+    def test_svm_trains_on_nonseparable_set(self, tmp_path, capsys):
+        # no hyperplane separates this set's f6 vectors; the soft margin fits it
         data = str(tmp_path / "d.tsv")
         out = tmp_path / "svm.json"
         assert main(["generate", "--kind", "D", "--max-len", "60", "--per-len", "3",
                      "--seed", "1", "-o", data]) == EXIT_OK
-        capsys.readouterr()
         assert main(["train", "--model", "svm", "--train", data,
-                     "-o", str(out)]) == EXIT_MODEL
-        assert _one_error_line(capsys)
-        assert not out.exists()
+                     "-o", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["method"] == "svm"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(out), "--test", data]) == EXIT_OK
+        assert "|w|>0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flags", [["--features", "f9"],
                                        ["--features", "pool:2-1"],
@@ -527,17 +537,18 @@ class TestWordCommands:
                      "--centers", "/nonexistent.json"]) == EXIT_DATA
 
     # case: (schema version, center length, extra moves, whether the file
-    # names its feature map, text the error names)
-    BAD_CENTERS = {"7-16": (7, 16, [], True, "schema_version 7"),
-                   "1-3": (1, 3, [], True, "not (16,)"),
-                   "unknown-move": (1, 16, ["ZZ"], True, "unknown move 'ZZ'"),
-                   "no-feature-map": (1, 16, [], False, "lacks key 'feature_map'")}
+    # names its feature map, the centers' last value, text the error names)
+    BAD_CENTERS = {"7-16": (7, 16, [], True, 0.0, "schema_version 7"),
+                   "1-3": (1, 3, [], True, 0.0, "not (16,)"),
+                   "unknown-move": (1, 16, ["ZZ"], True, 0.0, "unknown move 'ZZ'"),
+                   "no-feature-map": (1, 16, [], False, 0.0, "lacks key 'feature_map'"),
+                   "infinity": (1, 16, [], True, float("inf"), "not finite")}
 
     @pytest.mark.parametrize("case", sorted(BAD_CENTERS))
     def test_predict_reducer_bad_centers(self, tmp_path, capsys, case):
-        schema, dim, extra, named_map, named = self.BAD_CENTERS[case]
+        schema, dim, extra, named_map, last, named = self.BAD_CENTERS[case]
         doc = {"schema_version": schema, "feature_map": "f2",
-               "centers": {name: [0.0] * dim
+               "centers": {name: [0.0] * (dim - 1) + [last]
                            for name in [m.name for m in NIELSEN_MOVES] + extra}}
         if not named_map:
             del doc["feature_map"]

@@ -7,28 +7,34 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
-from whitmin.classifiers import LabeledSet, fit_distance
+from whitmin.classifiers import LabeledSet, fit_distance, fit_linear
 from whitmin.datasets import DatasetSpec, generate_dataset
 from whitmin.features import builtin_map, feature_matrix
-from whitmin.numerics import (MARGIN_TOL, EigenResult, NonSeparable,
-                              least_squares, mean_and_covariance,
-                              qp_hard_margin, ridge_if_singular, sym_eigen)
+from whitmin.numerics import (SVM_C, EigenResult, least_squares, mean_and_covariance,
+                              ridge_if_singular, soft_margin_svm, sym_eigen)
 
-from conftest import one_matrix_least_squares
+from conftest import one_matrix_least_squares, svm_kkt_residual
 
 
-def test_package_import_loads_no_scipy():
-    # scipy.optimize takes most of an import's time and memory; only the SVM
-    # solve imports it, on first use
+def test_package_import_loads_no_scipy(tmp_path):
+    # numpy is the package's only runtime dependency: importing whitmin loads
+    # no scipy, and with scipy blocked an SVM still trains from the CLI
     src = Path(__file__).resolve().parent.parent / "src"
+    data, model = tmp_path / "d.tsv", tmp_path / "svm.json"
     code = ("import sys, whitmin; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.modules['scipy'] = None; "
+            "from whitmin.cli import main; "
+            "assert main(['generate', '--kind', 'D', '--max-len', '30', '--per-len', '3', "
+            f"'--seed', '1', '-o', {str(data)!r}]) == 0; "
+            f"assert main(['train', '--model', 'svm', '--train', {str(data)!r}, "
+            f"'-o', {str(model)!r}]) == 0")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert model.exists()
 
 
 class TestMeanCovariance:
@@ -163,76 +169,65 @@ class TestRidge:
             assert R[k].tobytes() == one.tobytes() and flag == repaired[k]
 
 
-class TestHardMarginQP:
+def _svm_input(name):
+    """Rows z_k = y_k x_k of one kind of training set the solver must handle."""
+    rng = np.random.default_rng(30)
+    if name == "separable":
+        return _c6_svm_instance(rng)[0]
+    if name == "nonseparable":
+        return rng.normal(size=(40, 3))
+    if name == "duplicated-rows":
+        return np.repeat(rng.normal(size=(6, 2)), 3, axis=0)
+    return np.array([[0.5, -2.0, 1.0]])
+
+
+class TestSoftMarginSVM:
     def test_one_dimensional(self):
-        # constraints w >= 1 and w >= 0.5; optimum w = 1
-        A = np.array([[1.0], [2.0]])
-        w = qp_hard_margin(A)
-        assert abs(w[0] - 1.0) < 1e-4
+        # f(w) = w^2 + (1 - w)^2 + (1 - 2w)^2 for w <= 1/2 is least at
+        # w = 1/2, where the second row sits exactly on its margin
+        w = soft_margin_svm(np.array([[1.0], [2.0]]))
+        assert w.tolist() == [0.5]
 
-    def test_separable_margins(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            d = int(rng.integers(2, 5))
-            direction = rng.normal(size=d)
-            direction /= np.linalg.norm(direction)
-            pts = rng.normal(size=(30, d))
-            labels = np.where(pts @ direction > 0, 1.0, -1.0)
-            pts += np.outer(labels, direction)  # push the classes apart
-            A = pts * labels[:, None]
-            w = qp_hard_margin(A)
-            assert (A @ w).min() >= 1.0 - 1e-5
+    @pytest.mark.parametrize("name", ["separable", "nonseparable", "one-row",
+                                      "duplicated-rows"])
+    def test_kkt_stationarity(self, name):
+        Z = _svm_input(name)
+        w = soft_margin_svm(Z)
+        assert svm_kkt_residual(Z, w) < 1e-12
 
-    def test_near_optimal_norm(self):
-        # two points at distance 2 on an axis: the margin-1 separator has
-        # |w| = 1 exactly
-        A = np.array([[1.0, 0.0], [1.0, 0.0]])
-        w = qp_hard_margin(A)
-        assert np.linalg.norm(w) < 1.0 + 1e-4
+    @pytest.mark.parametrize("X", [np.zeros((6, 3)), np.ones((6, 1))],
+                             ids=["all-zero", "same-point-both-classes"])
+    def test_zero_optimum_is_degenerate(self, X):
+        # the rows y_k x_k sum to 0, so the gradient at w = 0, -C Z'1, is 0
+        labels = np.array([1, 2] * 3)
+        Z = X * np.where(labels == 1, 1.0, -1.0)[:, None]
+        assert not soft_margin_svm(Z).any()
+        with pytest.raises(ValueError, match="degenerate weight vector"):
+            fit_linear(LabeledSet(X, labels), method="svm")
 
-    def test_nonseparable_raises(self):
-        # w >= 1 and -w >= 1 cannot both hold
-        A = np.array([[1.0], [-1.0]])
-        with pytest.raises(NonSeparable):
-            qp_hard_margin(A)
+    def test_matches_hard_margin_on_augmented_rows(self):
+        # the soft-margin optimum w, with slacks xi_k = max(0, 1 - z_k'w), is
+        # the hard-margin optimum (w, sqrt(C) xi) of the rows (z_k, e_k / sqrt(C)),
+        # and w'w + C |xi|^2 is that program's least norm
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+            Z = rng.normal(size=(n, d))
+            best = _least_norm_by_active_sets(np.hstack([Z, np.eye(n) / np.sqrt(SVM_C)]))
+            w = soft_margin_svm(Z)
+            xi = np.maximum(1.0 - Z @ w, 0.0)
+            assert abs(w @ w + SVM_C * (xi @ xi) - best) <= 1e-9 * best
 
-    def test_matches_active_set_and_linprog_oracles(self):
-        rng = np.random.default_rng(20)
-        verdicts = []
-        for _ in range(500):
-            A = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 4))))
-            lp = linprog(np.zeros(A.shape[1]), A_ub=-A, b_ub=-np.ones(len(A)),
-                         bounds=[(None, None)] * A.shape[1])
-            best = _least_norm_by_active_sets(A)
-            assert (lp.status == 0) == (best is not None)
-            verdicts.append(best is not None)
-            if best is None:
-                with pytest.raises(NonSeparable):
-                    qp_hard_margin(A)
-            else:
-                w = qp_hard_margin(A)
-                assert (A @ w).min() >= 1.0 - MARGIN_TOL
-                assert abs(w @ w - best) <= 1e-6 * max(1.0, best)
-        assert 100 < sum(verdicts) < 400  # both verdicts well represented
-
-    def test_c6_instance_18_is_separable(self):
-        # the 19th draw of C6's generator (n = 14, d = 2): margin 0.73 along
-        # its generating direction; projected gradient ascent gave up on it
-        rng = np.random.default_rng(2024)
-        for _ in range(19):
-            A, direction = _c6_svm_instance(rng)
-        assert A.shape == (14, 2) and (A @ direction).min() > 0.7
-        w = qp_hard_margin(A)
-        assert (A @ w).min() >= 1.0 - MARGIN_TOL
-
-    def test_f6_d_set_is_certified_nonseparable_quickly(self):
+    def test_f6_d_set_trains_quickly(self):
+        # no hyperplane separates this set: the optimum leaves margin violators
         ds = generate_dataset(DatasetSpec("D", max_length=60, per_length=3, seed=1))
         X = feature_matrix(ds.words(), builtin_map("f6", 2))
-        y = np.where(ds.labels() == 1, 1.0, -1.0)
+        Z = X * np.where(ds.labels() == 1, 1.0, -1.0)[:, None]
         t0 = time.perf_counter()
-        with pytest.raises(NonSeparable):
-            qp_hard_margin(X * y[:, None])
+        w = soft_margin_svm(Z)
         assert time.perf_counter() - t0 < 1.0
+        assert svm_kkt_residual(Z, w) < 1e-10
+        assert (Z @ w < 1.0).any()
 
 
 def _least_norm_by_active_sets(A):
