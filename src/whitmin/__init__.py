@@ -20,9 +20,9 @@ from .features import (FeatureMap, Pattern, builtin_map, count_pattern,
                        feature_matrix, feature_vector, pattern_pool,
                        resolve_map)
 from .pipeline import (EvaluationReport, Pipeline, PipelineConfig,
-                       ScoreHistogram, evaluate, greedy_feature_selection,
-                       pipeline_from_json, pipeline_to_json, score_histogram,
-                       train_pipeline)
+                       ScoreHistogram, evaluate, featurize, fit_model,
+                       greedy_feature_selection, pipeline_from_json,
+                       pipeline_to_json, score_histogram, train_pipeline)
 from .clustering import (ClusterReport, EmptyPureSet, clustering_experiment,
                          estimate_initial_centers, predict_reducer)
 from .words import CyclicWord, cyclic_reduce, parse_cyclic_word, random_word

@@ -7,6 +7,7 @@ digits where needed), so serialize/deserialize round-trips are bit exact.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict
 
 import numpy as np
@@ -55,8 +56,23 @@ def read_array(value, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
+# What each kind of scalar accepts of what json reads; a bool is not a number.
+_SCALARS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+            bool: (bool, "true or false")}
+
+
+def _read_scalar(value, kind: type, name: str):
+    """value as a kind (float, int or bool); ModelFormatError names it unless
+    it is a finite JSON number, a JSON integer or true / false, by kind."""
+    types, what = _SCALARS[kind]
+    if (not isinstance(value, types) or isinstance(value, bool) != (kind is bool)
+            or kind is float and not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ModelFormatError(f"{name} must be {what}")
+    return kind(value)
+
+
 def _read_label(value, name: str) -> int:
-    label = int(value)
+    label = _read_scalar(value, int, name)
     if label not in (1, 2):
         raise ModelFormatError(f"{name} {label} is neither 1 nor 2")
     return label
@@ -65,11 +81,11 @@ def _read_label(value, name: str) -> int:
 def _tree_node_from_dict(d: Dict[str, Any], dim: int):
     if "leaf" in d:
         return TreeLeaf(_read_label(d["leaf"], "leaf"))
-    feature = int(d["feature"])
+    feature = _read_scalar(d["feature"], int, "split feature")
     if not 0 <= feature < dim:
         raise ModelFormatError(f"split feature {feature} is outside 0..{dim - 1}")
-    return TreeNode(feature, float(d["threshold"]), _tree_node_from_dict(d["left"], dim),
-                    _tree_node_from_dict(d["right"], dim))
+    return TreeNode(feature, _read_scalar(d["threshold"], float, "split threshold"),
+                    _tree_node_from_dict(d["left"], dim), _tree_node_from_dict(d["right"], dim))
 
 
 def model_to_dict(model, feature_map: str = "") -> Dict[str, Any]:
@@ -141,11 +157,13 @@ def _model_from_dict(doc: Dict[str, Any], dim: int):
         if "quantizer" in doc:
             d = doc["quantizer"]
             labels = tuple(_read_label(x, "interval label") for x in d["interval_labels"])
-            q = Quantizer(d["kind"], tuple(float(b) for b in d["boundaries"]), labels,
-                          bool(d["degenerate"]))
+            q = Quantizer(d["kind"], tuple(_read_scalar(b, float, "boundary")
+                                           for b in d["boundaries"]),
+                          labels, _read_scalar(d["degenerate"], bool, "degenerate"))
         return LinearModel(read_array(doc["weights"], (dim,), "weights"),
-                           float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
-                           method, q, float(doc["training_error"]))
+                           _read_scalar(doc["theta"], float, "theta"),
+                           _read_label(doc["orientation"], "orientation"), method, q,
+                           _read_scalar(doc["training_error"], float, "training_error"))
     if method == "distance":
         if doc["variant"] != "mahalanobis":
             raise ModelFormatError(f"unknown distance variant {doc['variant']!r}")
@@ -153,9 +171,10 @@ def _model_from_dict(doc: Dict[str, Any], dim: int):
             read_array(doc["mu1"], (dim,), "mu1"), read_array(doc["mu2"], (dim,), "mu2"),
             read_array(doc["inv_cov1"], (dim, dim), "inv_cov1"),
             read_array(doc["inv_cov2"], (dim, dim), "inv_cov2"),
-            float(doc["theta"]), _read_label(doc["orientation"], "orientation"),
-            bool(doc["ridge_repaired"]),
-            float(doc["training_error"]))
+            _read_scalar(doc["theta"], float, "theta"),
+            _read_label(doc["orientation"], "orientation"),
+            _read_scalar(doc["ridge_repaired"], bool, "ridge_repaired"),
+            _read_scalar(doc["training_error"], float, "training_error"))
     if method == "tree":
         return TreeModel(_tree_node_from_dict(doc["tree"], dim))
     raise ModelFormatError(f"unknown method {method!r}")

@@ -142,9 +142,12 @@ def predict_reducer(
     centers: Dict[NielsenMove, np.ndarray],
     fmap: FeatureMap,
 ) -> NielsenMove:
-    """Nearest-center Nielsen move; ties resolve in move order."""
+    """Nearest-center Nielsen move, ties in move order; ValueError for a missing move."""
     x = feature_matrix([w], fmap)[0]
-    return min(NIELSEN_MOVES, key=lambda m: np.linalg.norm(x - centers[m]))
+    try:
+        return min(NIELSEN_MOVES, key=lambda m: np.linalg.norm(x - centers[m]))
+    except KeyError as e:
+        raise ValueError(f"centers missing move {e.args[0].name}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ import numpy as np
 from .classifiers import (LINEAR_METHODS, LabeledSet, build_quantizer, fit_distance,
                           fit_linear, fit_tree, threshold_labels)
 from .classifiers.base import _column_thresholds
-from .classifiers.serialize import ModelFormatError, model_from_dict, model_to_dict
+from .classifiers.serialize import (ModelFormatError, _read_scalar, model_from_dict,
+                                   model_to_dict)
 from .datasets import LabeledWordSet
 from .features import FeatureMap, Pattern, feature_matrix, resolve_map
 from .numerics import least_squares
@@ -61,27 +62,29 @@ class Pipeline:
     config: PipelineConfig
 
 
+def featurize(data: LabeledWordSet, fmap: FeatureMap) -> LabeledSet:
+    """A nonempty word set's rows under fmap and its labels, as fit_model and
+    model.predict read them: featurize a set once to compare methods on it."""
+    return LabeledSet(feature_matrix(data.words(), fmap), data.labels())
+
+
+def fit_model(data: LabeledSet, cfg: PipelineConfig):
+    """cfg's classifier fitted on data, quantized if cfg names a quantizer."""
+    if cfg.method not in LINEAR_METHODS:
+        return fit_distance(data) if cfg.method == "distance" else fit_tree(data)
+    model = fit_linear(data, cfg.method)
+    if cfg.quantizer_kind:
+        model = dataclasses.replace(model, quantizer=build_quantizer(
+            model.scores(data.features), data.labels, cfg.quantizer_bins, cfg.quantizer_kind))
+    return model
+
+
 def train_pipeline(train: LabeledWordSet, cfg: PipelineConfig) -> Pipeline:
-    """Extract features, fit the classifier, and (for scalar-score methods)
-    build the quantizer on the training scores."""
+    """Featurize the training set under cfg's map at its rank, then fit."""
     if len(train) == 0:
         raise ValueError("empty training set")
     fmap = resolve_map(cfg.feature_map, train.rank)
-    X = feature_matrix(train.words(), fmap)
-    y = train.labels()
-    data = LabeledSet(X, y)
-
-    if cfg.method in LINEAR_METHODS:
-        model = fit_linear(data, cfg.method)
-        if cfg.quantizer_kind:
-            q = build_quantizer(model.scores(X), y, cfg.quantizer_bins,
-                                cfg.quantizer_kind)
-            model = dataclasses.replace(model, quantizer=q)
-    elif cfg.method == "distance":
-        model = fit_distance(data)
-    else:
-        model = fit_tree(data)
-    return Pipeline(fmap, model, cfg)
+    return Pipeline(fmap, fit_model(featurize(train, fmap), cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +148,9 @@ def evaluate(
 ) -> EvaluationReport:
     if not len(test):
         raise ValueError("empty test set")
-    X = feature_matrix(test.words(), pipeline.fmap)
+    data = featurize(test, pipeline.fmap)
+    X, y = data.features, data.labels
     preds = pipeline.model.predict(X)
-    y = test.labels()
     lengths = test.lengths()
     report_strata: Dict[int, Tuple[int, Optional[float]]] = {}
     for lo in strata:
@@ -258,10 +261,10 @@ def pipeline_from_json(text: Union[str, bytes]) -> Pipeline:
     try:
         c = doc["config"]
         cfg = PipelineConfig(c["feature_map"], c["method"], c["quantizer_kind"],
-                             c["quantizer_bins"])
+                             _read_scalar(c["quantizer_bins"], int, "quantizer_bins"))
         if c["threshold_override"] is not None:
             raise ValueError("a threshold_override is not supported")
-        fmap = resolve_map(cfg.feature_map, c["rank"])
+        fmap = resolve_map(cfg.feature_map, _read_scalar(c["rank"], int, "rank"))
     except KeyError as e:
         raise ModelFormatError(f"pipeline file lacks key {e}") from e
     except (AttributeError, TypeError, ValueError) as e:

@@ -282,11 +282,18 @@ class TestTrainEvaluate:
                      "--test", "/nonexistent.tsv"]) == EXIT_DATA
 
     def test_corrupt_model_is_model_error(self, workdir, tmp_path, capsys):
-        # an unknown schema, and weights that json reads as NaN
+        # an unknown schema, weights that json reads as NaN, and each scalar
+        # of the wrong JSON kind: floats are finite numbers, integers are not
+        # floats or booleans, flags are booleans
         nan_weights = json.loads(open(workdir["model"]).read())
         nan_weights["weights"] = [float("nan")] * len(nan_weights["weights"])
+        texts = ['{"schema_version": 99}', json.dumps(nan_weights)]
+        for source, path, value in MALFORMED_SCALARS:
+            doc = json.loads(open(workdir[source]).read())
+            _set(doc, path, value)
+            texts.append(json.dumps(doc))
         bad = tmp_path / "bad.json"
-        for text in ('{"schema_version": 99}', json.dumps(nan_weights)):
+        for text in texts:
             bad.write_text(text)
             capsys.readouterr()
             assert main(["evaluate", "--model", str(bad),
@@ -354,6 +361,20 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", workdir["model"],
                      "--test", str(bad)]) == EXIT_DATA
 
+
+# (model file, path of the field to change, new value): scalars that Python
+# would convert but whose JSON kind is wrong
+MALFORMED_SCALARS = (
+    ("model", ["orientation"], 1.9), ("model", ["orientation"], True),
+    ("model", ["orientation"], "2"), ("model", ["theta"], "0.5"),
+    ("model", ["theta"], float("nan")), ("model", ["quantizer", "degenerate"], "no"),
+    ("model", ["quantizer", "interval_labels", 0], 1.5),
+    ("model", ["quantizer", "boundaries", 0], float("-inf")),
+    ("model", ["training_error"], 10**400), ("model", ["config", "quantizer_bins"], 50.5),
+    ("model", ["config", "rank"], 2.0), ("distance", ["ridge_repaired"], 0),
+    ("distance", ["theta"], float("inf")), ("tree", ["tree", "feature"], 2.7),
+    ("tree", ["tree", "threshold"], "Infinity"),
+)
 
 # (model file, path of the field to change, new value): each makes a model
 # the loader must reject

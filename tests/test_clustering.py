@@ -126,6 +126,16 @@ class TestPredictReducer:
         with pytest.raises((ValueError, KeyError)):
             centers_from_json('{"schema_version": 1, "centers": {"A_AB": [0.0]}}')
 
+    def test_move_without_center_rejected(self, nonmin_set, f2map):
+        # two clusters assigned the same move leave report_centers_by_move
+        # three centers, as a random init can
+        rep = ClusterReport(np.eye(4)[[0, 1, 3, 3]], np.zeros((4, 16)),
+                            np.array([5, 4, 3, 2]), "random")
+        centers = report_centers_by_move(rep)
+        assert len(centers) == 3
+        with pytest.raises(ValueError, match=NIELSEN_MOVES[2].name):
+            predict_reducer(nonmin_set.words()[0], centers, f2map)
+
     def test_report_centers_by_move(self, nonmin_set, f2map):
         rep = clustering_experiment(nonmin_set, f2map, seed=5)
         by_move = report_centers_by_move(rep)

@@ -18,10 +18,12 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 # values that reach numeric conversions: out of float range, non-finite,
-# out of the int64 range, label and rank edges
+# out of the int64 range, label and rank edges, and numbers of the wrong JSON
+# kind (a float or boolean for an integer, a string for a number)
 EDGE_VALUES = st.sampled_from([10**400, -10**400, 2**63, 2**64, float("inf"),
                                float("-inf"), float("nan"), -1, 0, 1, 2, 3, 27,
-                               10**9, 0.5, True, "", "f6", "pool:1-1", "pool:1-12"])
+                               10**9, 0.5, 1.0, 1.9, 2.0, True, False, "0.5", "2",
+                               "Infinity", "", "f6", "pool:1-1", "pool:1-12"])
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | EDGE_VALUES,

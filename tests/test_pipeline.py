@@ -7,13 +7,14 @@ import pytest
 from whitmin import features, pipeline
 from whitmin.classifiers import ModelFormatError
 from whitmin.datasets import DatasetSpec, generate_dataset
-from whitmin.features import FeatureMap, feature_matrix, pattern_pool
+from whitmin.features import FeatureMap, builtin_map, feature_matrix, pattern_pool
 from whitmin.pipeline import (MAX_BINS, EvaluationReport, Pipeline, PipelineConfig,
-                              evaluate, greedy_feature_selection,
+                              evaluate, featurize, fit_model, greedy_feature_selection,
                               pipeline_from_json, pipeline_to_json, train_pipeline)
 from whitmin.words import parse_cyclic_word
 
 from conftest import one_matrix_least_squares, unique_candidates_threshold
+from test_golden import PIPELINES
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,17 @@ class TestTraining:
         assert np.array_equal(clone.model.predict(X), p.model.predict(X))
 
 
+class TestFeaturizeAndFit:
+    @pytest.mark.parametrize("feature_map", ["f6", "f2"])
+    @pytest.mark.parametrize("method,kind,bins", PIPELINES)
+    def test_train_pipeline_is_featurize_then_fit(self, train_set, feature_map, method,
+                                                  kind, bins):
+        cfg = PipelineConfig(feature_map, method, kind, bins)
+        fmap = builtin_map(feature_map, 2)
+        split = Pipeline(fmap, fit_model(featurize(train_set, fmap), cfg), cfg)
+        assert pipeline_to_json(train_pipeline(train_set, cfg)) == pipeline_to_json(split)
+
+
 class TestEvaluation:
     def test_features_extracted_once(self, trained, test_set, monkeypatch):
         import whitmin.pipeline as pl
@@ -87,6 +99,8 @@ class TestEvaluation:
         rep = evaluate(trained, test_set)
         assert calls == [len(test_set)]
         assert rep.histogram is not None
+        train_pipeline(test_set, PipelineConfig(feature_map="f6"))
+        assert calls == [len(test_set)] * 2
 
     def test_cell_budget_checked_before_counting(self, trained, train_set, test_set,
                                                  monkeypatch):
