@@ -1,4 +1,5 @@
-"""Versioned JSON documents for fitted models, as dicts; the pipeline's
+"""Versioned JSON documents for fitted models, as dicts, and ``to_json``,
+the one writer of model and centers files; the pipeline's
 ``pipeline_to_json`` / ``pipeline_from_json`` write and parse the text.
 
 Floats are written with Python's shortest round-trip repr (>= 17 significant
@@ -7,8 +8,9 @@ digits where needed), so serialize/deserialize round-trips are bit exact.
 
 from __future__ import annotations
 
+import json
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,12 +47,86 @@ def write_array(a) -> list:
     return np.asarray(a, dtype=np.float64).tolist()
 
 
+def to_json(doc) -> str:
+    """json.dumps(doc, indent=2).  json indents with its pure-Python encoder,
+    so this lays out the dicts and lists itself, in json's layout, and joins
+    each list of finite floats from float.__repr__, json's own float form.
+    Keys and strings still go through json, and so do the other scalars: each
+    list of them in one call, and the rest all in one call."""
+    parts: List[Any] = []
+    scalars: List[Tuple[int, Any]] = []
+    _lay_out(doc, "\n", parts, scalars)
+    if scalars:
+        texts = json.dumps([o for _, o in scalars])[1:-1].split(", ")
+        for (i, _), text in zip(scalars, texts):
+            parts[i] = text
+    return "".join(parts)
+
+
+# The scalars whose json text never holds ", ", so that the text of a list of
+# them splits into the items' texts.
+_NUMBERS = {int, float, bool, type(None)}
+
+
+def _lay_out(o, newline: str, parts: list, scalars: list) -> None:
+    # append o to parts as json.dumps(o, indent=2) writes it, each line after
+    # the first starting with newline (a line break and the indent of o's
+    # depth); a scalar not in a list of numbers is left to to_json, as its
+    # index in parts and itself
+    inner = newline + "  "
+    if isinstance(o, str):
+        parts.append(json.dumps(o))
+    elif not isinstance(o, (dict, list, tuple)):
+        scalars.append((len(parts), o))
+        parts.append(None)
+    elif not o or isinstance(o, dict) and not all(isinstance(k, str) for k in o):
+        # empty, or with keys that json converts to strings
+        parts.append(json.dumps(o, indent=2).replace("\n", newline))
+    elif isinstance(o, dict):
+        sep = "{"
+        for k, v in o.items():
+            parts.append(sep + inner + json.dumps(k) + ": ")
+            _lay_out(v, inner, parts, scalars)
+            sep = ","
+        parts.append(newline + "}")
+    else:
+        body = _joined_numbers(o, "," + inner)
+        if body is not None:
+            parts.append("[" + inner + body + newline + "]")
+            return
+        sep = "["
+        for v in o:
+            parts.append(sep + inner)
+            _lay_out(v, inner, parts, scalars)
+            sep = ","
+        parts.append(newline + "]")
+
+
+def _joined_numbers(items, sep: str) -> Optional[str]:
+    """The items joined by sep as json writes them, if all are numbers,
+    booleans or null; otherwise None."""
+    try:
+        body = sep.join(map(float.__repr__, items))
+        if "n" not in body:  # no finite repr has an n; json writes NaN and Infinity
+            return body
+    except TypeError:  # an item that is not a float
+        pass
+    if set(map(type, items)) <= _NUMBERS:
+        return sep.join(json.dumps(items)[1:-1].split(", "))
+    return None
+
+
 def read_array(value, shape: tuple, name: str) -> np.ndarray:
     """value as a float64 array; ModelFormatError names it unless it has this
-    shape and only finite values (Python's json reads NaN and Infinity)."""
-    a = np.array(value, dtype=np.float64)
+    shape and only finite JSON numbers.  Python's json reads NaN and Infinity,
+    and numpy would read a string or a boolean as a number; a bool is not
+    one."""
+    a = np.array(value, dtype=object)
     if a.shape != shape:
         raise ModelFormatError(f"{name} has shape {a.shape}, not {shape}")
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise ModelFormatError(f"{name} has an element that is not a number")
+    a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise ModelFormatError(f"{name} has a value that is not finite")
     return a

@@ -9,7 +9,7 @@ from typing import Union
 
 import numpy as np
 
-from .base import LabeledSet, sorted_class_counts
+from .base import LabeledSet
 
 # Nodes with fewer samples become leaves.
 MIN_NODE = 10
@@ -29,18 +29,21 @@ def node_stats(counts_left: np.ndarray, counts_right: np.ndarray):
     nr = np.asarray(counts_right, dtype=np.float64)
     if (nl < 0).any() or (nr < 0).any():
         raise ValueError("counts must be nonnegative")
-    NL = nl.sum(-1, keepdims=True)
-    NR = nr.sum(-1, keepdims=True)
+    # the two classes as columns: class 1 plus class 2, in that order
+    l1, l2, r1, r2 = nl[..., 0], nl[..., 1], nr[..., 0], nr[..., 1]
+    NL, NR = l1 + l2, r1 + r2
     N = NL + NR
     if (N == 0).any():
         raise ValueError("all counts are zero")
-
-    def xlogq(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-        # x ln(x / q) per class in class order, 0 where x = 0
-        return (x * np.log(np.divide(x, q, out=np.ones_like(x), where=x > 0))).sum(-1)
-
-    pr = xlogq(nl, NL) + xlogq(nr, NR)
-    return pr, pr - xlogq(nl + nr, N)
+    # x ln(x / q) for each class count x of the left, the right and the
+    # whole node, 0 where x = 0 (and q may be 0 too, on an empty side)
+    x = np.array((l1, l2, r1, r2, l1 + r1, l2 + r2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = x / np.array((NL, NL, NR, NR, N, N))
+    ratio[x == 0] = 1.0
+    t = x * np.log(ratio)
+    pr = (t[0] + t[1]) + (t[2] + t[3])
+    return pr, pr - (t[4] + t[5])
 
 
 @dataclass(frozen=True)
@@ -66,72 +69,93 @@ class TreeModel:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         out = np.empty(X.shape[0], dtype=np.int64)
-
-        def walk(node: TreeNodeOrLeaf, rows: np.ndarray) -> None:
+        # (node, the rows that reach it), walked by a loop: a recursive
+        # closure would hold X in a reference cycle until the next collection
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
             if isinstance(node, TreeLeaf):
                 out[rows] = node.label
-                return
-            left = X[rows, node.feature] <= node.threshold
-            walk(node.left, rows[left])
-            walk(node.right, rows[~left])
-
-        walk(self.root, np.arange(X.shape[0]))
+            else:
+                left = X[rows, node.feature] <= node.threshold
+                stack += ((node.right, rows[~left]), (node.left, rows[left]))
         return out
 
 
-def _majority(labels: np.ndarray) -> int:
-    """The more frequent label, 1 on a tie."""
-    return 2 if (labels == 2).sum() > (labels == 1).sum() else 1
-
-
-def _best_split(X: np.ndarray, y: np.ndarray):
-    """(feature, theta, chi2) of the node's purest (component, threshold)
-    candidate, or None.  A column's candidates are the midpoints between
-    adjacent distinct sorted values where the class changes; ties go to the
-    smallest feature, then the smallest theta."""
-    v, ys, counts = sorted_class_counts(X, y)
-    cut = (ys[:-1] != ys[1:]) & (v[:-1] < v[1:])
-    j, i = np.nonzero(cut.T)  # column-major: by feature, then by theta
-    lo, hi = v[i, j], v[i + 1, j]
+def _best_split(v: np.ndarray, ones: np.ndarray):
+    """(feature, theta, chi2, rows at or below theta) of the node's purest
+    (component, threshold) candidate, or None.  Row j of the d x n v holds
+    component j's values in ascending order, and the same row of ones marks
+    which of them belong to class 1.  A column's candidates are the midpoints
+    between adjacent distinct sorted values where the class changes; ties go
+    to the smallest feature, then the smallest theta."""
+    n = v.shape[1]
+    # c1[j, k]: class-1 rows among the k smallest values of component j
+    c1 = np.zeros((v.shape[0], n + 1), dtype=np.int64)
+    np.cumsum(ones, axis=1, out=c1[:, 1:])
+    cut = (ones[:, :-1] != ones[:, 1:]) & (v[:, :-1] < v[:, 1:])
+    j, i = np.nonzero(cut)  # by feature, then by theta
+    # flat indices: take beats 2-d indexing
+    lo = v.take(j * n + i)
+    hi = v.take(j * n + i + 1)
     with np.errstate(over="ignore"):
         thetas = (lo + hi) / 2.0
-    nl = counts[i + 1, j]
+    at = i + 1
     # a midpoint that rounds onto its upper neighbour, or overflows, counts
-    # every value of its column at or below it
-    for k in np.flatnonzero(~((lo <= thetas) & (thetas < hi))):
-        nl[k] = counts[np.searchsorted(v[:, j[k]], thetas[k], side="right"), j[k]]
-    nr = counts[-1, j] - nl
-    # ... and may leave a side empty
-    ok = (nl.sum(-1) > 0) & (nr.sum(-1) > 0)
-    if not ok.any():
+    # every value of its column at or below it, and may leave a side empty
+    over = np.flatnonzero(~((lo <= thetas) & (thetas < hi)))
+    if over.size:
+        for k in over:
+            at[k] = np.searchsorted(v[j[k]], thetas[k], side="right")
+        ok = (at > 0) & (at < n)
+        j, thetas, at = j[ok], thetas[ok], at[ok]
+    if not at.size:
         return None
-    pr, chi2 = node_stats(nl[ok], nr[ok])
+    l1 = c1.take(j * (n + 1) + at)
+    r1 = c1[0, n] - l1
+    pr, chi2 = node_stats(np.array((l1, at - l1)).T, np.array((r1, n - at - r1)).T)
     k = int(np.argmax(pr))
-    return int(j[ok][k]), thetas[ok][k].item(), chi2[k].item()
+    return int(j[k]), thetas[k].item(), chi2[k].item(), int(at[k])
+
+
+def _grow(XT: np.ndarray, is1: np.ndarray, order: np.ndarray, depth: int,
+          max_depth: int) -> TreeNodeOrLeaf:
+    """The subtree of the rows in order, whose row j lists them in ascending
+    order of component j of the d x N XT; is1 marks the class-1 rows.  A
+    child keeps its parent's order of each component filtered by the split,
+    which is the stable order of its own rows, so no node sorts.  (A module
+    function: a recursive closure would hold XT in a reference cycle.)"""
+    d, n = order.shape
+    n1 = int(np.count_nonzero(is1[order[0]]))
+    majority = TreeLeaf(2 if n - n1 > n1 else 1)  # 1 on a tie
+    if depth >= max_depth or n < MIN_NODE or n1 in (0, n):
+        return majority
+    N = XT.shape[1]
+    # flat indices of XT: one take, and compress below, beat 2-d indexing
+    split = _best_split(XT.take(order + N * np.arange(d)[:, None]), is1[order])
+    if split is None or split[2] < CHI2_CUTOFF:
+        return majority
+    j, theta, _, n_left = split
+    left = np.zeros(N, dtype=bool)
+    left[order[j, :n_left]] = True
+    goes_left = left[order].ravel()
+    rows = order.ravel()
+    return TreeNode(j, float(theta),
+                    _grow(XT, is1, rows.compress(goes_left).reshape(d, n_left),
+                          depth + 1, max_depth),
+                    _grow(XT, is1, rows.compress(~goes_left).reshape(d, n - n_left),
+                          depth + 1, max_depth))
 
 
 def fit_tree(data: LabeledSet) -> TreeModel:
     """Grow the tree top-down, splitting each node on its purest (component,
     threshold) candidate.  Expansion stops at depth log2(N) - 1 (at least 1),
     below MIN_NODE samples, on a pure node, on no candidate, or when the
-    split's chi-square is below CHI2_CUTOFF."""
+    split's chi-square is below CHI2_CUTOFF.  Each component is sorted once,
+    stably, at the root (the presorted attribute lists of SLIQ)."""
     N = data.features.shape[0]
     if N < 2:
         raise ValueError("need at least 2 training samples")
-    max_depth = max(1, int(math.log2(N)) - 1)
-
-    def grow(X: np.ndarray, y: np.ndarray, depth: int) -> TreeNodeOrLeaf:
-        if depth >= max_depth or len(y) < MIN_NODE or len(np.unique(y)) == 1:
-            return TreeLeaf(_majority(y))
-        split = _best_split(X, y)
-        if split is None or split[2] < CHI2_CUTOFF:
-            return TreeLeaf(_majority(y))
-        j, theta, _ = split
-        mask = X[:, j] <= theta
-        return TreeNode(
-            j, float(theta),
-            grow(X[mask], y[mask], depth + 1),
-            grow(X[~mask], y[~mask], depth + 1),
-        )
-
-    return TreeModel(grow(data.features, data.labels, 0))
+    XT = np.ascontiguousarray(data.features.T)
+    return TreeModel(_grow(XT, data.labels == 1, np.argsort(XT, axis=1, kind="stable"), 0,
+                           max(1, int(math.log2(N)) - 1)))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .automorphisms import NIELSEN_MOVES, NielsenMove, reducing_moves
 from .classifiers import kmeans
-from .classifiers.serialize import SCHEMA_VERSION, read_array, write_array
+from .classifiers.serialize import SCHEMA_VERSION, read_array, to_json, write_array
 from .datasets import LabeledWordSet
 from .features import FeatureMap, feature_matrix, resolve_map
 from .words import CyclicWord
@@ -155,11 +155,11 @@ def predict_reducer(
 # ---------------------------------------------------------------------------
 
 def centers_to_json(centers: Dict[NielsenMove, np.ndarray], fmap_name: str) -> str:
-    return json.dumps({
+    return to_json({
         "schema_version": SCHEMA_VERSION,
         "feature_map": fmap_name,
         "centers": {m.name: write_array(centers[m]) for m in NIELSEN_MOVES},
-    }, indent=2)
+    })
 
 
 def centers_from_json(text: Union[str, bytes]) -> Tuple[Dict[NielsenMove, np.ndarray], str]:

@@ -15,7 +15,7 @@ from .classifiers import (LINEAR_METHODS, LabeledSet, build_quantizer, fit_dista
                           fit_linear, fit_tree, threshold_labels)
 from .classifiers.base import _column_thresholds
 from .classifiers.serialize import (ModelFormatError, _read_scalar, model_from_dict,
-                                   model_to_dict)
+                                   model_to_dict, to_json)
 from .datasets import LabeledWordSet
 from .features import FeatureMap, Pattern, feature_matrix, resolve_map
 from .numerics import least_squares
@@ -247,7 +247,7 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
         "rank": pipeline.fmap.rank,
         "seed": 0,
     }
-    return json.dumps(doc, indent=2)
+    return to_json(doc)
 
 
 def pipeline_from_json(text: Union[str, bytes]) -> Pipeline:

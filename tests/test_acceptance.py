@@ -2,6 +2,7 @@
 real stdout (bypassing capture) so the criteria can be read off a plain
 pytest run."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -14,8 +15,8 @@ from whitmin.clustering import clustering_experiment
 from whitmin.datasets import DatasetSpec, generate_dataset, save_tsv
 from whitmin.features import builtin_map
 from whitmin.numerics import least_squares, mean_and_covariance, soft_margin_svm, sym_eigen
-from whitmin.pipeline import (PipelineConfig, evaluate, featurize, fit_model, pipeline_to_json,
-                              train_pipeline)
+from whitmin.pipeline import (Pipeline, PipelineConfig, evaluate, featurize, fit_model,
+                              pipeline_to_json, train_pipeline)
 
 from conftest import all_cyclic_words, bfs_orbit_min, kmeans_objectives, svm_kkt_residual
 
@@ -239,10 +240,16 @@ def test_c7_determinism(capsys, tmp_path):
             f"report {report_same}, clustering {cluster_same}")
 
 
+# SHA-256 of the paper-scale tree's model file (D seed 11, f6), as written
+# when every node sorted its own rows; one sort per fit must give the same.
+C8_TREE_SHA256 = "39bdc0c6e2b5422898537b6d9e646bf5bbdd6520651a5c14708ea7e8f5169fc1"
+
+
 def test_c8_every_method_at_paper_scale(capsys, dataset_cache):
     """Every method the paper lists trains on the 10,000-word D set (f6) and
-    classifies Se out of sample; the SVM's weights are the soft-margin optimum.
-    Each set is featurized once and shared by the five fits."""
+    classifies Se out of sample; the SVM's weights are the soft-margin optimum,
+    and the tree's model file is the pinned one.  Each set is featurized once
+    and shared by the five fits."""
     train = dataset_cache("D", 11)
     test = dataset_cache("Se", 12)
     t0 = time.monotonic()
@@ -265,10 +272,13 @@ def test_c8_every_method_at_paper_scale(capsys, dataset_cache):
         if name == "svm":
             y = np.where(train_rows.labels == 1, 1.0, -1.0)
             kkt = svm_kkt_residual(train_rows.features * y[:, None], model.weights)
+        if name == "tree":
+            text = pipeline_to_json(Pipeline(fmap, model, cfg))
+            tree_same = hashlib.sha256(text.encode()).hexdigest() == C8_TREE_SHA256
     dt = time.monotonic() - t0
-    ok = (len(train) >= 10000 and kkt < 1e-10 and dt < 120.0
+    ok = (len(train) >= 10000 and kkt < 1e-10 and tree_same and dt < 120.0
           and all(acc >= 0.97 and long_acc >= 0.99 for _, acc, long_acc, _ in results))
     _report(capsys, "C8 every method at paper scale", ok,
             ", ".join(f"{name} {acc:.4f} / |w|>100 {long_acc:.4f} in {s:.1f}s"
                       for name, acc, long_acc, s in results)
-            + f", svm KKT residual {kkt:.1e}, {dt:.0f}s")
+            + f", svm KKT residual {kkt:.1e}, tree file pinned {tree_same}, {dt:.0f}s")

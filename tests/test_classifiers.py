@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import chdtri
 
@@ -17,7 +19,7 @@ from whitmin.classifiers import quantize, tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
                                           _min_error_boundaries)
 from whitmin.classifiers.serialize import (ModelFormatError, model_from_dict,
-                                           model_to_dict)
+                                           model_to_dict, to_json)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
 from whitmin.numerics import mean_and_covariance, ridge_if_singular
 
@@ -695,6 +697,36 @@ class TestTree:
             want = _scan_tree(data, min_node, cutoff)
             assert _tree_text(got) == _tree_text(want)
 
+    def test_matches_per_threshold_scan_where_the_presort_partitions(self, monkeypatch):
+        """Deep trees (no chi-square cutoff, nodes down to two rows) on
+        duplicated, constant and adjacent-float columns beside one noisy
+        column: each node's sorted order comes from its parent's by the split,
+        so children of one or two rows, ties carried down many levels and
+        adjacent-float splits at depth 3 or more must match the scan."""
+        monkeypatch.setattr(tree_module, "MIN_NODE", 2)
+        monkeypatch.setattr(tree_module, "CHI2_CUTOFF", 0.0)
+        rng = np.random.default_rng(33)
+        tiny_children = deep_adjacent = 0
+        for _ in range(60):
+            n = int(rng.integers(16, 120))
+            adjacent = [adjacent_floats(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            columns = adjacent + [adjacent[0], np.full(n, float(rng.normal())),
+                                  rng.normal(size=n)]
+            order = rng.permutation(len(columns))
+            X = np.column_stack([columns[k] for k in order])
+            adjacent_features = {int(np.flatnonzero(order == k)[0]) for k in range(len(adjacent))}
+            adjacent_features.add(int(np.flatnonzero(order == len(adjacent))[0]))
+            # labels that follow the first adjacent-float column, one in four flipped
+            y = np.where(adjacent[0] > np.median(adjacent[0]), 2, 1)
+            y = np.where(rng.random(n) < 0.25, 3 - y, y)
+            data = LabeledSet(X, y)
+            got = fit_tree(data).root
+            assert _tree_text(got) == _tree_text(_scan_tree(data, 2, 0.0))
+            for depth, feature, n_left, n_right in _splits(got, X, np.arange(n)):
+                tiny_children += min(n_left, n_right) <= 2
+                deep_adjacent += depth >= 3 and feature in adjacent_features
+        assert tiny_children > 50 and deep_adjacent > 20
+
 
 def adjacent_floats(rng, n):
     """Values drawn from one to three pairs (a, nextafter(a, inf)).  Their
@@ -703,6 +735,16 @@ def adjacent_floats(rng, n):
     pairs = np.concatenate([lows, np.nextafter(lows, np.inf)])
     return pairs[rng.integers(0, len(pairs), size=n)]
 
+
+def _splits(node, X, rows, depth=0):
+    """(depth, feature, left rows, right rows) of each split of a tree
+    fitted on the rows of X."""
+    if isinstance(node, TreeLeaf):
+        return []
+    left = X[rows, node.feature] <= node.threshold
+    return ([(depth, node.feature, int(left.sum()), int((~left).sum()))]
+            + _splits(node.left, X, rows[left], depth + 1)
+            + _splits(node.right, X, rows[~left], depth + 1))
 
 def _tree_text(node):
     if isinstance(node, TreeLeaf):
@@ -800,6 +842,26 @@ class TestKMeans:
             kmeans(np.zeros((3, 2)), np.zeros((2, 1)))
 
 
+# Floats whose reprs take every form: signed zero, subnormal, exponent, NaN
+# and infinities among them.
+JSON_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 0.1]) | st.floats()
+def _json_containers(children):
+    """Lists, tuples (which json writes as lists) and dicts of children, some
+    dicts with keys that json converts to strings."""
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=5), children, max_size=4)
+            | st.dictionaries(st.integers() | st.booleans() | st.none(), children, max_size=2))
+
+
+# Nested float arrays with empty rows, beside ints, bools, None and strings
+# (some holding json's item separator), in containers.
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS
+    | st.text(max_size=5) | st.sampled_from(["1, 2", '", "'])
+    | st.lists(JSON_FLOATS, max_size=5) | st.lists(st.lists(JSON_FLOATS, max_size=4), max_size=4),
+    _json_containers, max_leaves=12)
+
+
 class TestSerialization:
     def test_rejects_bad_schema(self):
         rng = np.random.default_rng(23)
@@ -859,6 +921,11 @@ class TestSerialization:
         doc["tree"] = node
         with pytest.raises(ModelFormatError):
             model_from_dict(doc, 3)
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_to_json_is_json_dumps_indent_2(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2)
 
     def test_json_text_stable(self):
         rng = np.random.default_rng(24)

@@ -282,13 +282,17 @@ class TestTrainEvaluate:
                      "--test", "/nonexistent.tsv"]) == EXIT_DATA
 
     def test_corrupt_model_is_model_error(self, workdir, tmp_path, capsys):
-        # an unknown schema, weights that json reads as NaN, and each scalar
-        # of the wrong JSON kind: floats are finite numbers, integers are not
-        # floats or booleans, flags are booleans
-        nan_weights = json.loads(open(workdir["model"]).read())
-        nan_weights["weights"] = [float("nan")] * len(nan_weights["weights"])
-        texts = ['{"schema_version": 99}', json.dumps(nan_weights)]
-        for source, path, value in MALFORMED_SCALARS:
+        # an unknown schema; weights that json reads as NaN, weights written
+        # as strings and a true among them, which numpy would read as numbers;
+        # each scalar of the wrong JSON kind: floats are finite numbers,
+        # integers are not floats or booleans, flags are booleans
+        model = json.loads(open(workdir["model"]).read())
+        weights = model["weights"]
+        texts = ['{"schema_version": 99}']
+        for bad_weights in ([float("nan")] * len(weights), [repr(w) for w in weights],
+                            [True] + weights[1:]):
+            texts.append(json.dumps(dict(model, weights=bad_weights)))
+        for source, path, value in MALFORMED_SCALARS + MALFORMED_ARRAY_ITEMS:
             doc = json.loads(open(workdir[source]).read())
             _set(doc, path, value)
             texts.append(json.dumps(doc))
@@ -374,6 +378,11 @@ MALFORMED_SCALARS = (
     ("model", ["config", "rank"], 2.0), ("distance", ["ridge_repaired"], 0),
     ("distance", ["theta"], float("inf")), ("tree", ["tree", "feature"], 2.7),
     ("tree", ["tree", "threshold"], "Infinity"),
+)
+
+# Array elements that numpy would read as numbers, but that are no JSON number.
+MALFORMED_ARRAY_ITEMS = (
+    ("distance", ["mu1", 1], False), ("distance", ["inv_cov2", 3, 5], "0.0123"),
 )
 
 # (model file, path of the field to change, new value): each makes a model
@@ -563,7 +572,9 @@ class TestWordCommands:
                    "1-3": (1, 3, [], True, 0.0, "not (16,)"),
                    "unknown-move": (1, 16, ["ZZ"], True, 0.0, "unknown move 'ZZ'"),
                    "no-feature-map": (1, 16, [], False, 0.0, "lacks key 'feature_map'"),
-                   "infinity": (1, 16, [], True, float("inf"), "not finite")}
+                   "infinity": (1, 16, [], True, float("inf"), "not finite"),
+                   "string": (1, 16, [], True, "0.0123", "not a number"),
+                   "boolean": (1, 16, [], True, True, "not a number")}
 
     @pytest.mark.parametrize("case", sorted(BAD_CENTERS))
     def test_predict_reducer_bad_centers(self, tmp_path, capsys, case):

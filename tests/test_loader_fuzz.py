@@ -19,11 +19,14 @@ FUZZ = settings(max_examples=150, deadline=None,
 
 # values that reach numeric conversions: out of float range, non-finite,
 # out of the int64 range, label and rank edges, and numbers of the wrong JSON
-# kind (a float or boolean for an integer, a string for a number)
-EDGE_VALUES = st.sampled_from([10**400, -10**400, 2**63, 2**64, float("inf"),
-                               float("-inf"), float("nan"), -1, 0, 1, 2, 3, 27,
-                               10**9, 0.5, 1.0, 1.9, 2.0, True, False, "0.5", "2",
-                               "Infinity", "", "f6", "pool:1-1", "pool:1-12"])
+# kind (a float or boolean for an integer, a string for a number, in a scalar
+# or an array)
+EDGES = [10**400, -10**400, 2**63, 2**64, float("inf"), float("-inf"), float("nan"),
+         -1, 0, 1, 2, 3, 27, 10**9, 0.5, 1.0, 1.9, 2.0, True, False, "0.5", "2",
+         "0.0123", "Infinity", "", "f6", "pool:1-1", "pool:1-12"]
+EDGE_VALUES = st.sampled_from(EDGES)
+# edges that are no JSON number, though numpy reads some of them as numbers
+NOT_NUMBERS = [v for v in EDGES if isinstance(v, (bool, str))]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | EDGE_VALUES,
@@ -65,6 +68,20 @@ def tsv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "data.tsv"
 
 
+# The arrays each kind of model reads from its document.
+MODEL_ARRAYS = {"LinearModel": ("weights",),
+                "DistanceModel": ("mu1", "mu2", "inv_cov1", "inv_cov2"),
+                "TreeModel": ()}
+
+
+def numbers_only(value):
+    """Whether value is a JSON number, or nested lists of them; a bool is
+    not one."""
+    if isinstance(value, list):
+        return all(numbers_only(v) for v in value)
+    return type(value) in (int, float)
+
+
 CENTERS = {"schema_version": 1, "feature_map": "f0",
            "centers": {name: [0.25, 0.25, 0.25, 0.25]
                        for name in ("A_AB", "A_BINV_A", "B_AINV_B", "B_BA")}}
@@ -76,9 +93,11 @@ class TestLoaderFuzz:
     def test_pipeline_from_json(self, model_docs, data):
         doc = mutated(data, data.draw(st.sampled_from(model_docs)))
         try:
-            pipeline_from_json(json.dumps(doc))
+            pipeline = pipeline_from_json(json.dumps(doc))
         except ModelFormatError:
-            pass
+            return
+        assert all(numbers_only(doc[key])
+                   for key in MODEL_ARRAYS[type(pipeline.model).__name__])
 
     @FUZZ
     @given(text=st.text(alphabet='{}[]":,0123456789.eE-+ treufalsnINaf', max_size=80))
@@ -91,10 +110,27 @@ class TestLoaderFuzz:
     @FUZZ
     @given(data=st.data())
     def test_centers_from_json(self, data):
+        doc = mutated(data, CENTERS)
         try:
-            centers_from_json(json.dumps(mutated(data, CENTERS)))
+            centers_from_json(json.dumps(doc))
         except ValueError:
-            pass
+            return
+        assert numbers_only(list(doc["centers"].values()))
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS, ids=repr)
+    def test_array_items_must_be_numbers(self, model_docs, value):
+        for doc in model_docs[:2]:
+            for key in ("weights", "mu1", "inv_cov1"):
+                if key in doc:
+                    bad = copy.deepcopy(doc)
+                    row = bad[key][1] if key == "inv_cov1" else bad[key]
+                    row[1] = value
+                    with pytest.raises(ModelFormatError, match=key):
+                        pipeline_from_json(json.dumps(bad))
+        bad = copy.deepcopy(CENTERS)
+        bad["centers"]["B_BA"][2] = value
+        with pytest.raises(ValueError, match="center B_BA"):
+            centers_from_json(json.dumps(bad))
 
     @FUZZ
     @given(lines=st.lists(
