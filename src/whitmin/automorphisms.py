@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .words import CyclicWord, check_rank, cyclic_core, window_codes
+from .words import MAX_RANK, CyclicWord, check_rank, cyclic_core, window_codes
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,38 @@ NIELSEN_MOVES: Tuple[NielsenMove, ...] = tuple(NielsenMove)
 # at a (Whitehead 1936; Roig, Ventura & Weil, IJAC 2007, arXiv:math/0608779).
 # One O(|w|) pair count thus prices every candidate without applying any.
 
-def edge_table(letters: bytes, rank: int) -> List[List[int]]:
-    """Whitehead graph of the cyclic word with these letters (any rotation)
-    as a symmetric 2r x 2r table of edge counts, one list per row."""
+# _INVERSE[:2r][c] is the code of c^-1
+_INVERSE = np.arange(2 * MAX_RANK) ^ 1
+
+
+def edge_tables(words: Sequence[bytes], rank: int) -> List[List[List[int]]]:
+    """Whitehead graph of each cyclic word with these letters (any rotation)
+    as a symmetric 2r x 2r table of edge counts, one list per row.
+
+    One pair count serves the whole list: each word is followed by its
+    first letter, so that its cyclic pairs are plain windows of the joined
+    letters; each window's code is offset by its word's index x (2r)^2, and
+    the window across the junction to the next word goes to one dump bin.
+    One word's windows wrap around by themselves, so it is read as it is."""
     m = 2 * rank
-    pairs = np.bincount(window_codes(letters, (((0, 1), 0),), rank), minlength=m * m)
-    t = pairs.reshape(m, m)[:, np.arange(m) ^ 1]
-    return (t + t.T).tolist()
+    cells = m * m
+    dump = len(words) * cells
+    if len(words) == 1:
+        # no copy, offsets or junction: the word may be 2^24 letters long
+        codes = window_codes(words[0], (((0, 1), 0),), rank)
+    else:
+        codes = window_codes(b"".join([w + w[:1] for w in words]), (((0, 1), 0),), rank)
+        sizes = [len(w) + 1 if w else 0 for w in words]
+        codes += np.repeat(np.arange(0, dump, cells), sizes)
+        codes[[end - 1 for end, size in zip(itertools.accumulate(sizes), sizes) if size]] = dump
+    pairs = np.bincount(codes, minlength=dump + 1)[:dump].reshape(-1, m, m)[:, :, _INVERSE[:m]]
+    return (pairs + pairs.transpose(0, 2, 1)).tolist()
+
+
+def edge_table(letters: bytes, rank: int) -> List[List[int]]:
+    """Whitehead graph of the cyclic word with these letters (any rotation):
+    edge_tables of the one word."""
+    return edge_tables([letters], rank)[0]
 
 
 def length_change(cap: List[List[int]], t: TypeII) -> int:
@@ -247,12 +273,20 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
     return [m for m in NIELSEN_MOVES if length_change(cap, m.automorphism) < 0]
 
 
+def _no_shorter_cut(cap: List[List[int]]) -> bool:
+    """True when no proper type II shortens the word with Whitehead graph
+    cap: the flow from each a = 2g to a^-1 reaches deg(a)."""
+    return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
+
+
 def is_minimal(w: CyclicWord) -> bool:
-    """True when no Whitehead automorphism shortens the cyclic word w."""
+    """True when no Whitehead automorphism shortens the cyclic word w.  A
+    word of more than one letter is tested by _no_shorter_cut on its
+    Whitehead graph, the test that also labels generated SR and SP records
+    from their block's graphs."""
     if len(w) <= 1:
         return True
-    cap = edge_table(w.letters, w.rank)
-    return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
+    return _no_shorter_cut(edge_table(w.letters, w.rank))
 
 
 def _best_move(cap: List[List[int]], rank: int) -> Tuple[int, Optional[TypeII]]:
@@ -273,19 +307,19 @@ def _best_move(cap: List[List[int]], rank: int) -> Tuple[int, Optional[TypeII]]:
     return best, move
 
 
-def _descend(letters: bytes, rank: int) -> Tuple[bytes, List[List[int]], AutomorphismChain]:
-    """minimize on the letters of a cyclically reduced word: the minimal
-    core in whatever rotation it lands in, its Whitehead graph, and the
-    chain."""
+def _descend(letters: bytes, cap: List[List[int]],
+             rank: int) -> Tuple[bytes, List[List[int]], AutomorphismChain]:
+    """minimize on the letters of a cyclically reduced word with Whitehead
+    graph cap: the minimal core in whatever rotation it lands in, its
+    Whitehead graph, and the chain."""
     chain: AutomorphismChain = []
     while True:
-        cap = edge_table(letters, rank)
         change, move = _best_move(cap, rank)
         if change >= 0:
-            break
+            return letters, cap, chain
         chain.append(move)
         letters = _cyclic_image(move, letters)
-    return letters, cap, chain
+        cap = edge_table(letters, rank)
 
 
 def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
@@ -293,7 +327,7 @@ def minimize(w: CyclicWord) -> Tuple[CyclicWord, AutomorphismChain]:
     length drop (ties: multiplier b before a at rank 2, else ascending;
     then A-bitmask ascending) until no move shortens the word.  The steps
     work on cyclic cores in any rotation; only the result is canonicalized."""
-    letters, _, chain = _descend(w.letters, w.rank)
+    letters, _, chain = _descend(w.letters, edge_table(w.letters, w.rank), w.rank)
     return (CyclicWord(letters, w.rank) if chain else w), chain
 
 

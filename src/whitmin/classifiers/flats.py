@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ridge_if_singular
+from ..numerics import check_fit_cells, ridge_if_singular
 from .base import LabeledSet, choose_threshold, threshold_labels
 
 
@@ -46,6 +46,7 @@ class DistanceModel:
 
 
 def fit_distance(data: LabeledSet) -> DistanceModel:
+    check_fit_cells(data.features.shape[1])
     (_, mu1, C1), (_, mu2, C2) = data.class_moments()
     C, repaired = ridge_if_singular(np.stack([C1, C2]))
     inv = np.linalg.inv(C)

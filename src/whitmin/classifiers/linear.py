@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..numerics import least_squares, ridge_if_singular, soft_margin_svm
+from ..numerics import check_fit_cells, least_squares, ridge_if_singular, soft_margin_svm
 from .base import LabeledSet, choose_threshold, threshold_labels
 from .quantize import Quantizer
 
@@ -51,10 +51,14 @@ def fit_linear(data: LabeledSet, method: str = "regression") -> LinearModel:
     regression: v = argmin ||Av - b|| with b = 0 for class 1 and 1 for class 2
     fisher:     v = Sw^-1 (mu1 - mu2), unit multiplicative constant
     svm:        v = numerics.soft_margin_svm of the rows y_k z_k (labels +1 / -1)
+
+    A fit on more columns than numerics.FIT_CELLS allows raises ValueError
+    before any d x d matrix is built.
     """
     if not ((data.labels == 1).any() and (data.labels == 2).any()):
         raise ValueError("both classes must be nonempty")
     X = data.features
+    check_fit_cells(X.shape[1])
     if method == "regression":
         b = (data.labels == 2).astype(np.float64)
         v = least_squares(X, b)

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, List
 
 import numpy as np
 
-from .automorphisms import _descend, _substitute_longer, is_minimal, random_primitive
+from .automorphisms import (_descend, _no_shorter_cut, _substitute_longer, edge_tables,
+                           random_primitive)
 from .words import (CyclicWord, _random_letters, check_rank, format_codes, parse_codes,
                     random_word)
 
@@ -31,8 +32,8 @@ LABEL_NONMIN = "nonmin"
 KINDS = ("D", "Se", "SR", "SP", "S10")
 # A record's index is one 32-bit entropy word of its stream's seed.
 MAX_RECORDS = 2**32 - 1
-# Longest word a spec may ask for: one such SR word plus is_minimal takes about
-# 2 s and 0.5 GB.
+# Longest word a spec may ask for: one such SR word plus its minimality test
+# takes about 2 s and 0.5 GB.
 MAX_LENGTH = 1 << 24
 
 
@@ -201,37 +202,82 @@ def _record_rngs(spec: DatasetSpec, count: int) -> Iterator[np.random.Generator]
             yield np.random.Generator(np.random.PCG64(SeedState(row)))
 
 
+# Records are drawn a block at a time, and one edge_tables call gives the
+# Whitehead graphs of a block's words.  A block holds at most this many
+# letters and table cells, each word counting its letters plus its table's
+# (2r)^2 cells, so its transient stays small whatever its record count and
+# rank; a larger word is a block of its own.
+_BLOCK_LETTERS = 1 << 13
+
+
+def _blocks(drawn: Iterable[tuple], rank: int) -> Iterator[list]:
+    """The (letters, ...) draws in order, in lists of at most _BLOCK_LETTERS
+    letters and table cells, or of one larger word."""
+    cells = 4 * rank * rank
+    block: list = []
+    size = 0
+    for item in drawn:
+        n = len(item[0]) + cells
+        if block and size + n > _BLOCK_LETTERS:
+            yield block
+            block, size = [], 0
+        block.append(item)
+        size += n
+    if block:
+        yield block
+
+
 def _substitution_records(spec: DatasetSpec, max_steps: int) -> Iterator[WordRecord]:
-    """Each record's word stays raw letters, in any rotation, from the draw
-    to the record, and is checked and canonicalized once, as its
-    CyclicWord."""
+    """D, Se and S10.  A block of records draws its words, each from its
+    own stream, and gets their graphs from one edge_tables call; then each
+    record, in index order, descends to a minimal word and draws the rest
+    from its own stream, so the block size changes no record.  Each word
+    stays raw letters, in any rotation, from the draw to the record, and is
+    checked and canonicalized once, as its CyclicWord."""
     rank = spec.rank
-    for idx, rng in enumerate(_record_rngs(spec, spec.record_count)):
-        l = idx // spec.per_length + 1
-        letters, cap, _ = _descend(_random_letters(l, rank, rng), rank)
-        label = LABEL_MIN
-        if rng.random() < 0.5:
-            steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
-            longer = _substitute_longer(letters, cap, rank, steps, rng)
-            if longer is None:
-                log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
-            else:
-                letters, label = longer, LABEL_NONMIN
-        yield WordRecord(CyclicWord(letters, rank), label)
+    drawn = ((_random_letters(idx // spec.per_length + 1, rank, rng), rng)
+             for idx, rng in enumerate(_record_rngs(spec, spec.record_count)))
+    for block in _blocks(drawn, rank):
+        caps = edge_tables([letters for letters, _ in block], rank)
+        for (letters, rng), cap in zip(block, caps):
+            l = len(letters)
+            letters, cap, _ = _descend(letters, cap, rank)
+            label = LABEL_MIN
+            if rng.random() < 0.5:
+                steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
+                longer = _substitute_longer(letters, cap, rank, steps, rng)
+                if longer is None:
+                    log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
+                else:
+                    letters, label = longer, LABEL_NONMIN
+            yield WordRecord(CyclicWord(letters, rank), label)
+
+
+def _tested_word(spec: DatasetSpec, rng: np.random.Generator) -> CyclicWord:
+    """An SR or SP record's word, drawn from its stream."""
+    l = int(rng.integers(1, spec.max_length + 1))
+    if spec.kind == "SR":
+        return random_word(l, spec.rank, rng=rng)
+    return random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
 
 
 def _tested_records(spec: DatasetSpec) -> Iterator[WordRecord]:
-    for rng in _record_rngs(spec, spec.record_count):
-        l = int(rng.integers(1, spec.max_length + 1))
-        if spec.kind == "SR":
-            w = random_word(l, spec.rank, rng=rng)
-        else:
-            w = random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
-        yield WordRecord(w, LABEL_MIN if is_minimal(w) else LABEL_NONMIN)
+    """SR and SP: each word is labelled as is_minimal labels it, words of
+    more than one letter by the min-cut test on their graph from their
+    block's edge_tables call."""
+    words = (_tested_word(spec, rng) for rng in _record_rngs(spec, spec.record_count))
+    for block in _blocks(((w.letters, w) for w in words), spec.rank):
+        caps = iter(edge_tables([letters for letters, _ in block if len(letters) > 1],
+                                spec.rank))
+        for letters, w in block:
+            minimal = len(letters) <= 1 or _no_shorter_cut(next(caps))
+            yield WordRecord(w, LABEL_MIN if minimal else LABEL_NONMIN)
 
 
 def generate_records(spec: DatasetSpec) -> Iterator[WordRecord]:
-    """The spec's records in index order, each built when it is drawn."""
+    """The spec's records in index order.  They are drawn a block of at
+    most _BLOCK_LETTERS letters and table cells at a time, so memory stays
+    flat in the record count and a file can be written as they come."""
     if spec.kind in ("SR", "SP"):
         return _tested_records(spec)
     return _substitution_records(spec, max_steps=10 if spec.kind == "S10" else 1)

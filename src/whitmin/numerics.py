@@ -14,6 +14,11 @@ import numpy as np
 
 # The weight C of the squared margin violations in soft_margin_svm.
 SVM_C = 1.0
+# Most cells of one d x d matrix a fit builds: the class covariances, the
+# Gram matrix A'A, the SVM's Newton system and their ridge repair.  2^24
+# float64 cells are 128 MiB, d = 4,096 columns; a fit holds a few such
+# matrices at once, and the repair and the solve are O(d^3).
+FIT_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -23,6 +28,14 @@ class EigenResult:
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+def check_fit_cells(d: int) -> None:
+    """Raise ValueError, before anything is allocated, when a fit on d
+    columns needs d x d matrices of more than FIT_CELLS cells."""
+    if d * d > FIT_CELLS:
+        raise ValueError(f"{d} features need {d} x {d} fit matrices, {d * d} cells each, "
+                         f"over the {FIT_CELLS} budget")
 
 
 def mean_and_covariance(samples: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:

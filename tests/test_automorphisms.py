@@ -281,6 +281,41 @@ class TestReducingMoves:
             reducing_moves(CyclicWord((0, 2, 0, 2), 3))
 
 
+def oracle_edge_table(letters, rank):
+    """The Whitehead graph by its definition: each cyclic subword xy adds
+    one edge {x, y^-1}."""
+    table = [[0] * (2 * rank) for _ in range(2 * rank)]
+    for i, x in enumerate(letters):
+        z = letters[(i + 1) % len(letters)] ^ 1
+        table[x][z] += 1
+        table[z][x] += 1
+    return table
+
+
+class TestEdgeTables:
+    """One pair count for a block of words: each word's table must be the
+    one its own cyclic subwords give, whatever its neighbours."""
+
+    @pytest.mark.parametrize("rank", [2, 3, 6, 26])
+    def test_blocks_match_oracle(self, rank):
+        rng = np.random.default_rng(rank)
+        long = datasets._BLOCK_LETTERS + 5
+        for _ in range(12):
+            # any letter sequences: empty, one letter, short, and longer
+            # than a generated block
+            sizes = rng.choice([0, 1, 2, 7, 40, long], size=int(rng.integers(1, 9)))
+            words = [rng.integers(0, 2 * rank, size=n).astype(np.uint8).tobytes()
+                     for n in sizes]
+            tables = automorphisms.edge_tables(words, rank)
+            assert tables == [oracle_edge_table(w, rank) for w in words]
+            assert [edge_table(w, rank) for w in words] == tables
+
+    def test_empty_list_and_empty_word(self):
+        assert automorphisms.edge_tables([], 3) == []
+        assert automorphisms.edge_tables([b"", b""], 2) == [[[0] * 4] * 4] * 2
+        assert edge_table(b"", 2) == [[0] * 4] * 4
+
+
 class TestLengthChange:
     @settings(max_examples=150, deadline=None)
     @given(cyclic_words())

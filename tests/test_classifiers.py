@@ -21,6 +21,7 @@ from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
 from whitmin.classifiers.serialize import (ModelFormatError, model_from_dict,
                                            model_to_dict, to_json)
 from whitmin.classifiers.tree import TreeLeaf, TreeNode
+from whitmin import numerics
 from whitmin.numerics import mean_and_covariance, ridge_if_singular
 
 from conftest import kmeans_objectives, svm_kkt_residual, unique_candidates_threshold
@@ -332,6 +333,19 @@ class TestLinear:
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
             fit_linear(two_blob_set(rng), method="perceptron")
+
+    @pytest.mark.parametrize("method", ["regression", "fisher", "svm", "distance"])
+    def test_fit_cell_budget(self, monkeypatch, method):
+        # d x d = 9 cells: refused below, fitted at the budget; a tree needs
+        # no d x d matrix
+        fit = fit_distance if method == "distance" else lambda d: fit_linear(d, method)
+        data = two_blob_set(np.random.default_rng(11))
+        monkeypatch.setattr(numerics, "FIT_CELLS", 8)
+        with pytest.raises(ValueError, match="budget"):
+            fit(data)
+        fit_tree(data)
+        monkeypatch.setattr(numerics, "FIT_CELLS", 9)
+        fit(data)
 
     def test_round_trip_with_quantizer(self):
         rng = np.random.default_rng(10)

@@ -1,5 +1,10 @@
 import inspect
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +15,8 @@ from whitmin.clustering import INITS, clustering_experiment
 from whitmin.datasets import KINDS, DatasetSpec, generate_dataset, save_tsv
 from whitmin.pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA,
                               MAX_BINS, METHODS, PipelineConfig)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +365,30 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", workdir["model"],
                      "--test", workdir["test"]]) == EXIT_DATA
         assert _one_error_line(capsys)
+
+    def test_fit_over_cell_budget_is_model_error(self, tmp_path):
+        """f6 at rank 26 has 10,764 columns: the distance model's two class
+        covariances alone would take 1.73 GiB.  train refuses the fit before
+        allocating it.  The child's 1 GiB address-space limit makes any
+        attempt to allocate them fail at once instead of taking the host's
+        memory."""
+        data, out = tmp_path / "sr26.tsv", tmp_path / "m.json"
+        assert main(["generate", "--kind", "SR", "--rank", "26", "--size", "60",
+                     "--max-len", "20", "--seed", "1", "-o", str(data)]) == EXIT_OK
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from whitmin.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "train", "--rank", "26", "--features", "f6",
+             "--model", "distance", "--train", str(data), "-o", str(out)],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"))
+        assert proc.returncode == EXIT_MODEL, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "budget" in lines[0]
+        assert not out.exists()
 
     def test_malformed_tsv_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from whitmin.automorphisms import is_minimal
-from whitmin.datasets import (_RNG_BLOCK, LABEL_MIN, LABEL_NONMIN,
+from whitmin import datasets
+from whitmin.automorphisms import edge_tables, is_minimal
+from whitmin.datasets import (_RNG_BLOCK, KINDS, LABEL_MIN, LABEL_NONMIN,
                               MAX_RECORDS, DataFormatError, DatasetSpec,
                               LabeledWordSet, WordRecord, _record_rngs,
                               generate_dataset, generate_records, load_tsv, save_tsv)
@@ -156,6 +157,40 @@ class TestGenerateOthers:
         for r in ds.records:
             m, _ = minimize(r.word)
             assert len(m) == 1  # primitive: orbit minimum is a single letter
+
+
+class TestBlocks:
+    """Records are drawn a block at a time; where the blocks end changes no
+    record."""
+
+    SPECS = dict(D=dict(max_length=80, per_length=3), Se=dict(max_length=80, per_length=3),
+                 S10=dict(max_length=10, per_length=40), SR=dict(max_length=60, size=300),
+                 SP=dict(size=500))
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_size_changes_no_record(self, monkeypatch, kind, rank):
+        spec = DatasetSpec(kind, rank=rank, seed=rank, **self.SPECS[kind])
+        blocks = []
+        monkeypatch.setattr(datasets, "edge_tables",
+                            lambda words, r: blocks.append(words) or edge_tables(words, r))
+        ds = generate_dataset(spec)
+        assert len(blocks) > 1 and labels_verified(ds)
+        assert all(len(b) == 1 or sum(len(w) + 4 * rank * rank for w in b)
+                   <= datasets._BLOCK_LETTERS for b in blocks)
+        # 1 and 7: one word per block; 100: a few short words per block
+        for size in (1, 7, 100):
+            monkeypatch.setattr(datasets, "_BLOCK_LETTERS", size)
+            assert generate_dataset(spec).records == ds.records, size
+
+    def test_blocks_count_table_cells(self, monkeypatch):
+        # a rank-26 table has 2,704 cells: short words go at most three to a
+        # block, where a cap on letters alone would take all 60 at once
+        blocks = []
+        monkeypatch.setattr(datasets, "edge_tables",
+                            lambda words, r: blocks.append(words) or edge_tables(words, r))
+        generate_dataset(DatasetSpec("SR", rank=26, max_length=3, size=60, seed=1))
+        assert blocks and max(map(len, blocks)) <= 3
 
 
 class TestLabeledWordSet:
