@@ -204,11 +204,13 @@ def length_change(cap: List[List[int]], t: TypeII) -> int:
 def _best_cut(cap: List[List[int]], a: int) -> Tuple[int, List[int]]:
     """(cut - deg(a), least source side) for a minimum cut between a and a^-1
     in the undirected graph ``cap``; (0, []) once the flow reaches deg(a)."""
+    target = sum(cap[a])
+    if not target:  # a does not occur in the word
+        return 0, []
     n = len(cap)
     t = a ^ 1
     res = [row[:] for row in cap]
     ra = res[a]
-    target = sum(ra)
     # Paths a -> a^-1, a -> x -> a^-1 and a -> x -> y -> a^-1 carry most of
     # the flow on short words; augmenting paths (shortest first) finish it.
     # The search never re-enters a nor leaves a^-1, so these pushes skip the

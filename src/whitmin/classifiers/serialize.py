@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 import numpy as np
 
@@ -48,72 +48,39 @@ def write_array(a) -> list:
 
 
 def to_json(doc) -> str:
-    """json.dumps(doc, indent=2).  json indents with its pure-Python encoder,
-    so this lays out the dicts and lists itself, in json's layout, and joins
-    each list of finite floats from float.__repr__, json's own float form.
-    Keys and strings still go through json, and so do the other scalars: each
-    list of them in one call, and the rest all in one call."""
-    parts: List[Any] = []
-    scalars: List[Tuple[int, Any]] = []
-    _lay_out(doc, "\n", parts, scalars)
-    if scalars:
-        texts = json.dumps([o for _, o in scalars])[1:-1].split(", ")
-        for (i, _), text in zip(scalars, texts):
-            parts[i] = text
+    """json.dumps(doc, indent=2): json lays out doc, and each array of finite
+    floats, where json's pure-Python indenting encoder spends its time, is
+    joined from float.__repr__, json's own float form."""
+    arrays: list = []
+    pieces = json.dumps(_hide(doc, arrays), indent=2).split('"\\u0000"')
+    if len(pieces) != len(arrays) + 1:  # a string or key holds NUL
+        return json.dumps(doc, indent=2)
+    parts = [pieces[0]]
+    for body, before, after in zip(arrays, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        inner = newline + "  "
+        parts += "[" + inner + body.replace(",", "," + inner) + newline + "]", after
     return "".join(parts)
 
 
-# The scalars whose json text never holds ", ", so that the text of a list of
-# them splits into the items' texts.
-_NUMBERS = {int, float, bool, type(None)}
-
-
-def _lay_out(o, newline: str, parts: list, scalars: list) -> None:
-    # append o to parts as json.dumps(o, indent=2) writes it, each line after
-    # the first starting with newline (a line break and the indent of o's
-    # depth); a scalar not in a list of numbers is left to to_json, as its
-    # index in parts and itself
-    inner = newline + "  "
-    if isinstance(o, str):
-        parts.append(json.dumps(o))
-    elif not isinstance(o, (dict, list, tuple)):
-        scalars.append((len(parts), o))
-        parts.append(None)
-    elif not o or isinstance(o, dict) and not all(isinstance(k, str) for k in o):
-        # empty, or with keys that json converts to strings
-        parts.append(json.dumps(o, indent=2).replace("\n", newline))
-    elif isinstance(o, dict):
-        sep = "{"
-        for k, v in o.items():
-            parts.append(sep + inner + json.dumps(k) + ": ")
-            _lay_out(v, inner, parts, scalars)
-            sep = ","
-        parts.append(newline + "}")
-    else:
-        body = _joined_numbers(o, "," + inner)
-        if body is not None:
-            parts.append("[" + inner + body + newline + "]")
-            return
-        sep = "["
-        for v in o:
-            parts.append(sep + inner)
-            _lay_out(v, inner, parts, scalars)
-            sep = ","
-        parts.append(newline + "]")
-
-
-def _joined_numbers(items, sep: str) -> Optional[str]:
-    """The items joined by sep as json writes them, if all are numbers,
-    booleans or null; otherwise None."""
+def _hide(o, arrays: list):
+    """o rebuilt with each nonempty list or tuple of finite floats replaced by
+    the placeholder "\\0", and its reprs joined by "," appended to arrays.
+    Not a closure: a recursive closure is a reference cycle, which would keep
+    every repr until the next garbage collection."""
+    if isinstance(o, dict):
+        return {k: _hide(v, arrays) for k, v in o.items()}
+    if not isinstance(o, (list, tuple)):
+        return o
     try:
-        body = sep.join(map(float.__repr__, items))
-        if "n" not in body:  # no finite repr has an n; json writes NaN and Infinity
-            return body
+        body = ",".join(map(float.__repr__, o))
     except TypeError:  # an item that is not a float
-        pass
-    if set(map(type, items)) <= _NUMBERS:
-        return sep.join(json.dumps(items)[1:-1].split(", "))
-    return None
+        return [_hide(v, arrays) for v in o]
+    if not o or "n" in body:  # json writes NaN and Infinity; no finite repr has an n
+        return list(o)
+    arrays.append(body)
+    return "\0"
 
 
 def read_array(value, shape: tuple, name: str) -> np.ndarray:

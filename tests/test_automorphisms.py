@@ -421,6 +421,23 @@ class TestMinimality:
                 got = automorphisms._best_cut(cap.tolist(), a)
                 assert (got[0], sorted(got[1])) == expected, (cap.tolist(), a)
 
+    def test_best_cut_of_absent_letter(self):
+        cap = edge_table(bytes([0, 2, 0, 3]), 3)
+        assert automorphisms._best_cut(cap, 4) == (0, [])
+        assert automorphisms._best_cut(cap, 5) == (0, [])
+
+    def test_short_rank_26_words_match_bfs_oracle(self):
+        """The BFS cannot scan rank 26's 52 (2^50 - 2) type IIs, so every
+        rank-3 word up to length 3 is written on generators 25, 7 and 12 of
+        rank 26 and checked against the rank-3 BFS: its rank-26 Whitehead
+        graph is the rank-3 one plus isolated vertices, so a cut below deg(a)
+        exists at one rank exactly when at the other."""
+        gens = (25, 7, 12)
+        for n in (1, 2, 3):
+            for w in all_cyclic_words(3, n):
+                big = CyclicWord(bytes(2 * gens[c >> 1] | c & 1 for c in w.letters), 26)
+                assert is_minimal(big) == (bfs_orbit_min(w) == n), str(big)
+
     def test_rank_12_smoke(self):
         rng = np.random.default_rng(12)
         base = random_word(150, 12, rng=rng)

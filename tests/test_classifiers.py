@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import chdtri
@@ -938,6 +938,14 @@ class TestSerialization:
 
     @settings(max_examples=400, deadline=None)
     @given(doc=JSON_DOCS)
+    @example(doc={"\x00": [1.0]})  # a key that reads as the placeholder
+    @example(doc=['"\x00', [2.5]])  # a string whose text holds the placeholder's
+    @example(doc={"a": [1.0, float("nan")], "b": [float("inf"), -float("inf")]})
+    @example(doc=(0.5, -0.0))
+    @example(doc=[np.float64(0.1), np.float64(5e-324)])
+    @example(doc=[1e16, 1e-05])
+    @example(doc=[])
+    @example(doc={"rows": [[1.0, 2.0], [], [3.0]]})
     def test_to_json_is_json_dumps_indent_2(self, doc):
         assert to_json(doc) == json.dumps(doc, indent=2)
 

@@ -67,3 +67,27 @@ def test_every_private_definition_is_reached(path):
     texts = {p: p.read_text().splitlines() for p in PACKAGE.rglob("*.py")}
     defs = [(path, *d) for d in definitions(path.read_text(), private=True)]
     assert unreached(defs, texts) == []
+
+
+def unused_imports(source: str):
+    """Names that the source's imports bind and its code never reads; a
+    from-__future__ import binds none."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from typing import List, Tuple\nx: List[int] = np.zeros(os.sep)\n")
+    assert unused_imports(source) == ["Tuple"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
