@@ -277,15 +277,14 @@ def reducing_moves(w: CyclicWord) -> List[NielsenMove]:
 
 def _no_shorter_cut(cap: List[List[int]]) -> bool:
     """True when no proper type II shortens the word with Whitehead graph
-    cap: the flow from each a = 2g to a^-1 reaches deg(a)."""
+    cap: the flow from each a = 2g to a^-1 reaches deg(a); SR labels use it."""
     return all(_best_cut(cap, a)[0] == 0 for a in range(0, len(cap), 2))
 
 
 def is_minimal(w: CyclicWord) -> bool:
-    """True when no Whitehead automorphism shortens the cyclic word w.  A
+    """True when no Whitehead automorphism shortens the cyclic word w: a
     word of more than one letter is tested by _no_shorter_cut on its
-    Whitehead graph, the test that also labels generated SR and SP records
-    from their block's graphs."""
+    Whitehead graph, as generated SR records are (SP by their length)."""
     if len(w) <= 1:
         return True
     return _no_shorter_cut(edge_table(w.letters, w.rank))

@@ -20,7 +20,8 @@ class KMeansModel:
 
 
 def _assign(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    # one center at a time: an N x k x d difference would hold k copies of X
+    d2 = np.stack([((X - c) ** 2).sum(axis=1) for c in centers], axis=1)
     return np.argmin(d2, axis=1)  # argmin takes the lowest index on ties
 
 

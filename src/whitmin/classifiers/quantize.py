@@ -9,6 +9,8 @@ import numpy as np
 
 from .base import sorted_class_counts
 
+# The quantizer kinds build_quantizer fits.
+QUANTIZER_KINDS = ("equal_interval", "equal_probability", "min_error")
 # Most back-pointer cells the min-error DP keeps, (bins - 1) x (distinct
 # scores + 1) int64s: 128 MiB.
 MIN_ERROR_CELLS = 1 << 24
@@ -80,7 +82,7 @@ def build_quantizer(
     """
     if num_intervals < 2:
         raise ValueError("need at least 2 intervals")
-    if kind not in ("equal_interval", "equal_probability", "min_error"):
+    if kind not in QUANTIZER_KINDS:
         raise ValueError(f"unknown quantizer kind {kind!r}")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)

@@ -6,7 +6,7 @@ Kinds:
            longer image under a random type-II automorphism (label nonmin).
   S10    : like D, but 1..10 consecutive length-increasing substitutions.
   SR     : random cyclically reduced words, labeled by the minimality test.
-  SP     : random primitive elements, labeled by the minimality test.
+  SP     : random primitive elements, labeled min iff one letter (Whitehead).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 
 from .automorphisms import (_descend, _no_shorter_cut, _substitute_longer, edge_tables,
                            random_primitive)
-from .words import (CyclicWord, _random_letters, check_rank, format_codes, parse_codes,
-                    random_word)
+from .words import CyclicWord, _random_letters, check_rank, format_codes, parse_codes
 
 log = logging.getLogger(__name__)
 
@@ -202,11 +201,11 @@ def _record_rngs(spec: DatasetSpec, count: int) -> Iterator[np.random.Generator]
             yield np.random.Generator(np.random.PCG64(SeedState(row)))
 
 
-# Records are drawn a block at a time, and one edge_tables call gives the
-# Whitehead graphs of a block's words.  A block holds at most this many
-# letters and table cells, each word counting its letters plus its table's
-# (2r)^2 cells, so its transient stays small whatever its record count and
-# rank; a larger word is a block of its own.
+# D, Se, S10 and SR records are drawn a block at a time, and one edge_tables
+# call gives the Whitehead graphs of a block's words.  A block holds at most
+# this many letters and table cells, each word counting its letters plus its
+# table's (2r)^2 cells, so its transient stays small whatever its record
+# count and rank; a larger word is a block of its own.
 _BLOCK_LETTERS = 1 << 13
 
 
@@ -227,60 +226,45 @@ def _blocks(drawn: Iterable[tuple], rank: int) -> Iterator[list]:
         yield block
 
 
-def _substitution_records(spec: DatasetSpec, max_steps: int) -> Iterator[WordRecord]:
-    """D, Se and S10.  A block of records draws its words, each from its
-    own stream, and gets their graphs from one edge_tables call; then each
-    record, in index order, descends to a minimal word and draws the rest
-    from its own stream, so the block size changes no record.  Each word
-    stays raw letters, in any rotation, from the draw to the record, and is
-    checked and canonicalized once, as its CyclicWord."""
-    rank = spec.rank
-    drawn = ((_random_letters(idx // spec.per_length + 1, rank, rng), rng)
-             for idx, rng in enumerate(_record_rngs(spec, spec.record_count)))
-    for block in _blocks(drawn, rank):
-        caps = edge_tables([letters for letters, _ in block], rank)
-        for (letters, rng), cap in zip(block, caps):
-            l = len(letters)
-            letters, cap, _ = _descend(letters, cap, rank)
-            label = LABEL_MIN
-            if rng.random() < 0.5:
-                steps = 1 if max_steps == 1 else int(rng.integers(1, max_steps + 1))
-                longer = _substitute_longer(letters, cap, rank, steps, rng)
-                if longer is None:
-                    log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
-                else:
-                    letters, label = longer, LABEL_NONMIN
-            yield WordRecord(CyclicWord(letters, rank), label)
-
-
-def _tested_word(spec: DatasetSpec, rng: np.random.Generator) -> CyclicWord:
-    """An SR or SP record's word, drawn from its stream."""
-    l = int(rng.integers(1, spec.max_length + 1))
-    if spec.kind == "SR":
-        return random_word(l, spec.rank, rng=rng)
-    return random_primitive(spec.rank, int(rng.integers(1, 11)), rng)
-
-
-def _tested_records(spec: DatasetSpec) -> Iterator[WordRecord]:
-    """SR and SP: each word is labelled as is_minimal labels it, words of
-    more than one letter by the min-cut test on their graph from their
-    block's edge_tables call."""
-    words = (_tested_word(spec, rng) for rng in _record_rngs(spec, spec.record_count))
-    for block in _blocks(((w.letters, w) for w in words), spec.rank):
-        caps = iter(edge_tables([letters for letters, _ in block if len(letters) > 1],
-                                spec.rank))
-        for letters, w in block:
-            minimal = len(letters) <= 1 or _no_shorter_cut(next(caps))
-            yield WordRecord(w, LABEL_MIN if minimal else LABEL_NONMIN)
-
-
 def generate_records(spec: DatasetSpec) -> Iterator[WordRecord]:
-    """The spec's records in index order.  They are drawn a block of at
-    most _BLOCK_LETTERS letters and table cells at a time, so memory stays
-    flat in the record count and a file can be written as they come."""
-    if spec.kind in ("SR", "SP"):
-        return _tested_records(spec)
-    return _substitution_records(spec, max_steps=10 if spec.kind == "S10" else 1)
+    """The spec's records in index order, each from its own stream.  By
+    Whitehead's theorem a primitive cyclic word is minimal iff it is one
+    letter, so SP needs no graph.  The other kinds draw raw letters, a block
+    of at most _BLOCK_LETTERS letters and table cells at a time, with one
+    edge_tables call per block: memory stays flat in the record count, and
+    the block size changes no record.  Each word is canonicalized once, as
+    its record's CyclicWord."""
+    rank, kind = spec.rank, spec.kind
+    rngs = _record_rngs(spec, spec.record_count)
+    if kind == "SP":
+        for rng in rngs:
+            rng.integers(1, spec.max_length + 1)  # SR's length: unused, but part of the stream
+            w = random_primitive(rank, int(rng.integers(1, 11)), rng)
+            yield WordRecord(w, LABEL_MIN if len(w) == 1 else LABEL_NONMIN)
+        return
+    # SR draws its length from the stream; D, Se and S10 take it from the index
+    drawn = ((_random_letters(int(rng.integers(1, spec.max_length + 1)) if kind == "SR"
+                              else idx // spec.per_length + 1, rank, rng), rng)
+             for idx, rng in enumerate(rngs))
+    for block in _blocks(drawn, rank):
+        # a one-letter SR word is minimal and needs no graph
+        caps = iter(edge_tables([letters for letters, _ in block
+                                 if kind != "SR" or len(letters) > 1], rank))
+        for letters, rng in block:
+            if kind == "SR":
+                minimal = len(letters) <= 1 or _no_shorter_cut(next(caps))
+            else:
+                l = len(letters)
+                letters, cap, _ = _descend(letters, next(caps), rank)
+                minimal = True
+                if rng.random() < 0.5:
+                    steps = int(rng.integers(1, 11)) if kind == "S10" else 1
+                    longer = _substitute_longer(letters, cap, rank, steps, rng)
+                    if longer is None:
+                        log.warning("substitution retries exhausted at l=%d; keeping minimal", l)
+                    else:
+                        letters, minimal = longer, False
+            yield WordRecord(CyclicWord(letters, rank), LABEL_MIN if minimal else LABEL_NONMIN)
 
 
 def generate_dataset(spec: DatasetSpec) -> LabeledWordSet:

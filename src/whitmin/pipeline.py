@@ -11,8 +11,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classifiers import (LINEAR_METHODS, LabeledSet, build_quantizer, fit_distance,
-                          fit_linear, fit_tree, threshold_labels)
+from .classifiers import (LINEAR_METHODS, QUANTIZER_KINDS, LabeledSet, build_quantizer,
+                          fit_distance, fit_linear, fit_tree, threshold_labels)
 from .classifiers.base import _column_thresholds
 from .classifiers.serialize import (ModelFormatError, _read_scalar, model_from_dict,
                                    model_to_dict, to_json)
@@ -41,12 +41,14 @@ STACK_CELLS = 1 << 22
 class PipelineConfig:
     feature_map: str = "f6"
     method: str = "regression"          # one of METHODS
-    quantizer_kind: Optional[str] = "equal_interval"
+    quantizer_kind: Optional[str] = "equal_interval"   # one of QUANTIZER_KINDS, or None
     quantizer_bins: int = DEFAULT_QUANTIZER_BINS
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.quantizer_kind not in QUANTIZER_KINDS + (None,):
+            raise ValueError(f"unknown quantizer kind {self.quantizer_kind!r}")
         if (self.method in LINEAR_METHODS and self.quantizer_kind
                 and not 2 <= self.quantizer_bins <= MAX_BINS):
             raise ValueError(f"a quantizer needs 2 to {MAX_BINS} bins, "
@@ -253,7 +255,7 @@ def pipeline_to_json(pipeline: Pipeline) -> str:
 def pipeline_from_json(text: Union[str, bytes]) -> Pipeline:
     """The pipeline a JSON document describes.  Raises ModelFormatError when
     the document is not JSON (an undecodable byte included), its config lacks
-    a key or is invalid, or its model does not fit its feature map."""
+    a key or is invalid, or its model does not fit its feature map or config."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as e:
@@ -276,4 +278,9 @@ def pipeline_from_json(text: Union[str, bytes]) -> Pipeline:
     if cfg.feature_map != doc.get("feature_map"):
         raise ModelFormatError(f"config feature map {cfg.feature_map!r} does not "
                                f"match the model's {doc.get('feature_map')!r}")
+    if cfg.method in LINEAR_METHODS:
+        kind = model.quantizer.kind if model.quantizer else None
+        if kind != cfg.quantizer_kind:
+            raise ModelFormatError(f"config quantizer kind {cfg.quantizer_kind!r} does not "
+                                   f"match the model's {kind!r}")
     return Pipeline(fmap, model, cfg)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from whitmin.classifiers import (LabeledSet, Quantizer, build_quantizer, choose_
                                  node_stats, threshold_labels)
 from whitmin.classifiers.base import _column_thresholds, sorted_class_counts
 from whitmin.classifiers.flats import _discriminant
+from whitmin.classifiers.kmeans import _assign
 from whitmin.classifiers import quantize, tree as tree_module
 from whitmin.classifiers.quantize import (_dedupe, _majority_labels,
                                           _min_error_boundaries)
@@ -846,6 +848,19 @@ class TestKMeans:
         init = np.array([[0.05], [100.0]])  # second center captures nothing
         model = kmeans(X, init)
         assert len(np.unique(model.assignments)) == 2
+
+    def test_assign_memory_is_bounded_by_points(self):
+        # an N x k x d difference would peak at k times X's bytes
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(1000, 200))
+        centers = X[:8].copy()
+        tracemalloc.start()
+        try:
+            _assign(X, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.nbytes
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import pytest
 from whitmin.automorphisms import NIELSEN_MOVES
 from whitmin.cli import (_QUANTIZERS, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE,
                          build_parser, main)
+from whitmin.classifiers.quantize import QUANTIZER_KINDS
 from whitmin.clustering import INITS, clustering_experiment
 from whitmin.datasets import KINDS, DatasetSpec, generate_dataset, save_tsv
 from whitmin.pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA,
@@ -117,6 +118,9 @@ class TestUsageErrors:
         action = next(a for a in parser._actions if a.dest == dest)
         value = _QUANTIZERS[action.default] if read == "kind" else getattr(action, read)
         assert value == owner
+
+    def test_quantizer_names_cover_the_kinds(self):
+        assert sorted(filter(None, _QUANTIZERS.values())) == sorted(QUANTIZER_KINDS)
 
     def test_unknown_method_is_named(self):
         with pytest.raises(ValueError, match="^unknown method 'forest'$"):
@@ -440,6 +444,12 @@ BAD_MODELS = {
     "rank-huge": ("model", ["config", "rank"], 10**9),
     "missing-training-error": ("model", ["training_error"], _DELETE),
     "missing-degenerate": ("model", ["quantizer", "degenerate"], _DELETE),
+    # the file's config names an equal_interval quantizer
+    "missing-quantizer": ("model", ["quantizer"], _DELETE),
+    "config-no-quantizer": ("model", ["config", "quantizer_kind"], None),
+    "config-quantizer-kind": ("model", ["config", "quantizer_kind"], "bogus"),
+    "quantizer-kind": ("model", ["quantizer", "kind"], "whatever"),
+    "other-quantizer-kind": ("model", ["quantizer", "kind"], "equal_probability"),
     "distance-missing-training-error": ("distance", ["training_error"], _DELETE),
     "distance-missing-ridge-repaired": ("distance", ["ridge_repaired"], _DELETE),
 }

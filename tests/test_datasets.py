@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whitmin import datasets
+from whitmin import automorphisms, datasets
 from whitmin.automorphisms import edge_tables, is_minimal
-from whitmin.datasets import (_RNG_BLOCK, KINDS, LABEL_MIN, LABEL_NONMIN,
+from whitmin.datasets import (_RNG_BLOCK, LABEL_MIN, LABEL_NONMIN,
                               MAX_RECORDS, DataFormatError, DatasetSpec,
                               LabeledWordSet, WordRecord, _record_rngs,
                               generate_dataset, generate_records, load_tsv, save_tsv)
 from whitmin.words import parse_cyclic_word
+
+from conftest import bfs_orbit_min
 
 
 def labels_verified(ds):
@@ -164,11 +168,10 @@ class TestBlocks:
     record."""
 
     SPECS = dict(D=dict(max_length=80, per_length=3), Se=dict(max_length=80, per_length=3),
-                 S10=dict(max_length=10, per_length=40), SR=dict(max_length=60, size=300),
-                 SP=dict(size=500))
+                 S10=dict(max_length=10, per_length=40), SR=dict(max_length=60, size=300))
 
     @pytest.mark.parametrize("rank", [2, 3])
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_block_size_changes_no_record(self, monkeypatch, kind, rank):
         spec = DatasetSpec(kind, rank=rank, seed=rank, **self.SPECS[kind])
         blocks = []
@@ -191,6 +194,37 @@ class TestBlocks:
                             lambda words, r: blocks.append(words) or edge_tables(words, r))
         generate_dataset(DatasetSpec("SR", rank=26, max_length=3, size=60, seed=1))
         assert blocks and max(map(len, blocks)) <= 3
+
+
+class TestPrimitives:
+    """SP records are labelled by their length, with no Whitehead graph:
+    a primitive cyclic word is minimal exactly when it is one letter."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_no_graph_or_cut(self, monkeypatch, rank):
+        def refuse(*args):
+            raise AssertionError("SP labels need no Whitehead graph")
+
+        expected = generate_dataset(DatasetSpec("SP", rank=rank, size=300, seed=rank)).records
+        monkeypatch.setattr(datasets, "edge_tables", refuse)
+        monkeypatch.setattr(automorphisms, "edge_tables", refuse)
+        monkeypatch.setattr(automorphisms, "_best_cut", refuse)
+        assert generate_dataset(DatasetSpec("SP", rank=rank, size=300,
+                                            seed=rank)).records == expected
+
+    # Longest word checked against the BFS orbit search, whose level sets
+    # grow fast with length: a rank-3 word of 7 letters takes about 1 s.
+    BFS_LENGTH = {2: 12, 3: 5}
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_labels_match_oracles(self, seed):
+        for rank in range(2, 7):
+            for r in generate_dataset(DatasetSpec("SP", rank=rank, size=25, seed=seed)):
+                minimal = r.label == LABEL_MIN
+                assert minimal == is_minimal(r.word), (rank, str(r.word))
+                if len(r.word) <= self.BFS_LENGTH.get(rank, 0):
+                    assert minimal == (bfs_orbit_min(r.word) == len(r.word)), (rank, str(r.word))
 
 
 class TestLabeledWordSet:

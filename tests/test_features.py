@@ -4,10 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from whitmin.automorphisms import apply_automorphism, edge_table, length_change
 from whitmin.features import (FeatureMap, Pattern, _pair_patterns, builtin_map,
                               count_pattern, feature_matrix, feature_vector,
                               pattern_pool, resolve_map)
 from whitmin.words import CyclicWord, parse_codes, parse_cyclic_word, random_word
+
+from conftest import enumerate_type2
 
 
 def cw(text):
@@ -336,3 +339,32 @@ class TestPatternPool:
     def test_size_bounded_before_enumeration(self, rank, lo, hi):
         with pytest.raises(ValueError, match="more than 262144"):
             pattern_pool(rank, lo, hi)
+
+
+class TestWhiteheadForms:
+    """|t(w)| - |w| = cap(A) - deg(a) makes each proper type II t = (A, a) a
+    linear form with integer coefficients on w's f1 counts.  Pattern xy is
+    the Whitehead-graph edge {x, y^-1}: +1 when exactly one end lies in A,
+    -1 for each end equal to a.  f1 counts no pattern in a one-letter word,
+    whose one pattern is longer than the word, so words have 2 letters or
+    more."""
+
+    @staticmethod
+    def form(fmap, t):
+        A, a = t.subset, t.multiplier
+        return [((x in A) != (y ^ 1 in A)) - (x == a) - (y ^ 1 == a)
+                for x, y in (p.letters for p in fmap.patterns)]
+
+    @pytest.mark.parametrize("rank, count", [(2, 100), (3, 40), (4, 20)])
+    def test_f1_counts_give_length_change(self, rank, count):
+        rng = np.random.default_rng(rank)
+        fmap = builtin_map("f1", rank)
+        autos = enumerate_type2(rank)
+        forms = np.array([self.form(fmap, t) for t in autos])
+        for _ in range(count):
+            w = random_word(int(rng.integers(2, 16)), rank, rng=rng)
+            counts = np.rint(feature_vector(w, fmap) * len(w)).astype(np.int64)
+            cap = edge_table(w.letters, rank)
+            for t, change in zip(autos, (forms @ counts).tolist()):
+                assert change == length_change(cap, t), (str(w), t)
+                assert change == len(apply_automorphism(t, w)) - len(w), (str(w), t)

@@ -64,6 +64,11 @@ class TestTraining:
         PipelineConfig(quantizer_kind=None, quantizer_bins=1)
         PipelineConfig(method="tree", quantizer_bins=1)
 
+    @pytest.mark.parametrize("method", ["regression", "tree"])
+    def test_unknown_quantizer_kind(self, method):
+        with pytest.raises(ValueError, match="^unknown quantizer kind 'bogus'$"):
+            PipelineConfig(method=method, quantizer_kind="bogus")
+
     def test_map_resolved_at_training_rank(self):
         train = generate_dataset(DatasetSpec("D", rank=3, max_length=12, per_length=4,
                                              seed=103))
