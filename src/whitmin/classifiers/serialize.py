@@ -17,13 +17,13 @@ import numpy as np
 from .flats import DistanceModel
 from .linear import LINEAR_METHODS, LinearModel
 from .quantize import Quantizer
-from .tree import TreeLeaf, TreeModel, TreeNode
+from .tree import MIN_NODE, TreeLeaf, TreeModel, TreeNode
 
 SCHEMA_VERSION = 1
 
 # Written into every tree document so that files keep the layout of the
 # format's first version, when trees were configurable; loading ignores it.
-_TREE_PARAMS = {"max_depth": None, "min_node": 10, "chi2_cutoff": None,
+_TREE_PARAMS = {"max_depth": None, "min_node": MIN_NODE, "chi2_cutoff": None,
                 "criterion": "purity", "eps_type1": None, "eps_type2": None}
 
 

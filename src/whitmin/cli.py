@@ -18,9 +18,8 @@ from .clustering import (INITS, centers_from_json, centers_to_json,
                          clustering_experiment, predict_reducer, report_centers_by_move)
 from .datasets import KINDS, DatasetSpec, generate_records, load_tsv, save_tsv
 from .features import resolve_map
-from .pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA, MAX_BINS,
-                       METHODS, PipelineConfig, evaluate, greedy_feature_selection,
-                       pipeline_from_json, pipeline_to_json, train_pipeline)
+from .pipeline import (MAX_BINS, METHODS, Pipeline, PipelineConfig, evaluate, featurize,
+                       fit_model, greedy_feature_selection, pipeline_from_json, pipeline_to_json)
 from .words import check_rank, cyclic_reduce, parse_codes
 
 EXIT_OK = 0
@@ -84,16 +83,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="f0..f6, fstar, or pool:<min>-<max>")
     t.add_argument("--model", default=PipelineConfig.method, choices=METHODS)
     t.add_argument("--quantizer", default=_DEFAULT_QUANTIZER, choices=_QUANTIZERS)
-    t.add_argument("--bins", type=int, default=DEFAULT_QUANTIZER_BINS)
+    t.add_argument("--bins", type=int, default=PipelineConfig.quantizer_bins)
     t.add_argument("--rank", type=int, default=DatasetSpec.rank)
     t.add_argument("--train", dest="train_file", required=True)
     t.add_argument("-o", "--output", required=True)
 
     e = sub.add_parser("evaluate", help="evaluate a trained pipeline")
+    evaluation = inspect.signature(evaluate).parameters
     e.add_argument("--model", required=True)
     e.add_argument("--test", required=True)
-    e.add_argument("--strata", default=",".join(map(str, DEFAULT_STRATA)))
-    e.add_argument("--hist-bins", type=int, default=DEFAULT_HIST_BINS)
+    e.add_argument("--strata", default=",".join(map(str, evaluation["strata"].default)))
+    e.add_argument("--hist-bins", type=int, default=evaluation["bins"].default)
     e.add_argument("--hist-out", help="write the score histogram CSV here")
 
     s = sub.add_parser("select-features", help="greedy forward feature selection")
@@ -130,14 +130,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    _checked(EXIT_USAGE, resolve_map, args.features, args.rank,
-             prefix=f"bad feature map {args.features!r}: ")
+    fmap = _checked(EXIT_USAGE, resolve_map, args.features, args.rank,
+                    prefix=f"bad feature map {args.features!r}: ")
     cfg = _checked(EXIT_USAGE, PipelineConfig, args.features, args.model,
                    _QUANTIZERS[args.quantizer], args.bins)
     train = _checked(EXIT_DATA, load_tsv, args.train_file, args.rank)
-    pipeline = _checked(EXIT_MODEL, train_pipeline, train, cfg)
+    if not len(train):
+        return _fail(f"{args.train_file}: empty training set", EXIT_DATA)
+    model = _checked(EXIT_MODEL, lambda: fit_model(featurize(train, fmap), cfg))
     with open(args.output, "w") as fh:
-        fh.write(pipeline_to_json(pipeline))
+        fh.write(pipeline_to_json(Pipeline(fmap, model, cfg)))
     print(f"trained {args.model} on {len(train)} records -> {args.output}")
     return EXIT_OK
 

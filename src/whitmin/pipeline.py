@@ -22,9 +22,6 @@ from .numerics import least_squares
 
 # Every pipeline method, in the order `whitmin train --model` lists them.
 METHODS = LINEAR_METHODS + ("tree", "distance")
-DEFAULT_STRATA = (0, 4, 100)
-DEFAULT_QUANTIZER_BINS = 100
-DEFAULT_HIST_BINS = 50
 # Most quantizer or histogram bins: more bins than scores separate nothing.
 # A histogram, equal-interval or equal-probability bin costs tens of bytes;
 # min-error bins have their own memory bound, quantize.MIN_ERROR_CELLS.
@@ -42,7 +39,7 @@ class PipelineConfig:
     feature_map: str = "f6"
     method: str = "regression"          # one of METHODS
     quantizer_kind: Optional[str] = "equal_interval"   # one of QUANTIZER_KINDS, or None
-    quantizer_bins: int = DEFAULT_QUANTIZER_BINS
+    quantizer_bins: int = 100
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -145,8 +142,8 @@ def score_histogram(scores: np.ndarray, labels: np.ndarray, bins: int) -> ScoreH
 def evaluate(
     pipeline: Pipeline,
     test: LabeledWordSet,
-    bins: int = DEFAULT_HIST_BINS,
-    strata: Sequence[int] = DEFAULT_STRATA,
+    bins: int = 50,
+    strata: Sequence[int] = (0, 4, 100),
 ) -> EvaluationReport:
     if not len(test):
         raise ValueError("empty test set")
@@ -238,17 +235,10 @@ def _accuracies(Xtr: np.ndarray, ytr: np.ndarray, Xva: np.ndarray, yva: np.ndarr
 
 def pipeline_to_json(pipeline: Pipeline) -> str:
     doc = model_to_dict(pipeline.model, pipeline.fmap.name)
-    doc["config"] = {
-        "feature_map": pipeline.config.feature_map,
-        "method": pipeline.config.method,
-        "quantizer_kind": pipeline.config.quantizer_kind,
-        "quantizer_bins": pipeline.config.quantizer_bins,
-        # kept in the layout of the format's first version: nothing sets a
-        # threshold_override or a seed any more, and a loader rejects the former
-        "threshold_override": None,
-        "rank": pipeline.fmap.rank,
-        "seed": 0,
-    }
+    # threshold_override and seed are kept in the layout of the format's first
+    # version: nothing sets either any more, and a loader rejects the former
+    doc["config"] = {**dataclasses.asdict(pipeline.config), "threshold_override": None,
+                     "rank": pipeline.fmap.rank, "seed": 0}
     return to_json(doc)
 
 

@@ -533,6 +533,32 @@ class TestApplicationCounts:
         assert applied == nonmin + steps
 
 
+class TestSubstitutionFallback:
+    """No proper type II changes the length of the rank-2 4-cycles abAb, aBAB
+    and abAB, so the substitution step of D, Se and S10 generation gives up on
+    them whatever its generator draws, and the record stays minimal: the
+    fallback that paper-scale D meets at length 4."""
+
+    WORDS = ("abAb", "aBAB", "abAB")
+
+    @pytest.mark.parametrize("text", WORDS)
+    def test_no_proper_type2_changes_the_length(self, text):
+        w = cw(text)
+        autos = enumerate_type2(2)
+        assert len(autos) == type2_count(2) == 8
+        assert [len(apply_automorphism(t, w)) for t in autos] == [len(w)] * 8
+        cap = edge_table(w.letters, 2)
+        assert [length_change(cap, t) for t in autos] == [0] * 8
+
+    @pytest.mark.parametrize("text", WORDS)
+    def test_substitution_gives_up_under_any_generator(self, text):
+        w = cw(text)
+        cap = edge_table(w.letters, 2)
+        for seed, steps in itertools.product(range(20), (1, 3)):
+            rng = np.random.default_rng(seed)
+            assert automorphisms._substitute_longer(w.letters, cap, 2, steps, rng) is None
+
+
 class TestCanonicalizeOnce:
     """minimize and random_primitive step on cyclic cores in whatever rotation
     they land in and canonicalize once; a reference that canonicalizes after

@@ -14,8 +14,7 @@ from whitmin.cli import (_QUANTIZERS, EXIT_DATA, EXIT_MODEL, EXIT_OK, EXIT_USAGE
 from whitmin.classifiers.quantize import QUANTIZER_KINDS
 from whitmin.clustering import INITS, clustering_experiment
 from whitmin.datasets import KINDS, DatasetSpec, generate_dataset, save_tsv
-from whitmin.pipeline import (DEFAULT_HIST_BINS, DEFAULT_QUANTIZER_BINS, DEFAULT_STRATA,
-                              MAX_BINS, METHODS, PipelineConfig)
+from whitmin.pipeline import MAX_BINS, METHODS, PipelineConfig, evaluate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,9 +82,11 @@ _OWNED = [
     ("train", "model", "default", PipelineConfig.method),
     ("train", "model", "choices", METHODS),
     ("train", "quantizer", "kind", PipelineConfig.quantizer_kind),
-    ("train", "bins", "default", DEFAULT_QUANTIZER_BINS),
-    ("evaluate", "strata", "default", ",".join(map(str, DEFAULT_STRATA))),
-    ("evaluate", "hist_bins", "default", DEFAULT_HIST_BINS),
+    ("train", "bins", "default", PipelineConfig.quantizer_bins),
+    ("evaluate", "strata", "default",
+     ",".join(map(str, inspect.signature(evaluate).parameters["strata"].default))),
+    ("evaluate", "hist_bins", "default",
+     inspect.signature(evaluate).parameters["bins"].default),
     ("cluster", "init", "default",
      inspect.signature(clustering_experiment).parameters["init"].default),
     ("cluster", "init", "choices", INITS),
@@ -273,6 +274,13 @@ class TestTrainEvaluate:
         assert main(["evaluate", "--model", workdir["model"],
                      "--test", str(empty)]) == EXIT_DATA
         assert _one_error_line(capsys)
+
+    def test_empty_training_set_is_data_error(self, tmp_path, capsys):
+        empty, out = tmp_path / "empty.tsv", tmp_path / "m.json"
+        empty.write_text("# word\tlabel\tlength\n")
+        assert main(["train", "--train", str(empty), "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {empty}: empty training set\n"
+        assert not out.exists()
 
     def test_empty_word_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "empty_word.tsv"

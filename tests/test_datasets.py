@@ -1,8 +1,9 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from whitmin import automorphisms, datasets
@@ -11,7 +12,7 @@ from whitmin.datasets import (_RNG_BLOCK, LABEL_MIN, LABEL_NONMIN,
                               MAX_RECORDS, DataFormatError, DatasetSpec,
                               LabeledWordSet, WordRecord, _record_rngs,
                               generate_dataset, generate_records, load_tsv, save_tsv)
-from whitmin.words import parse_cyclic_word
+from whitmin.words import format_codes, parse_cyclic_word
 
 from conftest import bfs_orbit_min
 
@@ -86,26 +87,30 @@ class TestRecordStreams:
         assert rng.bit_generator.state == oracle.bit_generator.state, (seed, kind, idx)
         assert (rng.integers(0, 2**62, 50) == oracle.integers(0, 2**62, 50)).all()
 
+    @staticmethod
+    def spec(kind, seed, count):
+        """A spec of this kind and seed with count records."""
+        spec = DatasetSpec(kind, max_length=1 if kind in ("SR", "SP") else count,
+                           per_length=1, size=count, seed=seed)
+        assert spec.record_count == count
+        return spec
+
     @pytest.mark.parametrize("kind", sorted(KIND_INDEX))
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 7])
     def test_matches_default_rng(self, kind, seed):
-        spec = DatasetSpec(kind, seed=seed)
-        rngs = list(_record_rngs(spec, _RNG_BLOCK + 2))
+        rngs = list(_record_rngs(self.spec(kind, seed, _RNG_BLOCK + 2)))
         assert len(rngs) == _RNG_BLOCK + 2
         for idx in self.INDICES:
             self.assert_oracle(rngs[idx], seed, kind, idx)
 
     def test_count_is_built_one_block_at_a_time(self):
         # 2**32 - 1 states at once would be 128 GiB; the first needs one block
-        spec = DatasetSpec("SR", seed=9)
-        rngs = _record_rngs(spec, MAX_RECORDS)
+        rngs = _record_rngs(self.spec("SR", 9, MAX_RECORDS))
         for idx in range(3):
             self.assert_oracle(next(rngs), 9, "SR", idx)
 
     def test_short_and_empty_counts(self):
-        spec = DatasetSpec("D", seed=4)
-        assert list(_record_rngs(spec, 0)) == []
-        (rng,) = _record_rngs(spec, 1)
+        (rng,) = _record_rngs(self.spec("D", 4, 1))
         self.assert_oracle(rng, 4, "D", 0)
 
 
@@ -243,7 +248,66 @@ class TestLabeledWordSet:
         assert (sub.lengths() > 10).all()
 
 
+@st.composite
+def cyclic_letters(draw):
+    """(letters, rank): a random cyclically reduced word of 1-60 letters at
+    rank 2-4, in the rotation it was drawn in."""
+    rank = draw(st.integers(2, 4))
+    letters = [draw(st.integers(0, 2 * rank - 1))]
+    for _ in range(draw(st.integers(0, 59))):
+        step = draw(st.integers(0, 2 * rank - 2))   # any letter but the last one's inverse
+        letters.append(step + (step >= letters[-1] ^ 1))
+    assume(len(letters) == 1 or letters[-1] != letters[0] ^ 1)
+    return bytes(letters), rank
+
+
+@pytest.fixture(scope="module")
+def tsv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("tsv")
+
+
+def tsv_text(words):
+    """A TSV file's text holding these (letters, label) records."""
+    return "# word\tlabel\tlength\n" + "".join(
+        f"{format_codes(letters)}\t{label}\t{len(letters)}\n" for letters, label in words)
+
+
 class TestTsv:
+    @settings(max_examples=100, deadline=None)
+    @given(cyclic_letters())
+    def test_every_rotation_loads_canonical(self, tsv_dir, case):
+        letters, rank = case
+        n = len(letters)
+        least = min(letters[i:] + letters[:i] for i in range(n))   # the oracle
+        rotations = [(letters[i:] + letters[:i], LABEL_MIN) for i in range(n)]
+        src, out = tsv_dir / "rotations.tsv", tsv_dir / "saved.tsv"
+        src.write_text(tsv_text(rotations))
+        loaded = load_tsv(str(src), rank)
+        assert [r.word.letters for r in loaded] == [least] * n
+        assert save_tsv(loaded, str(out)) == n
+        assert out.read_text() == tsv_text([(least, LABEL_MIN)] * n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cyclic_letters(), st.data())
+    def test_unreduced_word_names_its_line(self, tsv_dir, case, data):
+        letters, rank = case
+        m = 2 * rank
+        if data.draw(st.booleans(), "cancelling pair inside"):
+            i = data.draw(st.integers(0, len(letters)))
+            x = data.draw(st.integers(0, m - 1))
+            bad, error = letters[:i] + bytes([x, x ^ 1]) + letters[i:], "freely"
+        else:
+            # x w x^-1: freely reduced, but x^-1 cancels x across the ends
+            x = data.draw(st.sampled_from([c for c in range(m)
+                                           if c not in (letters[0] ^ 1, letters[-1])]))
+            bad, error = bytes([x]) + letters + bytes([x ^ 1]), "cyclically"
+        before = data.draw(st.integers(0, 3))
+        path = tsv_dir / "unreduced.tsv"
+        path.write_text(tsv_text([(letters, LABEL_MIN)] * before + [(bad, LABEL_NONMIN)]))
+        line = re.escape(f"{path}:{before + 2}: word not {error} reduced")
+        with pytest.raises(DataFormatError, match=f"^{line}"):
+            load_tsv(str(path), rank)
+
     def test_round_trip(self, small_d, tmp_path):
         path = str(tmp_path / "d.tsv")
         save_tsv(small_d, path)
